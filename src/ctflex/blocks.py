@@ -61,14 +61,20 @@ class PolygonApproximation:
         return all(c * p + s * q <= r + tol for c, s, r in self.halfplanes)
 
 
+def _cos_sin(angle: float) -> tuple:
+    """cos and sin of an angle, with rounding residue such as the 6e-17 of
+    cos(pi/2) snapped to an exact 0.0 so it never becomes a matrix entry."""
+    return tuple(0.0 if abs(v) < 1e-12 else v
+                 for v in (math.cos(angle), math.sin(angle)))
+
+
 def circle_polygon(s_max: float, n_sides: int = 12) -> PolygonApproximation:
     """Inner polygonal approximation of a capacity disk of radius s_max."""
     if n_sides < 4 or n_sides % 2:
         raise ValueError(f"polygon needs an even side count >= 4, got {n_sides}")
     rhs = s_max * math.cos(math.pi / n_sides)
     planes = tuple(
-        (math.cos(2 * math.pi * k / n_sides), math.sin(2 * math.pi * k / n_sides), rhs)
-        for k in range(n_sides)
+        (*_cos_sin(2 * math.pi * k / n_sides), rhs) for k in range(n_sides)
     )
     return PolygonApproximation(float(s_max), n_sides, planes)
 
@@ -681,7 +687,7 @@ class BlockBuilder:
             raise BuildError(f"tdi block: network block for period {m} missing")
         blk = self._new_block("tdi", f"period{m}")
         root_branches = self._children[0]
-        ct, st = math.cos(theta), math.sin(theta)
+        ct, st = _cos_sin(theta)
         for k in range(self.n_coef):
             terms = [(layout.p0[k], 1.0)]
             terms += [(layout.p_br[bi][k], -1.0) for bi in root_branches]

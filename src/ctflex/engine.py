@@ -573,13 +573,35 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
 
 
 def dense_grid_csv(tube: FlexTube, fp, n_theta: int = 96, n_t: int = 33):
-    """(theta, t, P, Q) grid for external charting; gaps are skipped."""
+    """(theta, t, P, Q) grid for external charting; gaps are skipped.
+
+    Row for row the same as ``query_point`` at each (theta, t), with each
+    slice's trajectory evaluated once over the grid times and each theta
+    bracketed once.
+    """
+    times = np.linspace(tube.t1, tube.t2, n_t)
+    # per slice: (P, Q) skin points at every grid time, None in a gap
+    skins = []
+    for k, s in enumerate(tube.slices):
+        traj = tube.trajectory(k)
+        if traj is None:
+            skins.append(None)
+            continue
+        cos_th, sin_th = math.cos(s.theta), math.sin(s.theta)
+        skins.append([(r * cos_th, r * sin_th)
+                      for r in traj.evaluate(times).tolist()])
+    times = times.tolist()
     w = csv.writer(fp)
     w.writerow(["theta", "t", "p", "q"])
-    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
-        for t in np.linspace(tube.t1, tube.t2, n_t):
-            pq = query_point(tube, float(th), float(t))
-            if pq is None:
-                continue
-            w.writerow([repr(float(th)), repr(float(t)),
-                        repr(pq[0]), repr(pq[1])])
+    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False).tolist():
+        lo, hi, frac = _bracket(tube, th)
+        a, b = skins[lo], skins[hi]
+        if a is None or b is None:
+            continue
+        for t, (pa, qa), (pb, qb) in zip(times, a, b):
+            if lo == hi:
+                p, q = pa, qa
+            else:
+                p = (1.0 - frac) * pa + frac * pb
+                q = (1.0 - frac) * qa + frac * qb
+            w.writerow([repr(th), repr(t), repr(p), repr(q)])

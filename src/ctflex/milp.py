@@ -334,6 +334,9 @@ class ScipyHighsBackend:
             "presolve": True,
             "mip_rel_gap": options.mip_gap,
             "time_limit": options.time_limit,
+            # not a scipy option: passed to HiGHS verbatim (the warning
+            # saying so is silenced below); 0 is the HiGHS default
+            "random_seed": options.seed,
             # tighter than the HiGHS defaults so coefficient-wise bounds and
             # binary-exact product reconstructions survive trajectory sampling
             "primal_feasibility_tolerance": 1e-9,

@@ -13,6 +13,7 @@ an optional edge-sampling mode guards non-convex cross-sections.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class TubeSectionOracle(RegionOracle):
     feasible sampled directions and its radius does not exceed the chord
     between their boundary points along its ray.  The origin is a member
     whenever any direction is feasible.
+
+    ``thetas``, ``radii`` (NaN in gaps) and ``feasible`` are arrays for
+    callers; membership tests run on plain-float copies made once here, so
+    each call is a bisection and a few ``math`` operations.
     """
 
     def __init__(self, tube: FlexTube, t0: float, tol: float = 1e-9):
@@ -64,37 +69,61 @@ class TubeSectionOracle(RegionOracle):
             for k in range(len(tube.slices))
         ])
         self.feasible = ~np.isnan(self.radii)
+        self._thetas = self.thetas.tolist()
+        self._radii = [float(r) if ok else None
+                       for r, ok in zip(self.radii, self.feasible)]
+        self._any_feasible = bool(np.any(self.feasible))
+        # chord between sampled directions lo and lo + 1 (wrapping past
+        # 2 pi): (theta_lo, theta_hi, r_lo, r_hi, r_lo r_hi sin(span)),
+        # or None when either end is a gap
+        two_pi = 2 * math.pi
+        n = len(self._thetas)
+        self._sectors = []
+        for lo in range(n):
+            hi = (lo + 1) % n
+            r_lo, r_hi = self._radii[lo], self._radii[hi]
+            if r_lo is None or r_hi is None:
+                self._sectors.append(None)
+                continue
+            th_lo = self._thetas[lo]
+            th_hi = self._thetas[hi] if hi > lo else self._thetas[hi] + two_pi
+            self._sectors.append((th_lo, th_hi, r_lo, r_hi,
+                                  r_lo * r_hi * math.sin(th_hi - th_lo)))
 
     def boundary_radius(self, theta: float) -> float | None:
         """Radius of the section boundary along direction theta, or None
         inside a gap."""
-        thetas = self.thetas
-        two_pi = 2 * math.pi
-        theta = theta % two_pi
-        exact = np.where(np.abs(thetas - theta) <= _ANGLE_TOL)[0]
-        if len(exact):
-            k = int(exact[0])
-            return float(self.radii[k]) if self.feasible[k] else None
-        hi = int(np.searchsorted(thetas, theta)) % len(thetas)
-        lo = (hi - 1) % len(thetas)
-        if not (self.feasible[lo] and self.feasible[hi]):
+        thetas = self._thetas
+        theta = float(theta) % (2 * math.pi)
+        hi = bisect_left(thetas, theta)
+        # the first sampled direction within the angle tolerance wins;
+        # rounded differences are monotone, so matches are contiguous
+        # around the insertion point
+        k = hi
+        while k > 0 and abs(thetas[k - 1] - theta) <= _ANGLE_TOL:
+            k -= 1
+        if k < hi or (hi < len(thetas)
+                      and abs(thetas[hi] - theta) <= _ANGLE_TOL):
+            return self._radii[k]
+        # below the first or above the last direction, hi - 1 picks the
+        # sector that wraps past 2 pi
+        sector = self._sectors[hi - 1]
+        if sector is None:
             return None
-        th_lo = thetas[lo]
-        th_hi = thetas[hi] if hi > lo else thetas[hi] + two_pi
-        th = theta if theta >= th_lo else theta + two_pi
-        r_lo, r_hi = float(self.radii[lo]), float(self.radii[hi])
+        th_lo, th_hi, r_lo, r_hi, num = sector
+        th = theta if theta >= th_lo else theta + 2 * math.pi
         if r_lo == 0.0 and r_hi == 0.0:
             return 0.0
         # ray-chord crossing in polar form
         denom = r_lo * math.sin(th - th_lo) + r_hi * math.sin(th_hi - th)
         if denom <= 0.0:
             return 0.0
-        return r_lo * r_hi * math.sin(th_hi - th_lo) / denom
+        return num / denom
 
     def contains(self, p: float, q: float) -> bool:
         r = math.hypot(p, q)
         if r <= self.tol:
-            return bool(np.any(self.feasible))
+            return self._any_feasible
         bound = self.boundary_radius(math.atan2(q, p))
         if bound is None:
             return False
@@ -200,8 +229,6 @@ class PqBox:
 # side order: P-up, P-down, Q-up, Q-down
 _SIGNS = (1.0, -1.0, 1.0, -1.0)
 _SIDE_NAMES = ("P1", "P2", "Q1", "Q2")
-# corners as (P side, Q side) index pairs
-_CORNERS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def expand_box(oracle: RegionOracle, start, delta: float, eps: float,
@@ -228,26 +255,25 @@ def expand_box(oracle: RegionOracle, start, delta: float, eps: float,
     reasons: dict = {}
     iterations = 0
 
-    def corner(vals, ip, iq):
-        return (vals[ip], vals[iq])
+    fracs = (np.linspace(0, 1, edge_samples + 2)[1:-1].tolist()
+             if edge_samples > 0 else [])
+    contains = oracle.contains
 
     def edges_ok(vals) -> bool:
-        if edge_samples <= 0:
-            return True
         p_hi, p_lo, q_hi, q_lo = vals
-        for frac in np.linspace(0, 1, edge_samples + 2)[1:-1]:
+        for frac in fracs:
             p_mid = p_lo + frac * (p_hi - p_lo)
             q_mid = q_lo + frac * (q_hi - q_lo)
-            if not (oracle.contains(p_mid, q_hi)
-                    and oracle.contains(p_mid, q_lo)
-                    and oracle.contains(p_hi, q_mid)
-                    and oracle.contains(p_lo, q_mid)):
+            if not (contains(p_mid, q_hi) and contains(p_mid, q_lo)
+                    and contains(p_hi, q_mid) and contains(p_lo, q_mid)):
                 return False
         return True
 
     def box_ok(vals) -> bool:
-        return all(oracle.contains(*corner(vals, ip, iq))
-                   for ip, iq in _CORNERS) and edges_ok(vals)
+        p_hi, p_lo, q_hi, q_lo = vals
+        return (contains(p_hi, q_hi) and contains(p_hi, q_lo)
+                and contains(p_lo, q_hi) and contains(p_lo, q_lo)
+                and edges_ok(vals))
 
     def shrink(i):
         steps[i] /= 10.0

@@ -60,6 +60,25 @@ def test_polygon_simple_points():
     assert not poly.contains(1.01, 0.0)
 
 
+def test_polygon_axis_normals_exact():
+    # cos(pi/2) and sin(pi) round to ~1e-16; they must be emitted as 0.0
+    planes = circle_polygon(1.0, 12).halfplanes
+    assert [(c, s) for c, s, _ in planes[::3]] == [
+        (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 3 * math.pi / 2])
+def test_axis_direction_rows_have_no_rounding_residue(theta):
+    model = twelve_node()
+    config = engine.AssessmentConfig(directions=12, workers=1)
+    assembled = engine.build_subproblem(
+        model, theta, config, engine.compute_margins(model),
+        engine.fit_profiles(model, degree=3))
+    tiny = [(con.name, c) for con in assembled.problem._constraints
+            for _, c in con.terms if 0.0 < abs(c) < 1e-12]
+    assert tiny == []
+
+
 def test_polygon_bad_side_count():
     with pytest.raises(ValueError):
         circle_polygon(1.0, 3)

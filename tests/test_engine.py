@@ -3,6 +3,7 @@ hand-derived LP oracle, tube assembly and interpolation queries, metrics,
 coupling modes, DT baseline, serialization round-trips, and Monte Carlo
 validation of the chance margins."""
 
+import csv
 import dataclasses
 import io
 import math
@@ -402,6 +403,53 @@ def test_dense_grid_emission(sym_tube):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "theta,t,p,q"
     assert len(lines) == 1 + 8 * 3
+
+
+def synthetic_tube(mode, gap):
+    """Eight directions over three periods with random coefficients; the
+    direction at index ``gap`` is infeasible."""
+    rng = np.random.default_rng(17)
+    n_coef = 1 if mode == "dt" else 4
+    slices = []
+    for k in range(8):
+        theta = k * math.pi / 4
+        if k == gap:
+            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+        else:
+            slices.append(engine.Slice(theta, "optimal",
+                                       rng.uniform(0.1, 2.0, (3, n_coef)),
+                                       1.0, (1.0, 1.0, 1.0)))
+    return engine.FlexTube(tuple(slices), 0.0, 900.0, 3, mode=mode)
+
+
+def query_point_rows(tube, n_theta, n_t):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["theta", "t", "p", "q"])
+    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
+        for t in np.linspace(tube.t1, tube.t2, n_t):
+            pq = engine.query_point(tube, float(th), float(t))
+            if pq is not None:
+                w.writerow([repr(float(th)), repr(float(t)),
+                            repr(pq[0]), repr(pq[1])])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_dense_grid_matches_query_point(mode):
+    tube = synthetic_tube(mode, gap=5)
+    buf = io.StringIO()
+    engine.dense_grid_csv(tube, buf, n_theta=40, n_t=13)
+    want = query_point_rows(tube, 40, 13)
+    assert buf.getvalue() == want
+    # the gap drops the rows at 5 pi / 4 and in the two sectors beside it
+    assert len(want.splitlines()) == 1 + (40 - 1 - 2 * 4) * 13
+
+
+def test_dense_grid_matches_query_point_on_solved_gaps(gap_tube):
+    buf = io.StringIO()
+    engine.dense_grid_csv(gap_tube, buf, n_theta=16, n_t=9)
+    assert buf.getvalue() == query_point_rows(gap_tube, 16, 9)
 
 
 def test_assess_parallel_matches_serial():

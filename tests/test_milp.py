@@ -4,10 +4,12 @@ and the LP text dump."""
 
 import io
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ctflex import milp
 from ctflex.milp import (
     BackendError, FrozenProblemError, MilpProblem, SolveOptions, get_backend,
     solve, sos_fallback, write_lp,
@@ -201,6 +203,24 @@ def test_backend_env_var(monkeypatch):
     monkeypatch.setenv("CTFLEX_SOLVER", "nope")
     with pytest.raises(BackendError):
         get_backend()
+
+
+def test_seed_reaches_highs_on_both_solves(monkeypatch):
+    calls = []
+
+    def fake_milp(c, **kw):
+        calls.append(kw["options"])
+        return SimpleNamespace(status=2, x=None, message="stub")
+
+    monkeypatch.setattr(milp, "_scipy_milp", fake_milp)
+    p = MilpProblem()
+    x = p.add_variable(0.0, 1.0)
+    p.set_objective({x: 1.0})
+    sol = solve(p.freeze(), SolveOptions(seed=7))
+    # an infeasible verdict is re-checked with presolve off
+    assert sol.status == "infeasible"
+    assert [o["presolve"] for o in calls] == [True, False]
+    assert [o["random_seed"] for o in calls] == [7, 7]
 
 
 def test_check_solution_reports_violations():

@@ -11,7 +11,7 @@ import pytest
 from ctflex import engine
 from ctflex.instances import ess_symmetric, twelve_node, two_node
 from ctflex.pqbox import (
-    FunctionOracle, cross_section, expand_box, initial_point,
+    _ANGLE_TOL, FunctionOracle, cross_section, expand_box, initial_point,
 )
 
 
@@ -137,6 +137,102 @@ def test_section_gap_direction_excluded():
     assert not section.contains(0.0, 0.1)
     # the origin stays a member while any direction is feasible
     assert section.contains(0.0, 0.0)
+
+
+def reference_boundary_radius(section, theta):
+    """The section boundary written with whole-array numpy operations, as a
+    reference for the oracle's scalar path."""
+    thetas, radii, feasible = section.thetas, section.radii, section.feasible
+    two_pi = 2 * math.pi
+    theta = theta % two_pi
+    exact = np.where(np.abs(thetas - theta) <= _ANGLE_TOL)[0]
+    if len(exact):
+        k = int(exact[0])
+        return float(radii[k]) if feasible[k] else None
+    hi = int(np.searchsorted(thetas, theta)) % len(thetas)
+    lo = (hi - 1) % len(thetas)
+    if not (feasible[lo] and feasible[hi]):
+        return None
+    th_lo = thetas[lo]
+    th_hi = thetas[hi] if hi > lo else thetas[hi] + two_pi
+    th = theta if theta >= th_lo else theta + two_pi
+    r_lo, r_hi = float(radii[lo]), float(radii[hi])
+    if r_lo == 0.0 and r_hi == 0.0:
+        return 0.0
+    denom = r_lo * math.sin(th - th_lo) + r_hi * math.sin(th_hi - th)
+    if denom <= 0.0:
+        return 0.0
+    return r_lo * r_hi * math.sin(th_hi - th_lo) / denom
+
+
+def reference_contains(section, p, q):
+    r = math.hypot(p, q)
+    if r <= section.tol:
+        return bool(np.any(section.feasible))
+    bound = reference_boundary_radius(section, math.atan2(q, p))
+    if bound is None:
+        return False
+    return r <= bound + section.tol * max(1.0, bound)
+
+
+def gap_and_zero_tube():
+    """Eight directions over two periods: theta = 3 pi / 4 is a gap and
+    theta = 3 pi / 2 has zero radius throughout."""
+    rng = np.random.default_rng(3)
+    slices = []
+    for k in range(8):
+        theta = k * math.pi / 4
+        if k == 3:
+            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+            continue
+        coeffs = np.zeros((2, 4)) if k == 6 else rng.uniform(0.2, 1.5, (2, 4))
+        slices.append(engine.Slice(theta, "optimal", coeffs, 1.0, (0.5, 0.5)))
+    return engine.FlexTube(tuple(slices), 0.0, 900.0, 2)
+
+
+def test_section_oracle_bit_identical_to_reference():
+    tube = gap_and_zero_tube()
+    rng = np.random.default_rng(11)
+    angles = [-0.3, -math.pi / 4, -1e-10, -2 * math.pi - 0.1,
+              math.nextafter(2 * math.pi, 0.0), 2 * math.pi - 1e-10,
+              7.0, 2 * math.pi]
+    for th in tube.directions:
+        angles += [th, th - 0.5 * _ANGLE_TOL, th + 0.5 * _ANGLE_TOL,
+                   th - 2 * _ANGLE_TOL, th + 2 * _ANGLE_TOL]
+    angles += rng.uniform(-7.0, 7.0, 200).tolist()
+    for t0 in (0.0, 450.0, 900.0, 1234.5, 1800.0):
+        section = cross_section(tube, t0)
+        for th in angles:
+            got = section.boundary_radius(th)
+            assert repr(got) == repr(reference_boundary_radius(section, th))
+            for scale in (0.0, 0.5, 1.0, 1.0 + 1e-10, 1.5):
+                r = scale * (got or 1.0)
+                p, q = r * math.cos(th), r * math.sin(th)
+                assert section.contains(p, q) \
+                    == reference_contains(section, p, q), (t0, th, scale)
+        for p, q in ((0.0, 0.0), (1e-10, -1e-10), (-0.0, 0.0)):
+            assert section.contains(p, q) is True
+            assert reference_contains(section, p, q) is True
+
+
+def test_section_origin_without_feasible_direction():
+    slices = tuple(engine.Slice(k * math.pi / 2, "infeasible", None, None,
+                                None) for k in range(4))
+    section = cross_section(engine.FlexTube(slices, 0.0, 900.0, 1), 450.0)
+    for p, q in ((0.0, 0.0), (1e-10, 0.0), (0.3, 0.2)):
+        assert section.contains(p, q) is False
+        assert reference_contains(section, p, q) is False
+
+
+def test_section_oracle_matches_reference_on_solved_tube(sym_tube):
+    rng = np.random.default_rng(5)
+    for t0 in (0.0, 1800.0, 3600.0):
+        section = cross_section(sym_tube, t0)
+        for p, q in rng.uniform(-1.5, 1.5, (400, 2)).tolist():
+            assert section.contains(p, q) == reference_contains(section, p, q)
+            th = math.atan2(q, p)
+            assert repr(section.boundary_radius(th)) \
+                == repr(reference_boundary_radius(section, th))
 
 
 def test_section_outside_horizon():
