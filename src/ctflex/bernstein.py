@@ -23,8 +23,6 @@ __all__ = [
     "CtTrajectory",
     "basis_matrix",
     "fit",
-    "bound_inequalities",
-    "constant",
 ]
 
 
@@ -134,16 +132,6 @@ class CtTrajectory:
             running = out[m, -1]
         return CtTrajectory(self.t1, self.period, out)
 
-    def coefficient_bounds(self) -> tuple[float, float]:
-        """(min, max) over all coefficients; brackets the curve everywhere."""
-        return float(np.min(self.coeffs)), float(np.max(self.coeffs))
-
-
-def constant(value: float, t1: float, period: float, n_periods: int,
-             degree: int = 3) -> CtTrajectory:
-    """Constant trajectory: every coefficient equals ``value``."""
-    return CtTrajectory(t1, period, np.full((n_periods, degree + 1), float(value)))
-
 
 def fit(times, values, period: float, t1: float, n_periods: int,
         degree: int = 3, continuity: bool | None = None
@@ -210,16 +198,3 @@ def fit(times, values, period: float, t1: float, n_periods: int,
         residual = math.sqrt(residual_sq)
     return CtTrajectory(t1, period, coeffs), residual
 
-
-def bound_inequalities(coefficients, bound: float, sense: str):
-    """Coefficient-wise sufficient conditions for a trajectory bound.
-
-    For sense "<=", emits (c_i, "<=", bound) for every coefficient handle;
-    by the convex-hull property, satisfying all of them guarantees the
-    polynomial stays below the bound for all t in the period.  This is a
-    conservative inner approximation: a polynomial may respect the bound
-    while some control coefficient does not.
-    """
-    if sense not in ("<=", ">="):
-        raise ValueError(f"sense must be '<=' or '>=', got {sense!r}")
-    return [(c, sense, float(bound)) for c in coefficients]

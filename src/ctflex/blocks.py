@@ -28,7 +28,7 @@ from .netmodel import NetworkModel
 
 __all__ = [
     "BuildError", "PolygonApproximation", "circle_polygon",
-    "ChanceMargins", "ConstraintBlock", "PeriodLayout", "BlockBuilder",
+    "ChanceMargins", "PeriodLayout", "BlockBuilder",
     "AssembledProblem", "FittedProfiles", "fit_profiles",
     "scalar_response_system", "ResponseSystem",
     "continuous_time_check",
@@ -145,14 +145,6 @@ def fit_profiles(model: NetworkModel, degree: int = 3) -> FittedProfiles:
 
 
 @dataclass
-class ConstraintBlock:
-    block_id: str
-    owner: str
-    variables: list = field(default_factory=list)
-    constraints: list = field(default_factory=list)
-
-
-@dataclass
 class PeriodLayout:
     """Variable handles for one period, keyed by entity index."""
 
@@ -189,7 +181,6 @@ class AssembledProblem:
     theta: float
     periods: list               # absolute period indices, ascending
     layouts: dict               # period -> PeriodLayout
-    blocks: list
     margins: ChanceMargins
     fitted: FittedProfiles
     n_coef: int
@@ -238,7 +229,6 @@ class BlockBuilder:
         self.s0_start = s0_start
         self.problem = MilpProblem(name=name)
         self.layouts: dict = {}
-        self.blocks: list = []
         self.polygons: dict = {}
         self._emitted: set = set()
         self._parent = model.parent_branch()
@@ -247,23 +237,12 @@ class BlockBuilder:
 
     # -- small helpers ------------------------------------------------------
 
-    def _new_block(self, kind: str, owner: str) -> ConstraintBlock:
-        blk = ConstraintBlock(f"{kind}[{owner}]", owner)
-        self.blocks.append(blk)
-        return blk
+    def _coef_vars(self, count: int, lb, ub, tag: str) -> list:
+        return [self.problem.add_variable(lb, ub, name=f"{tag}_{k}")
+                for k in range(count)]
 
-    def _coef_vars(self, blk: ConstraintBlock, count: int, lb, ub, tag: str,
-                   binary: bool = False) -> list:
-        ids = [self.problem.add_variable(lb, ub, binary=binary,
-                                         name=f"{tag}_{k}")
-               for k in range(count)]
-        blk.variables.extend(ids)
-        return ids
-
-    def _row(self, blk: ConstraintBlock, terms, sense, rhs, name):
-        cid = self.problem.add_constraint(terms, sense, rhs, name=name)
-        blk.constraints.append(cid)
-        return cid
+    def _row(self, terms, sense, rhs, name):
+        self.problem.add_constraint(terms, sense, rhs, name=name)
 
     def _require_voltage(self, node: int, m: int, who: str) -> list:
         layout = self.layouts.get(m)
@@ -281,7 +260,6 @@ class BlockBuilder:
         model = self.model
         layout = PeriodLayout()
         self.layouts[m] = layout
-        blk = self._new_block("grid-vars", f"period{m}")
         for node in range(1, model.n_nodes):
             mu = self.margins.for_node(node)
             lb, ub = model.u_min + mu, model.u_max - mu
@@ -290,21 +268,21 @@ class BlockBuilder:
                     f"voltage margin {mu:.3g} at node {node} exceeds the "
                     f"band [{model.u_min}, {model.u_max}]"
                 )
-            layout.u[node] = self._coef_vars(blk, self.n_coef, lb, ub,
+            layout.u[node] = self._coef_vars(self.n_coef, lb, ub,
                                              f"U{node}_m{m}")
         for bi in range(len(model.branches)):
-            layout.p_br[bi] = self._coef_vars(blk, self.n_coef, -np.inf,
+            layout.p_br[bi] = self._coef_vars(self.n_coef, -np.inf,
                                               np.inf, f"Pbr{bi}_m{m}")
-            layout.q_br[bi] = self._coef_vars(blk, self.n_coef, -np.inf,
+            layout.q_br[bi] = self._coef_vars(self.n_coef, -np.inf,
                                               np.inf, f"Qbr{bi}_m{m}")
-        layout.s0 = self._coef_vars(blk, self.n_coef, 0.0, np.inf, f"S0_m{m}")
-        layout.p0 = self._coef_vars(blk, self.n_coef, -np.inf, np.inf, f"P0_m{m}")
-        layout.q0 = self._coef_vars(blk, self.n_coef, -np.inf, np.inf, f"Q0_m{m}")
+        layout.s0 = self._coef_vars(self.n_coef, 0.0, np.inf, f"S0_m{m}")
+        layout.p0 = self._coef_vars(self.n_coef, -np.inf, np.inf, f"P0_m{m}")
+        layout.q0 = self._coef_vars(self.n_coef, -np.inf, np.inf, f"Q0_m{m}")
         return layout
 
     # -- device blocks -------------------------------------------------------
 
-    def pv_block(self, pi: int, m: int) -> ConstraintBlock:
+    def pv_block(self, pi: int, m: int):
         """Volt-var segment selection, forecast cap, and capacity polygon.
 
         The three pieces of the volt-var curve (saturated high, droop,
@@ -318,11 +296,10 @@ class BlockBuilder:
         pv = model.pv_units[pi]
         u_ids = self._require_voltage(pv.node, m, f"pv {pi}")
         layout = self.layouts[m]
-        blk = self._new_block("pv", f"pv{pi}_m{m}")
 
-        p_ids = self._coef_vars(blk, self.n_coef, 0.0, pv.s_max,
+        p_ids = self._coef_vars(self.n_coef, 0.0, pv.s_max,
                                 f"Ppv{pi}_m{m}")
-        q_ids = self._coef_vars(blk, self.n_coef, -pv.q_max, pv.q_max,
+        q_ids = self._coef_vars(self.n_coef, -pv.q_max, pv.q_max,
                                 f"Qpv{pi}_m{m}")
         layout.p_pv[pi] = p_ids
         layout.q_pv[pi] = q_ids
@@ -330,14 +307,14 @@ class BlockBuilder:
         margin = self.margins.for_pv(pi)
         fc = self.fitted.pv[pi][m]
         for k in range(self.n_coef):
-            self._row(blk, [(p_ids[k], 1.0)], "<=", fc[k] - margin,
+            self._row([(p_ids[k], 1.0)], "<=", fc[k] - margin,
                       f"pv{pi}_m{m}_cap{k}")
 
         poly = circle_polygon(pv.s_max, self.polygon_sides)
         self.polygons[f"pv{pi}"] = poly
         for k in range(self.n_coef):
             for h, (c, s, rhs) in enumerate(poly.halfplanes):
-                self._row(blk, [(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
+                self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
                           f"pv{pi}_m{m}_poly{k}_{h}")
 
         if pv.q_max > 0.0:
@@ -352,147 +329,137 @@ class BlockBuilder:
                                            name=f"pv{pi}_m{m}_seg_b1")
             b2 = self.problem.add_variable(binary=True,
                                            name=f"pv{pi}_m{m}_seg_b2")
-            blk.variables.extend((b1, b2))
             layout.pv_segment[pi] = [b1, b2]
-            self._row(blk, [(b2, 1.0), (b1, -1.0)], "<=", 0.0,
+            self._row([(b2, 1.0), (b1, -1.0)], "<=", 0.0,
                       f"pv{pi}_m{m}_segorder")
-            y_ids = self._coef_vars(blk, self.n_coef, 0.0, width,
+            y_ids = self._coef_vars(self.n_coef, 0.0, width,
                                     f"Ypv{pi}_m{m}")
             layout.pv_clamp[pi] = y_ids
             over_hi = model.u_max - u3
             under_lo = u2 - model.u_min
             for k in range(self.n_coef):
                 u_k, q_k, y_k = u_ids[k], q_ids[k], y_ids[k]
-                self._row(blk, [(y_k, 1.0), (b1, -width)], "<=", 0.0,
+                self._row([(y_k, 1.0), (b1, -width)], "<=", 0.0,
                           f"pv{pi}_m{m}_yzero{k}")
-                self._row(blk, [(y_k, 1.0), (b2, -width)], ">=", 0.0,
+                self._row([(y_k, 1.0), (b2, -width)], ">=", 0.0,
                           f"pv{pi}_m{m}_ysat{k}")
-                self._row(blk, [(y_k, 1.0), (u_k, -1.0), (b2, over_hi)],
+                self._row([(y_k, 1.0), (u_k, -1.0), (b2, over_hi)],
                           ">=", -u2, f"pv{pi}_m{m}_ylo{k}")
-                self._row(blk, [(y_k, 1.0), (u_k, -1.0), (b1, under_lo)],
+                self._row([(y_k, 1.0), (u_k, -1.0), (b1, under_lo)],
                           "<=", under_lo - u2, f"pv{pi}_m{m}_yup{k}")
-                self._row(blk, [(q_k, 1.0), (y_k, beta)], "==", pv.q_max,
+                self._row([(q_k, 1.0), (y_k, beta)], "==", pv.q_max,
                           f"pv{pi}_m{m}_curve{k}")
                 if u1 > model.u_min:
-                    self._row(blk, [(u_k, 1.0)], ">=", u1,
+                    self._row([(u_k, 1.0)], ">=", u1,
                               f"pv{pi}_m{m}_admlo{k}")
                 if u4 < model.u_max:
-                    self._row(blk, [(u_k, 1.0)], "<=", u4,
+                    self._row([(u_k, 1.0)], "<=", u4,
                               f"pv{pi}_m{m}_admhi{k}")
         self._emitted.add(("pv", pi, m))
-        return blk
 
-    def load_block(self, li: int, m: int) -> ConstraintBlock:
+    def load_block(self, li: int, m: int):
         """Record the fitted load coefficients; Q follows the fixed power
         factor.  Pure data — loads add no decision variables."""
-        blk = self._new_block("load", f"load{li}_m{m}")
         ld = self.model.loads[li]
         p_coef = self.fitted.load[li][m]
         self._load_data[(li, m)] = (p_coef, ld.phi * p_coef)
         self._emitted.add(("load", li, m))
-        return blk
 
-    def sop_block(self, si: int, m: int) -> ConstraintBlock:
+    def sop_block(self, si: int, m: int):
         """Terminal balance, per-terminal capacity polygon, and P box."""
         sop = self.model.sop_devices[si]
         layout = self.layouts.get(m)
         if layout is None:
             raise BuildError(f"sop {si}: period {m} not initialized")
-        blk = self._new_block("sop", f"sop{si}_m{m}")
         poly = circle_polygon(sop.s_max, self.polygon_sides)
         self.polygons[f"sop{si}"] = poly
         term_p = []
         for t in range(2):
-            p_ids = self._coef_vars(blk, self.n_coef, sop.p_min, sop.p_max,
+            p_ids = self._coef_vars(self.n_coef, sop.p_min, sop.p_max,
                                     f"Psop{si}t{t}_m{m}")
-            q_ids = self._coef_vars(blk, self.n_coef, -sop.s_max, sop.s_max,
+            q_ids = self._coef_vars(self.n_coef, -sop.s_max, sop.s_max,
                                     f"Qsop{si}t{t}_m{m}")
             layout.p_sop[(si, t)] = p_ids
             layout.q_sop[(si, t)] = q_ids
             term_p.append(p_ids)
             for k in range(self.n_coef):
                 for h, (c, s, rhs) in enumerate(poly.halfplanes):
-                    self._row(blk, [(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
+                    self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
                               f"sop{si}t{t}_m{m}_poly{k}_{h}")
         abs_ids = []
         if sop.loss > 0.0:
             for t in range(2):
-                a_ids = self._coef_vars(blk, self.n_coef, 0.0, np.inf,
+                a_ids = self._coef_vars(self.n_coef, 0.0, np.inf,
                                         f"AbsPsop{si}t{t}_m{m}")
                 abs_ids.append(a_ids)
                 for k in range(self.n_coef):
-                    self._row(blk, [(a_ids[k], 1.0), (term_p[t][k], -1.0)],
+                    self._row([(a_ids[k], 1.0), (term_p[t][k], -1.0)],
                               ">=", 0.0, f"sop{si}t{t}_m{m}_absp{k}")
-                    self._row(blk, [(a_ids[k], 1.0), (term_p[t][k], 1.0)],
+                    self._row([(a_ids[k], 1.0), (term_p[t][k], 1.0)],
                               ">=", 0.0, f"sop{si}t{t}_m{m}_absm{k}")
         for k in range(self.n_coef):
             terms = [(term_p[0][k], 1.0), (term_p[1][k], 1.0)]
             for a_ids in abs_ids:
                 terms.append((a_ids[k], sop.loss))
-            self._row(blk, terms, "==", 0.0, f"sop{si}_m{m}_bal{k}")
+            self._row(terms, "==", 0.0, f"sop{si}_m{m}_bal{k}")
         self._emitted.add(("sop", si, m))
-        return blk
 
-    def svc_block(self, si: int, m: int) -> ConstraintBlock:
+    def svc_block(self, si: int, m: int):
         """Linear voltage droop: Q = 0.5 k (U - U_ref), exact coefficient-wise."""
         svc = self.model.svc_devices[si]
         u_ids = self._require_voltage(svc.node, m, f"svc {si}")
         layout = self.layouts[m]
-        blk = self._new_block("svc", f"svc{si}_m{m}")
         ms = self.margins.for_svc(si)
         lb = -np.inf if svc.q_min is None else svc.q_min + ms
         ub = np.inf if svc.q_max is None else svc.q_max - ms
-        q_ids = self._coef_vars(blk, self.n_coef, lb, ub, f"Qsvc{si}_m{m}")
+        q_ids = self._coef_vars(self.n_coef, lb, ub, f"Qsvc{si}_m{m}")
         layout.q_svc[si] = q_ids
         half_k = 0.5 * svc.slope
         for k in range(self.n_coef):
-            self._row(blk, [(q_ids[k], 1.0), (u_ids[k], -half_k)], "==",
+            self._row([(q_ids[k], 1.0), (u_ids[k], -half_k)], "==",
                       -half_k * svc.u_ref, f"svc{si}_m{m}_droop{k}")
         self._emitted.add(("svc", si, m))
-        return blk
 
-    def _mccormick(self, blk, z_ids, lam, u_ids, tag):
+    def _mccormick(self, z_ids, lam, u_ids, tag):
         """z = lam * U lowered by the four McCormick rows on [u_min, u_max];
         exact whenever lam is binary-valued."""
         lo, hi = self.model.u_min, self.model.u_max
         for k in range(self.n_coef):
             z_k, u_k = z_ids[k], u_ids[k]
-            self._row(blk, [(z_k, 1.0), (lam, -hi)], "<=", 0.0, f"{tag}_mc1c{k}")
-            self._row(blk, [(z_k, 1.0), (lam, -lo)], ">=", 0.0, f"{tag}_mc2c{k}")
-            self._row(blk, [(z_k, 1.0), (u_k, -1.0), (lam, -lo)], "<=", -lo,
+            self._row([(z_k, 1.0), (lam, -hi)], "<=", 0.0, f"{tag}_mc1c{k}")
+            self._row([(z_k, 1.0), (lam, -lo)], ">=", 0.0, f"{tag}_mc2c{k}")
+            self._row([(z_k, 1.0), (u_k, -1.0), (lam, -lo)], "<=", -lo,
                       f"{tag}_mc3c{k}")
-            self._row(blk, [(z_k, 1.0), (u_k, -1.0), (lam, -hi)], ">=", -hi,
+            self._row([(z_k, 1.0), (u_k, -1.0), (lam, -hi)], ">=", -hi,
                       f"{tag}_mc4c{k}")
 
-    def capbank_block(self, ci: int, m: int) -> ConstraintBlock:
+    def capbank_block(self, ci: int, m: int):
         """SOS-1 step selection with a McCormick-exact susceptance-voltage
         product: Q_C = q_k lam_k U, one step active per period."""
         cap = self.model.cap_banks[ci]
         u_ids = self._require_voltage(cap.node, m, f"cap {ci}")
         layout = self.layouts[m]
-        blk = self._new_block("cap", f"cap{ci}_m{m}")
-        lam = self._coef_vars(blk, len(cap.steps), 0.0, 1.0, f"LamCap{ci}_m{m}")
+        lam = self._coef_vars(len(cap.steps), 0.0, 1.0, f"LamCap{ci}_m{m}")
         layout.lam_cap[ci] = lam
         self.problem.add_sos(lam, sos_type=1, name=f"cap{ci}_m{m}_sos")
-        self._row(blk, [(l, 1.0) for l in lam], "==", 1.0, f"cap{ci}_m{m}_onehot")
-        q_ids = self._coef_vars(blk, self.n_coef, -np.inf, np.inf,
+        self._row([(l, 1.0) for l in lam], "==", 1.0, f"cap{ci}_m{m}_onehot")
+        q_ids = self._coef_vars(self.n_coef, -np.inf, np.inf,
                                 f"Qcap{ci}_m{m}")
         layout.q_cap[ci] = q_ids
         z_all = []
         for j in range(len(cap.steps)):
-            z_ids = self._coef_vars(blk, self.n_coef, 0.0, self.model.u_max,
+            z_ids = self._coef_vars(self.n_coef, 0.0, self.model.u_max,
                                     f"Zcap{ci}s{j}_m{m}")
             layout.z_cap[(ci, j)] = z_ids
-            self._mccormick(blk, z_ids, lam[j], u_ids, f"cap{ci}s{j}_m{m}")
+            self._mccormick(z_ids, lam[j], u_ids, f"cap{ci}s{j}_m{m}")
             z_all.append(z_ids)
         for k in range(self.n_coef):
             terms = [(q_ids[k], 1.0)]
             terms += [(z_all[j][k], -cap.steps[j]) for j in range(len(cap.steps))]
-            self._row(blk, terms, "==", 0.0, f"cap{ci}_m{m}_sum{k}")
+            self._row(terms, "==", 0.0, f"cap{ci}_m{m}_sum{k}")
         self._emitted.add(("cap", ci, m))
-        return blk
 
-    def ess_block(self, ei: int) -> ConstraintBlock:
+    def ess_block(self, ei: int):
         """Charge/discharge trajectory with stored-energy tracking.
 
         D(t) in [0, 1] is the discharge fraction (C = 1 - D); the state of
@@ -510,7 +477,6 @@ class BlockBuilder:
                 f"scheduling period {model.horizon.period}s; the per-period "
                 "mode decision cannot represent it"
             )
-        blk = self._new_block("ess", f"ess{ei}")
         step = model.horizon.period / self.n_coef
         kappa = ess.p_d / ess.eta_d + ess.eta_c * ess.p_c
         charge_gain = ess.eta_c * ess.p_c
@@ -519,37 +485,34 @@ class BlockBuilder:
             layout = self.layouts.get(m)
             if layout is None:
                 raise BuildError(f"ess {ei}: period {m} not initialized")
-            d_ids = self._coef_vars(blk, self.n_coef, 0.0, 1.0, f"D{ei}_m{m}")
+            d_ids = self._coef_vars(self.n_coef, 0.0, 1.0, f"D{ei}_m{m}")
             layout.d_ess[ei] = d_ids
-            soe = self._coef_vars(blk, self.n_coef + 1, 0.0, ess.e_max,
+            soe = self._coef_vars(self.n_coef + 1, 0.0, ess.e_max,
                                   f"SoE{ei}_m{m}")
             layout.soe[ei] = soe
             if prev_end is None:
                 e0 = self.ess_e_init.get(ei, ess.e_init)
-                self._row(blk, [(soe[0], 1.0)], "==", e0, f"ess{ei}_m{m}_init")
+                self._row([(soe[0], 1.0)], "==", e0, f"ess{ei}_m{m}_init")
             else:
-                self._row(blk, [(soe[0], 1.0), (prev_end, -1.0)], "==", 0.0,
+                self._row([(soe[0], 1.0), (prev_end, -1.0)], "==", 0.0,
                           f"ess{ei}_m{m}_chain")
             for j in range(self.n_coef):
-                self._row(blk,
-                          [(soe[j + 1], 1.0), (soe[j], -1.0),
+                self._row([(soe[j + 1], 1.0), (soe[j], -1.0),
                            (d_ids[j], step * kappa)],
                           "==", step * charge_gain, f"ess{ei}_m{m}_soe{j}")
             prev_end = soe[-1]
             if self.ess_mode_flags:
                 flag = self.problem.add_variable(binary=True,
                                                  name=f"ess{ei}_m{m}_mode")
-                blk.variables.append(flag)
                 layout.ess_mode[ei] = flag
                 for k in range(self.n_coef):
-                    self._row(blk, [(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
+                    self._row([(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
                               f"ess{ei}_m{m}_dis{k}")
-                    self._row(blk, [(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
+                    self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
                               f"ess{ei}_m{m}_chg{k}")
         self._emitted.add(("ess", ei))
-        return blk
 
-    def network_block(self, m: int) -> ConstraintBlock:
+    def network_block(self, m: int):
         """Linearized Distflow: nodal balances, branch voltage drops,
         regulator bands, OLTC tap products, and the TDI coupling."""
         model = self.model
@@ -572,7 +535,6 @@ class BlockBuilder:
             if ("cap", ci, m) not in self._emitted:
                 raise BuildError(f"network block period {m}: cap {ci} missing")
 
-        blk = self._new_block("network", f"period{m}")
         pv_at, load_at, svc_at, cap_at = {}, {}, {}, {}
         for pi, pv in enumerate(model.pv_units):
             pv_at.setdefault(pv.node, []).append(pi)
@@ -624,8 +586,8 @@ class BlockBuilder:
                     p_coef, q_coef = self._load_data[(li, m)]
                     p_rhs += p_coef[k]
                     q_rhs += q_coef[k]
-                self._row(blk, p_terms, "==", -p_rhs, f"net_m{m}_pbal{node}_{k}")
-                self._row(blk, q_terms, "==", -q_rhs, f"net_m{m}_qbal{node}_{k}")
+                self._row(p_terms, "==", -p_rhs, f"net_m{m}_pbal{node}_{k}")
+                self._row(q_terms, "==", -q_rhs, f"net_m{m}_qbal{node}_{k}")
 
         for bi, br in enumerate(model.branches):
             from_root = br.from_node == 0
@@ -640,66 +602,61 @@ class BlockBuilder:
                 elif br.kind == "regulator":
                     if bi not in layout.u_reg:
                         layout.u_reg[bi] = self._coef_vars(
-                            blk, self.n_coef,
+                            self.n_coef,
                             br.tau_min ** 2 * model.u_min,
                             br.tau_max ** 2 * model.u_max,
                             f"Ureg{bi}_m{m}")
                     terms.append((layout.u_reg[bi][k], -1.0))
                 else:  # oltc
                     if bi not in layout.lam_oltc:
-                        lam = self._coef_vars(blk, len(br.taps), 0.0, 1.0,
+                        lam = self._coef_vars(len(br.taps), 0.0, 1.0,
                                               f"LamOltc{bi}_m{m}")
                         layout.lam_oltc[bi] = lam
                         self.problem.add_sos(lam, sos_type=1,
                                              name=f"oltc{bi}_m{m}_sos")
-                        self._row(blk, [(l, 1.0) for l in lam], "==", 1.0,
+                        self._row([(l, 1.0) for l in lam], "==", 1.0,
                                   f"oltc{bi}_m{m}_onehot")
                         for j in range(len(br.taps)):
-                            z_ids = self._coef_vars(blk, self.n_coef, 0.0,
+                            z_ids = self._coef_vars(self.n_coef, 0.0,
                                                     model.u_max,
                                                     f"Zoltc{bi}t{j}_m{m}")
                             layout.z_oltc[(bi, j)] = z_ids
-                            self._mccormick(blk, z_ids, lam[j],
+                            self._mccormick(z_ids, lam[j],
                                             layout.u[br.to_node],
                                             f"oltc{bi}t{j}_m{m}")
                     for j, a in enumerate(br.taps):
                         terms.append((layout.z_oltc[(bi, j)][k], -a * a))
-                self._row(blk, terms, "==", rhs, f"net_m{m}_drop{bi}_{k}")
+                self._row(terms, "==", rhs, f"net_m{m}_drop{bi}_{k}")
 
             if br.kind == "regulator":
                 for k in range(self.n_coef):
-                    self._row(blk, [(layout.u_reg[bi][k], 1.0),
-                                    (layout.u[br.to_node][k],
-                                     -br.tau_min ** 2)],
+                    self._row([(layout.u_reg[bi][k], 1.0),
+                               (layout.u[br.to_node][k], -br.tau_min ** 2)],
                               ">=", 0.0, f"net_m{m}_reglo{bi}_{k}")
-                    self._row(blk, [(layout.u_reg[bi][k], 1.0),
-                                    (layout.u[br.to_node][k],
-                                     -br.tau_max ** 2)],
+                    self._row([(layout.u_reg[bi][k], 1.0),
+                               (layout.u[br.to_node][k], -br.tau_max ** 2)],
                               "<=", 0.0, f"net_m{m}_regup{bi}_{k}")
         self._emitted.add(("network", m))
-        return blk
 
-    def tdi_block(self, m: int, theta: float) -> ConstraintBlock:
+    def tdi_block(self, m: int, theta: float):
         """TDI injections are the root branch flows; the direction factor
         ties them to the nonnegative magnitude trajectory."""
         layout = self.layouts.get(m)
         if layout is None or ("network", m) not in self._emitted:
             raise BuildError(f"tdi block: network block for period {m} missing")
-        blk = self._new_block("tdi", f"period{m}")
         root_branches = self._children[0]
         ct, st = _cos_sin(theta)
         for k in range(self.n_coef):
             terms = [(layout.p0[k], 1.0)]
             terms += [(layout.p_br[bi][k], -1.0) for bi in root_branches]
-            self._row(blk, terms, "==", 0.0, f"tdi_m{m}_pflow{k}")
+            self._row(terms, "==", 0.0, f"tdi_m{m}_pflow{k}")
             terms = [(layout.q0[k], 1.0)]
             terms += [(layout.q_br[bi][k], -1.0) for bi in root_branches]
-            self._row(blk, terms, "==", 0.0, f"tdi_m{m}_qflow{k}")
-            self._row(blk, [(layout.p0[k], 1.0), (layout.s0[k], -ct)], "==",
+            self._row(terms, "==", 0.0, f"tdi_m{m}_qflow{k}")
+            self._row([(layout.p0[k], 1.0), (layout.s0[k], -ct)], "==",
                       0.0, f"tdi_m{m}_pdir{k}")
-            self._row(blk, [(layout.q0[k], 1.0), (layout.s0[k], -st)], "==",
+            self._row([(layout.q0[k], 1.0), (layout.s0[k], -st)], "==",
                       0.0, f"tdi_m{m}_qdir{k}")
-        return blk
 
     # -- top level -----------------------------------------------------------
 
@@ -744,7 +701,7 @@ class BlockBuilder:
         return AssembledProblem(
             problem=self.problem, model=model, theta=theta,
             periods=list(self.periods), layouts=self.layouts,
-            blocks=self.blocks, margins=self.margins, fitted=self.fitted,
+            margins=self.margins, fitted=self.fitted,
             n_coef=self.n_coef, polygons=self.polygons,
         )
 

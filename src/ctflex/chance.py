@@ -1,25 +1,25 @@
 """Gaussian chance-constraint machinery.
 
 Uncertain inputs enter the constraint system as additive zero-mean Gaussian
-offsets u.  Equalities determine the dependent variables y once the
-decisions x and the offsets are fixed, so eliminating y makes every
-inequality's u-dependence explicit; a row required to hold with
-probability 1-alpha is then tightened by the alpha-quantile of its induced
-Gaussian slack.  Row-wise (individual) chance constraints only — no joint
-guarantees are attempted.
+offsets u.  The dependent variables y follow them through the equality
+system B y + F u = 0, so eliminating y makes every inequality's
+u-dependence explicit; a row required to hold with probability 1-alpha is
+then tightened by the alpha-quantile of its induced Gaussian slack.
+Row-wise (individual) chance constraints only — no joint guarantees are
+attempted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 __all__ = [
-    "UncertainRow", "TightenedRow", "SingularSystemError",
-    "norm_quantile", "gaussian_margin", "propagate", "tighten",
-    "monte_carlo_check",
+    "UncertainRow", "SingularSystemError",
+    "norm_quantile", "gaussian_margin", "propagate", "monte_carlo_check",
 ]
 
 
@@ -27,78 +27,18 @@ class SingularSystemError(ValueError):
     """The dependent-variable equality system is not invertible."""
 
 
-def norm_quantile(p: float) -> float:
-    """Standard normal inverse CDF via Wichura's rational approximation.
-
-    Accurate to ~1e-15 over (0, 1); no table lookups.
-    """
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"quantile argument {p} outside [0, 1]")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    val = num / den
-    return -val if q < 0 else val
+# standard normal inverse CDF (Wichura's AS241, accurate to ~1e-16)
+norm_quantile = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)
 class UncertainRow:
-    """One inequality with its u-dependence made explicit.
+    """One inequality ``lhs + g @ u <= rhs`` with its u-dependence explicit:
+    g is the effective uncertainty row after dependent-variable
+    elimination."""
 
-    ``x_row @ x + y_row @ y + g @ u <= rhs`` where g is the effective
-    uncertainty row after dependent-variable elimination.
-    """
-
-    x_row: np.ndarray
-    y_row: np.ndarray
     g: np.ndarray
     rhs: float
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class TightenedRow:
-    """Deterministic surrogate: same deterministic row, shrunk right side."""
-
-    x_row: np.ndarray
-    y_row: np.ndarray
-    rhs: float
-    margin: float
     name: str = ""
 
 
@@ -110,49 +50,19 @@ def gaussian_margin(alpha: float, g: np.ndarray, sigma2: np.ndarray) -> float:
     return norm_quantile(1.0 - alpha) * math.sqrt(max(var, 0.0))
 
 
-def propagate(a_eq: np.ndarray, b_eq: np.ndarray, f_eq: np.ndarray,
-              c_eq: np.ndarray, x_rows: np.ndarray, y_rows: np.ndarray,
-              g_rows: np.ndarray, rhs: np.ndarray,
-              names=None) -> list[UncertainRow]:
-    """Eliminate the dependent variables from the inequality rows.
+def propagate(b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Response of the dependent variables to the offsets.
 
-    The equality system is ``a_eq x + b_eq y + f_eq u = c_eq`` with b_eq
-    square and invertible: y responds to u as y = y0 - inv(b_eq) f_eq u.
-    Each inequality ``x_rows x + y_rows y + g_rows u <= rhs`` then carries
-    the effective uncertainty row g + y_rows @ (-inv(b_eq) f_eq).
+    Eliminating y from ``b y + f u = 0`` (b square and invertible) gives
+    y = -inv(b) f u; returns -inv(b) f, one row per dependent variable.
     """
-    b_eq = np.asarray(b_eq, dtype=float)
-    f_eq = np.asarray(f_eq, dtype=float)
-    if b_eq.ndim != 2 or b_eq.shape[0] != b_eq.shape[1]:
-        raise SingularSystemError(
-            f"dependent system is not square: {b_eq.shape}"
-        )
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise SingularSystemError(f"dependent system is not square: {b.shape}")
     try:
-        y_response = np.linalg.solve(b_eq, -f_eq)
+        return np.linalg.solve(b, -np.asarray(f, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dependent system is singular: {exc}") from exc
-
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_rows = np.atleast_2d(np.asarray(y_rows, dtype=float))
-    g_rows = np.atleast_2d(np.asarray(g_rows, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    eff = g_rows + y_rows @ y_response
-    names = names or [f"row{i}" for i in range(len(rhs))]
-    return [
-        UncertainRow(x_rows[i], y_rows[i], eff[i], float(rhs[i]), names[i])
-        for i in range(len(rhs))
-    ]
-
-
-def tighten(row: UncertainRow, alpha: float, sigma2) -> TightenedRow:
-    """Deterministic surrogate of Pr[row holds] >= 1 - alpha.
-
-    The margin is nonnegative for alpha <= 0.5 and exactly zero at
-    alpha = 0.5 or when every participating variance is zero, so the
-    deterministic model is recovered in those limits.
-    """
-    m = gaussian_margin(alpha, row.g, np.asarray(sigma2, dtype=float))
-    return TightenedRow(row.x_row, row.y_row, row.rhs - m, m, row.name)
 
 
 def monte_carlo_check(nominal_lhs, rows: list[UncertainRow], sigma2,

@@ -4,10 +4,9 @@ Commands: ``assess`` (tube CSV + summary JSON + manifest), ``pqbox``
 (decoupled rectangle JSON), ``metrics`` (parameter-sweep table),
 ``compare-dt`` (per-direction CT vs DT objectives), and ``validate``.
 Outputs are plain CSV/JSON meant for external plotting, byte-stable across
-reruns with the same inputs, seed, and backend (manifests carry the only
+reruns with the same inputs and seed (manifests carry the only
 timestamps).  Exit codes: 0 success, 2 input error, 3 empty assessment,
-4 backend failure.  The CTFLEX_SOLVER environment variable selects the
-solver backend.
+4 backend failure.
 """
 
 from __future__ import annotations
@@ -88,15 +87,18 @@ def parse_theta_set(text: str) -> tuple:
 
 
 def _config_from_args(args) -> engine.AssessmentConfig:
-    return engine.AssessmentConfig(
-        directions=args.directions,
-        mip_gap=args.gap,
-        time_limit=args.time_limit,
-        workers=args.workers,
-        coupling=args.coupling,
-        mode=getattr(args, "mode", "ct"),
-        seed=args.seed,
-    )
+    try:
+        return engine.AssessmentConfig(
+            directions=args.directions,
+            mip_gap=args.gap,
+            time_limit=args.time_limit,
+            workers=args.workers,
+            coupling=args.coupling,
+            mode=getattr(args, "mode", "ct"),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _sha256(path: str) -> str:
@@ -219,7 +221,7 @@ def cmd_pqbox(args) -> int:
         print(f"warning: only {feasible_count}/{len(section.feasible)} "
               "directions feasible; box search restricted to the largest "
               "piece", file=sys.stderr)
-    start = pqbox.initial_point(tube, t0_q)
+    start = pqbox.initial_point(section)
     scale = float(np.nanmax(section.radii)) or 1.0
     delta = args.delta if args.delta is not None else 0.05 * scale
     eps = args.eps if args.eps is not None else 1e-4 * scale

@@ -31,7 +31,7 @@ from .blocks import (
     scalar_response_system,
     N_COEF,
 )
-from .milp import MilpSolution, SolveOptions, get_backend, solve as milp_solve
+from .milp import MilpSolution, SolveOptions, solve as milp_solve
 from .netmodel import NetworkModel
 
 __all__ = [
@@ -54,10 +54,7 @@ class AssessmentConfig:
     coupling: str = "joint"       # "joint" | "sequential"
     s0_continuity: bool = False
     mode: str = "ct"              # "ct" | "dt"
-    polygon_sides: int = 12
-    ess_mode_flags: bool = True
-    backend: str | None = None
-    seed: int = 0
+    seed: int = 0                 # HiGHS random_seed
 
     def __post_init__(self):
         if self.directions < 2:
@@ -66,6 +63,8 @@ class AssessmentConfig:
             raise ValueError(f"unknown coupling mode {self.coupling!r}")
         if self.mode not in ("ct", "dt"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 <= self.seed <= 2147483647:
+            raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
 
 
 @dataclass(frozen=True)
@@ -153,36 +152,15 @@ def compute_margins(model: NetworkModel) -> ChanceMargins:
     if z <= 0.0 or not np.any(system.sigma2 > 0.0):
         return ChanceMargins.zero()
 
-    n_y = system.b.shape[0]
-    n_src = system.f.shape[1]
-    rows, owners = [], []
-    for node, yi in system.u_index.items():
-        y_row = np.zeros(n_y)
-        y_row[yi] = 1.0
-        rows.append(y_row)
-        owners.append(("u", node))
-    svc_bounded = [si for si, svc in enumerate(model.svc_devices)
-                   if svc.q_min is not None or svc.q_max is not None]
-    for si in svc_bounded:
-        y_row = np.zeros(n_y)
-        y_row[system.svc_index[si]] = 1.0
-        rows.append(y_row)
-        owners.append(("svc", si))
+    response = chance.propagate(system.b, system.f)
 
-    u_node: dict = {}
-    svc: dict = {}
-    if rows:
-        uncertain = chance.propagate(
-            np.zeros((n_y, 0)), system.b, system.f, np.zeros(n_y),
-            np.zeros((len(rows), 0)), np.array(rows),
-            np.zeros((len(rows), n_src)), np.zeros(len(rows)),
-        )
-        for (kind, key), row in zip(owners, uncertain):
-            margin = chance.gaussian_margin(model.alpha, row.g, system.sigma2)
-            if kind == "u":
-                u_node[key] = margin
-            else:
-                svc[key] = margin
+    def margin(yi: int) -> float:
+        return chance.gaussian_margin(model.alpha, response[yi], system.sigma2)
+
+    u_node = {node: margin(yi) for node, yi in system.u_index.items()}
+    svc = {si: margin(system.svc_index[si])
+           for si, dev in enumerate(model.svc_devices)
+           if dev.q_min is not None or dev.q_max is not None}
     pv_cap = {
         pi: z * math.sqrt(pv.sigma2) for pi, pv in enumerate(model.pv_units)
     }
@@ -202,9 +180,7 @@ def build_subproblem(model: NetworkModel, theta: float,
         margins=margins if margins is not None else compute_margins(model),
         fitted=fitted if fitted is not None
         else fit_profiles(model, degree=n_coef - 1),
-        polygon_sides=config.polygon_sides,
         n_coef=n_coef,
-        ess_mode_flags=config.ess_mode_flags,
         s0_continuity=config.s0_continuity,
         periods=periods,
         ess_e_init=ess_e_init,
@@ -221,8 +197,7 @@ def _solve_options(config: AssessmentConfig) -> SolveOptions:
 
 def solve_assembled(assembled: AssembledProblem,
                     config: AssessmentConfig) -> MilpSolution:
-    backend = get_backend(config.backend)
-    return milp_solve(assembled.problem, _solve_options(config), backend)
+    return milp_solve(assembled.problem, _solve_options(config))
 
 
 def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
@@ -475,14 +450,13 @@ def monte_carlo_validate(assembled: AssembledProblem, values,
         n_src = system.f.shape[1]
         if n_src == 0:
             continue
-        y_response = np.linalg.solve(system.b, -system.f)
+        y_response = chance.propagate(system.b, system.f)
 
         rows, lhs, owners = [], [], []
 
         def add_row(name, lhs_val, g, rhs, margin):
-            rows.append(chance.UncertainRow(
-                np.zeros(0), np.zeros(0), np.asarray(g, dtype=float),
-                float(rhs), name))
+            rows.append(chance.UncertainRow(np.asarray(g, dtype=float),
+                                            float(rhs), name))
             lhs.append(float(lhs_val))
             owners.append((name, float(margin),
                            float(rhs - margin - lhs_val)))

@@ -1,17 +1,13 @@
-"""Abstract MILP container with a pluggable solver backend.
+"""MILP container solved by HiGHS through scipy.optimize.milp.
 
 The builder collects variables, linear constraints, SOS groups, and a
-linear objective, then freezes.  Solving goes through a narrow backend
-interface; the bundled reference backend is HiGHS via scipy.optimize.milp,
-which supports continuous and binary variables but no native SOS, so SOS
-groups are lowered to one-hot / adjacency binaries by :func:`sos_fallback`
-before the solve.  The backend is chosen with the ``CTFLEX_SOLVER``
-environment variable (default ``scipy``).
+linear objective, then freezes.  HiGHS takes continuous and binary
+variables but no native SOS, so SOS groups are lowered to one-hot /
+adjacency binaries by :func:`sos_fallback` before the solve.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -28,8 +24,6 @@ __all__ = [
     "FrozenProblemError",
     "solve",
     "sos_fallback",
-    "get_backend",
-    "available_backends",
     "write_lp",
 ]
 
@@ -41,7 +35,7 @@ class FrozenProblemError(RuntimeError):
 
 
 class BackendError(RuntimeError):
-    """The solver backend is unavailable or failed."""
+    """The solver failed."""
 
 
 @dataclass
@@ -230,7 +224,7 @@ class MilpProblem:
 
 
 def sos_fallback(problem: MilpProblem) -> MilpProblem:
-    """Rewrite SOS groups as binary selections for backends without SOS.
+    """Rewrite SOS groups as binary selections, which HiGHS can solve.
 
     SOS-1 members get one indicator binary each (at most one may be on);
     SOS-2 gets one binary per adjacent pair.  Every member needs finite
@@ -292,10 +286,7 @@ class SolveOptions:
 
 
 class ScipyHighsBackend:
-    """Reference backend: HiGHS through scipy.optimize.milp."""
-
-    name = "scipy"
-    supports_sos = False
+    """HiGHS through scipy.optimize.milp."""
 
     _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
 
@@ -365,27 +356,9 @@ class ScipyHighsBackend:
         return MilpSolution(status, objective, values, wall)
 
 
-_BACKENDS = {"scipy": ScipyHighsBackend}
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def get_backend(name: str | None = None):
-    """Resolve a backend by name, the CTFLEX_SOLVER env var, or the default."""
-    name = name or os.environ.get("CTFLEX_SOLVER") or "scipy"
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise BackendError(
-            f"unknown solver backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-def solve(problem: MilpProblem, options: SolveOptions | None = None,
-          backend=None) -> MilpSolution:
-    """Solve a frozen problem, lowering SOS groups if the backend lacks them.
+def solve(problem: MilpProblem,
+          options: SolveOptions | None = None) -> MilpSolution:
+    """Solve a frozen problem, lowering its SOS groups first.
 
     The returned assignment is restricted to the original problem's
     variables even when the fallback added binaries.
@@ -393,11 +366,8 @@ def solve(problem: MilpProblem, options: SolveOptions | None = None,
     if not problem.frozen:
         raise ValueError("freeze() the problem before solving")
     options = options or SolveOptions()
-    backend = backend if backend is not None else get_backend()
-    to_solve = problem
-    if problem.has_sos and not backend.supports_sos:
-        to_solve = sos_fallback(problem)
-    sol = backend.solve(to_solve, options)
+    to_solve = sos_fallback(problem) if problem.has_sos else problem
+    sol = ScipyHighsBackend().solve(to_solve, options)
     if sol.values is not None and len(sol.values) > problem.n_variables:
         sol = MilpSolution(sol.status, problem.objective_value(sol.values),
                            sol.values[: problem.n_variables], sol.wall_time)

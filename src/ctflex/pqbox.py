@@ -158,8 +158,8 @@ def _feasible_pieces(thetas: np.ndarray, feasible: np.ndarray) -> list:
     return pieces
 
 
-def initial_point(tube: FlexTube, t0: float) -> tuple:
-    """Interior starting point for the box search at time t0.
+def initial_point(section: TubeSectionOracle) -> tuple:
+    """Interior starting point for the box search in a tube cross-section.
 
     All directions feasible: the midpoint of the longest chord through the
     origin among the sampled direction pairs.  Otherwise take the largest
@@ -167,10 +167,9 @@ def initial_point(tube: FlexTube, t0: float) -> tuple:
     half when the piece spans at most pi, else half of its largest sampled
     boundary radius along that radius' direction.
     """
-    section = cross_section(tube, t0)
     thetas, radii, feasible = section.thetas, section.radii, section.feasible
     if not np.any(feasible):
-        raise ValueError(f"no feasible direction at t = {t0}")
+        raise ValueError(f"no feasible direction at t = {section.t0}")
     n = len(thetas)
     if np.all(feasible) and n % 2 == 0:
         # antipodal pairs: midpoint of the longest chord through the origin

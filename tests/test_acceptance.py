@@ -332,7 +332,7 @@ def test_criterion_7_box_geometry():
     rng = np.random.default_rng(3)
     for t0 in rng.uniform(0.0, 3600.0, 3):
         section = pqbox.cross_section(tube, float(t0))
-        start = pqbox.initial_point(tube, float(t0))
+        start = pqbox.initial_point(pqbox.cross_section(tube, float(t0)))
         scale = float(np.nanmax(section.radii))
         eps_t = 1e-4 * scale
         box_t = pqbox.expand_box(section, start, delta=0.05 * scale,

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from ctflex.bernstein import (
-    CtTrajectory, basis_matrix, bound_inequalities, constant, fit,
+    CtTrajectory, basis_matrix, fit,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -231,45 +231,9 @@ def test_affine_reproduction():
             1.0, abs(a * t + b))
 
 
-def test_bound_inequalities_sufficiency():
-    rows = bound_inequalities([10, 11, 12, 13], 0.0, "<=")
-    assert rows == [(10, "<=", 0.0), (11, "<=", 0.0), (12, "<=", 0.0),
-                    (13, "<=", 0.0)]
-    # all coefficients below the bound -> curve below the bound everywhere
-    coeffs = -RNG.random((1, 4))
-    traj = CtTrajectory(0.0, 1.0, coeffs)
-    assert np.all(traj.evaluate(RNG.random(1000)) <= 1e-12)
-
-
-def test_bound_inequalities_conservative():
-    # mixed coefficients fail the lowered rows even though the curve's true
-    # maximum is far below the offending coefficient: the lowering is a
-    # conservative inner approximation
-    coeffs = np.array([[-1.0, 2.0, -1.0, -1.0]])
-    rows = bound_inequalities(range(4), 0.0, "<=")
-    violated = [i for (i, _, bound) in rows if coeffs[0, i] > bound]
-    assert violated == [1]
-    traj = CtTrajectory(0.0, 1.0, coeffs)
-    dense_max = float(np.max(traj.evaluate(np.linspace(0, 1, 20001))))
-    # exact maximum: -1 + 9s - 18s^2 + 9s^3 peaks at s = 1/3 with value 1/3
-    assert dense_max == pytest.approx(1.0 / 3.0, abs=1e-7)
-    assert dense_max < coeffs.max()
-
-
-def test_bound_inequalities_bad_sense():
-    with pytest.raises(ValueError):
-        bound_inequalities([0], 0.0, "<")
-
-
 def test_equality_lowering_is_pointwise_equality():
     c1 = RNG.normal(size=(1, 4))
     t = RNG.random(500)
     a = CtTrajectory(0.0, 1.0, c1)
     b = CtTrajectory(0.0, 1.0, c1.copy())
     assert np.allclose(a.evaluate(t), b.evaluate(t), atol=0.0)
-
-
-def test_constant_helper():
-    traj = constant(2.5, 0.0, 1.0, 3)
-    assert traj.n_periods == 3 and traj.degree == 3
-    assert traj.evaluate(1.7) == pytest.approx(2.5)

@@ -125,7 +125,7 @@ def manual_build(model, theta=None, **kw):
     return builder, AssembledProblem(
         problem=builder.problem, model=model, theta=theta or 0.0,
         periods=list(builder.periods), layouts=builder.layouts,
-        blocks=builder.blocks, margins=builder.margins,
+        margins=builder.margins,
         fitted=builder.fitted, n_coef=builder.n_coef,
         polygons=builder.polygons)
 

@@ -1,7 +1,8 @@
 """Chance-constraint machinery tests.
 
-The normal quantile is compared against scipy's ndtri; dependent-variable
-elimination against a dense symbolic-style oracle on random small systems;
+The normal quantile is compared against scipy's ndtri and pinned bit for
+bit at the margins' alpha values; dependent-variable elimination against a
+dense inverse on random small systems;
 margins against closed forms and monotonicity; and the Monte Carlo checker
 against its own statistical guarantees.
 """
@@ -14,7 +15,7 @@ from scipy.special import ndtri
 
 from ctflex.chance import (
     SingularSystemError, UncertainRow, gaussian_margin, monte_carlo_check,
-    norm_quantile, propagate, tighten,
+    norm_quantile, propagate,
 )
 
 RNG = np.random.default_rng(321)
@@ -28,12 +29,16 @@ def test_quantile_matches_scipy():
             float(ndtri(p)), abs=1e-8)
 
 
-def test_quantile_edge_cases():
-    assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert norm_quantile(0.0) == -math.inf
-    assert norm_quantile(1.0) == math.inf
-    with pytest.raises(ValueError):
-        norm_quantile(1.5)
+@pytest.mark.parametrize("alpha, z", [
+    (0.01, 2.3263478740408408),
+    (0.05, 1.6448536269514715),
+    (0.1, 1.2815515655446008),
+    (0.2, 0.8416212335729144),
+])
+def test_margin_quantile_bits_pinned(alpha, z):
+    # every chance margin scales this z; a quantile that differs in the
+    # last bit would change the emitted model
+    assert gaussian_margin(alpha, [1.0], [1.0]) == z
 
 
 def test_margin_alpha_half_is_zero():
@@ -62,62 +67,35 @@ def test_margin_monotone_in_alpha_and_sigma():
 
 
 def test_propagate_no_uncertainty_in_equalities():
-    # F = 0: the direct G row is unchanged
-    rows = propagate(
-        a_eq=np.zeros((2, 1)), b_eq=np.eye(2), f_eq=np.zeros((2, 3)),
-        c_eq=np.zeros(2),
-        x_rows=np.array([[1.0]]), y_rows=np.array([[0.5, -1.0]]),
-        g_rows=np.array([[1.0, 2.0, 3.0]]), rhs=np.array([4.0]))
-    assert np.allclose(rows[0].g, [1.0, 2.0, 3.0])
+    # F = 0: the dependent variables do not respond
+    assert np.array_equal(propagate(np.eye(2), np.zeros((2, 3))),
+                          np.zeros((2, 3)))
 
 
 def test_propagate_substitution():
-    # equality y - u = 0, inequality y <= d -> effective G = 1
-    rows = propagate(
-        a_eq=np.zeros((1, 0)), b_eq=np.array([[1.0]]),
-        f_eq=np.array([[-1.0]]), c_eq=np.zeros(1),
-        x_rows=np.zeros((1, 0)), y_rows=np.array([[1.0]]),
-        g_rows=np.zeros((1, 1)), rhs=np.array([2.0]))
-    assert rows[0].g == pytest.approx([1.0])
+    # equality y - u = 0 -> y responds one to one
+    assert propagate(np.array([[1.0]]), np.array([[-1.0]])).tolist() == \
+        [[1.0]]
 
 
 def test_propagate_matches_dense_elimination_oracle():
     for _ in range(25):
-        n_y, n_x, n_u, n_rows = 5, 3, 4, 6
+        n_y, n_u = 5, 4
         b = RNG.normal(size=(n_y, n_y)) + 3 * np.eye(n_y)
         f = RNG.normal(size=(n_y, n_u))
-        a = RNG.normal(size=(n_y, n_x))
-        d_rows = RNG.normal(size=(n_rows, n_y))
-        g_rows = RNG.normal(size=(n_rows, n_u))
-        rows = propagate(a, b, f, np.zeros(n_y), RNG.normal(size=(n_rows, n_x)),
-                         d_rows, g_rows, np.zeros(n_rows))
-        oracle = g_rows - d_rows @ np.linalg.inv(b) @ f
-        got = np.stack([r.g for r in rows])
-        assert np.allclose(got, oracle, atol=1e-9)
+        oracle = -np.linalg.inv(b) @ f
+        assert np.allclose(propagate(b, f), oracle, atol=1e-9)
 
 
 def test_propagate_singular_rejected():
     with pytest.raises(SingularSystemError):
-        propagate(np.zeros((2, 0)), np.zeros((2, 2)), np.zeros((2, 1)),
-                  np.zeros(2), np.zeros((1, 0)), np.zeros((1, 2)),
-                  np.zeros((1, 1)), np.zeros(1))
+        propagate(np.zeros((2, 2)), np.zeros((2, 1)))
     with pytest.raises(SingularSystemError):
-        propagate(np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((2, 1)),
-                  np.zeros(2), np.zeros((1, 0)), np.zeros((1, 3)),
-                  np.zeros((1, 1)), np.zeros(1))
-
-
-def test_tighten_shrinks_rhs():
-    row = UncertainRow(np.zeros(0), np.array([1.0]), np.array([2.0]), 10.0)
-    tight = tighten(row, 0.1, np.array([0.25]))
-    assert tight.margin == pytest.approx(norm_quantile(0.9) * 1.0, abs=1e-9)
-    assert tight.rhs == pytest.approx(10.0 - tight.margin)
-    assert tighten(row, 0.5, np.array([0.25])).rhs == pytest.approx(10.0)
+        propagate(np.zeros((2, 3)), np.zeros((2, 1)))
 
 
 def _mc_row(g, rhs):
-    return UncertainRow(np.zeros(0), np.zeros(0), np.asarray(g, float),
-                        float(rhs))
+    return UncertainRow(np.asarray(g, float), float(rhs))
 
 
 def test_monte_carlo_tight_row_rate_near_alpha():

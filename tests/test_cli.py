@@ -55,6 +55,16 @@ def test_assess_missing_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"],
+                                   ["--seed", "2147483648"],
+                                   ["--directions", "1"]])
+def test_assess_bad_config_is_input_error(flags, tmp_path, capsys):
+    rc = run(["assess", "builtin:two-node", *flags, "--out",
+              str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_assess_dt_mode_single_coefficient(two_node_file, tmp_path):
     out = str(tmp_path / "dt")
     rc = run(["assess", two_node_file, "--directions", "2", "--mode", "dt",

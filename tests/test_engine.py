@@ -63,6 +63,13 @@ def test_sample_directions_too_few():
         engine.AssessmentConfig(directions=1)
 
 
+def test_seed_outside_highs_range_rejected():
+    engine.AssessmentConfig(seed=2147483647)
+    for seed in (-1, 2147483648):
+        with pytest.raises(ValueError, match="seed"):
+            engine.AssessmentConfig(seed=seed)
+
+
 # -- subproblem structure ---------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""MILP container and backend tests: builder contracts, enumeration-oracle
+"""MILP container and HiGHS solve tests: builder contracts, enumeration-oracle
 checks of small integer programs, SOS fallback equivalence, determinism,
 and the LP text dump."""
 
@@ -11,8 +11,8 @@ import pytest
 
 from ctflex import milp
 from ctflex.milp import (
-    BackendError, FrozenProblemError, MilpProblem, SolveOptions, get_backend,
-    solve, sos_fallback, write_lp,
+    FrozenProblemError, MilpProblem, SolveOptions, solve, sos_fallback,
+    write_lp,
 )
 
 
@@ -190,19 +190,6 @@ def test_solution_restricted_to_original_variables():
     p.set_objective({xs[1]: 1.0})
     sol = solve(p.freeze())
     assert len(sol.values) == 3
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(BackendError):
-        get_backend("definitely-not-a-solver")
-
-
-def test_backend_env_var(monkeypatch):
-    monkeypatch.setenv("CTFLEX_SOLVER", "scipy")
-    assert get_backend().name == "scipy"
-    monkeypatch.setenv("CTFLEX_SOLVER", "nope")
-    with pytest.raises(BackendError):
-        get_backend()
 
 
 def test_seed_reaches_highs_on_both_solves(monkeypatch):

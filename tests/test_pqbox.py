@@ -246,14 +246,14 @@ def test_section_outside_horizon():
 
 
 def test_initial_point_symmetric_region_is_origin(sym_tube):
-    p0, q0 = initial_point(sym_tube, 1800.0)
+    p0, q0 = initial_point(cross_section(sym_tube, 1800.0))
     assert math.hypot(p0, q0) <= 1e-6
 
 
 def test_initial_point_single_direction():
     tube = engine.assess(two_node(), engine.AssessmentConfig(
         directions=2, workers=1))
-    p0, q0 = initial_point(tube, 900.0)
+    p0, q0 = initial_point(cross_section(tube, 900.0))
     # only theta = 0 is feasible: its half-radius point
     assert q0 == pytest.approx(0.0, abs=1e-9)
     assert p0 == pytest.approx(0.25, abs=1e-6)
@@ -271,7 +271,7 @@ def test_initial_point_half_plane_piece():
         else:
             slices.append(engine.Slice(theta, "infeasible", None, None, None))
     tube = engine.FlexTube(tuple(slices), 0.0, 900.0, 1)
-    p0, q0 = initial_point(tube, 450.0)
+    p0, q0 = initial_point(cross_section(tube, 450.0))
     # width exactly pi -> rule (ii): half the mid-direction boundary radius
     assert p0 == pytest.approx(2.0 / 2 * math.cos(math.pi / 2), abs=1e-9)
     assert q0 == pytest.approx(1.0, abs=1e-9)
@@ -289,7 +289,7 @@ def test_initial_point_wide_piece_uses_largest_radius():
         else:
             slices.append(engine.Slice(theta, "infeasible", None, None, None))
     tube = engine.FlexTube(tuple(slices), 0.0, 900.0, 1)
-    p0, q0 = initial_point(tube, 450.0)
+    p0, q0 = initial_point(cross_section(tube, 450.0))
     r_best = 1.0 + 0.1 * 6
     want = (0.5 * r_best * math.cos(1.5 * math.pi),
             0.5 * r_best * math.sin(1.5 * math.pi))
@@ -302,7 +302,7 @@ def test_initial_point_no_feasible_direction():
                                 None) for k in range(4))
     tube = engine.FlexTube(slices, 0.0, 900.0, 1)
     with pytest.raises(ValueError, match="no feasible"):
-        initial_point(tube, 450.0)
+        initial_point(cross_section(tube, 450.0))
 
 
 # -- real cross-sections ----------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_initial_point_no_feasible_direction():
 @pytest.mark.parametrize("t0", [450.0, 1800.0, 3150.0])
 def test_box_sound_and_maximal_on_tube_sections(rich_tube, t0):
     section = cross_section(rich_tube, t0)
-    start = initial_point(rich_tube, t0)
+    start = initial_point(section)
     scale = float(np.nanmax(section.radii))
     eps = 1e-4 * scale
     box = expand_box(section, start, delta=0.05 * scale, eps=eps, t0=t0)
@@ -333,8 +333,8 @@ def test_box_sound_and_maximal_on_tube_sections(rich_tube, t0):
 
 
 def test_box_symmetric_on_symmetric_region(sym_tube):
-    start = initial_point(sym_tube, 1800.0)
-    box = expand_box(cross_section(sym_tube, 1800.0), start, delta=0.02,
+    section = cross_section(sym_tube, 1800.0)
+    box = expand_box(section, initial_point(section), delta=0.02,
                      eps=1e-6, t0=1800.0)
     assert box.p_max == pytest.approx(-box.p_min, abs=1e-3)
     assert box.q_max == pytest.approx(-box.q_min, abs=1e-3)
