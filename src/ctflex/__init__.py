@@ -11,7 +11,6 @@ from .engine import (
     FlexTube,
     Slice,
     assess,
-    dt_assess,
     metric_M,
     penetration_metrics,
     query_point,
@@ -23,7 +22,7 @@ __all__ = [
     "CtTrajectory", "fit",
     "NetworkModel", "load_model", "serialize", "validate",
     "MilpProblem", "MilpSolution", "SolveOptions", "solve",
-    "AssessmentConfig", "FlexTube", "Slice", "assess", "dt_assess",
+    "AssessmentConfig", "FlexTube", "Slice", "assess",
     "metric_M", "penetration_metrics", "query_point", "sample_directions",
     "PqBox", "cross_section", "expand_box", "initial_point",
     "__version__",

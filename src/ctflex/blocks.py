@@ -118,27 +118,21 @@ class FittedProfiles:
     degree: int
     pv: tuple          # per pv unit
     load: tuple        # per load point
-    pv_residual: tuple
-    load_residual: tuple
 
 
 def fit_profiles(model: NetworkModel, degree: int = 3) -> FittedProfiles:
     hz = model.horizon
-    pv_c, pv_r, ld_c, ld_r = [], [], [], []
-    for pv in model.pv_units:
-        traj, res = bernstein.fit(pv.forecast.times_array() + hz.t1,
-                                  pv.forecast.values_array(),
-                                  hz.period, hz.t1, hz.n_periods, degree=degree)
-        pv_c.append(traj.coeffs)
-        pv_r.append(res)
-    for ld in model.loads:
-        traj, res = bernstein.fit(ld.profile.times_array() + hz.t1,
-                                  ld.profile.values_array(),
-                                  hz.period, hz.t1, hz.n_periods, degree=degree)
-        ld_c.append(traj.coeffs)
-        ld_r.append(res)
-    return FittedProfiles(degree, tuple(pv_c), tuple(ld_c), tuple(pv_r),
-                          tuple(ld_r))
+
+    def coeffs(profile):
+        traj, _ = bernstein.fit(profile.times_array() + hz.t1,
+                                profile.values_array(),
+                                hz.period, hz.t1, hz.n_periods, degree=degree)
+        return traj.coeffs
+
+    return FittedProfiles(
+        degree,
+        tuple(coeffs(pv.forecast) for pv in model.pv_units),
+        tuple(coeffs(ld.profile) for ld in model.loads))
 
 
 # -- layout -------------------------------------------------------------------
@@ -179,35 +173,24 @@ class AssembledProblem:
     problem: MilpProblem
     model: NetworkModel
     theta: float
-    periods: list               # absolute period indices, ascending
+    periods: list               # period indices 0..n_periods-1
     layouts: dict               # period -> PeriodLayout
     margins: ChanceMargins
     fitted: FittedProfiles
     n_coef: int
-    polygons: dict              # owner key -> PolygonApproximation
 
 
 # -- the builder --------------------------------------------------------------
 
 
 class BlockBuilder:
-    """Emits device and network blocks for one direction subproblem.
-
-    ``periods`` selects which scheduling periods are built (all by
-    default); sequential decomposition builds one at a time and carries
-    each ESS terminal energy into the next chunk via ``ess_e_init``.
-    """
+    """Emits device and network blocks for one direction subproblem over
+    every scheduling period of the horizon."""
 
     def __init__(self, model: NetworkModel, *,
                  margins: ChanceMargins | None = None,
                  fitted: FittedProfiles | None = None,
-                 polygon_sides: int = 12,
                  n_coef: int = N_COEF,
-                 ess_mode_flags: bool = True,
-                 s0_continuity: bool = False,
-                 periods=None,
-                 ess_e_init: dict | None = None,
-                 s0_start: float | None = None,
                  name: str = "slice"):
         self.model = model
         self.margins = margins or ChanceMargins.zero()
@@ -217,19 +200,12 @@ class BlockBuilder:
             raise BuildError(
                 f"fitted profiles have degree {self.fitted.degree}; "
                 f"the transcription needs degree {n_coef - 1}")
-        self.polygon_sides = polygon_sides
         if n_coef < 1:
             raise BuildError("need at least one coefficient per period")
         self.n_coef = n_coef
-        self.ess_mode_flags = ess_mode_flags
-        self.s0_continuity = s0_continuity
-        self.periods = list(range(model.horizon.n_periods)) if periods is None \
-            else sorted(periods)
-        self.ess_e_init = dict(ess_e_init or {})
-        self.s0_start = s0_start
+        self.periods = list(range(model.horizon.n_periods))
         self.problem = MilpProblem(name=name)
         self.layouts: dict = {}
-        self.polygons: dict = {}
         self._emitted: set = set()
         self._parent = model.parent_branch()
         self._children = model.child_branches()
@@ -310,8 +286,7 @@ class BlockBuilder:
             self._row([(p_ids[k], 1.0)], "<=", fc[k] - margin,
                       f"pv{pi}_m{m}_cap{k}")
 
-        poly = circle_polygon(pv.s_max, self.polygon_sides)
-        self.polygons[f"pv{pi}"] = poly
+        poly = circle_polygon(pv.s_max)
         for k in range(self.n_coef):
             for h, (c, s, rhs) in enumerate(poly.halfplanes):
                 self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
@@ -371,8 +346,7 @@ class BlockBuilder:
         layout = self.layouts.get(m)
         if layout is None:
             raise BuildError(f"sop {si}: period {m} not initialized")
-        poly = circle_polygon(sop.s_max, self.polygon_sides)
-        self.polygons[f"sop{si}"] = poly
+        poly = circle_polygon(sop.s_max)
         term_p = []
         for t in range(2):
             p_ids = self._coef_vars(self.n_coef, sop.p_min, sop.p_max,
@@ -441,7 +415,7 @@ class BlockBuilder:
         layout = self.layouts[m]
         lam = self._coef_vars(len(cap.steps), 0.0, 1.0, f"LamCap{ci}_m{m}")
         layout.lam_cap[ci] = lam
-        self.problem.add_sos(lam, sos_type=1, name=f"cap{ci}_m{m}_sos")
+        self.problem.add_sos(lam, name=f"cap{ci}_m{m}_sos")
         self._row([(l, 1.0) for l in lam], "==", 1.0, f"cap{ci}_m{m}_onehot")
         q_ids = self._coef_vars(self.n_coef, -np.inf, np.inf,
                                 f"Qcap{ci}_m{m}")
@@ -471,7 +445,7 @@ class BlockBuilder:
         model = self.model
         ess = model.ess_devices[ei]
         t_min = max(ess.t_min_charge, ess.t_min_discharge)
-        if self.ess_mode_flags and model.horizon.period < t_min - 1e-9:
+        if model.horizon.period < t_min - 1e-9:
             raise BuildError(
                 f"ess {ei}: minimum mode duration {t_min}s exceeds the "
                 f"scheduling period {model.horizon.period}s; the per-period "
@@ -491,8 +465,8 @@ class BlockBuilder:
                                   f"SoE{ei}_m{m}")
             layout.soe[ei] = soe
             if prev_end is None:
-                e0 = self.ess_e_init.get(ei, ess.e_init)
-                self._row([(soe[0], 1.0)], "==", e0, f"ess{ei}_m{m}_init")
+                self._row([(soe[0], 1.0)], "==", ess.e_init,
+                          f"ess{ei}_m{m}_init")
             else:
                 self._row([(soe[0], 1.0), (prev_end, -1.0)], "==", 0.0,
                           f"ess{ei}_m{m}_chain")
@@ -501,15 +475,14 @@ class BlockBuilder:
                            (d_ids[j], step * kappa)],
                           "==", step * charge_gain, f"ess{ei}_m{m}_soe{j}")
             prev_end = soe[-1]
-            if self.ess_mode_flags:
-                flag = self.problem.add_variable(binary=True,
-                                                 name=f"ess{ei}_m{m}_mode")
-                layout.ess_mode[ei] = flag
-                for k in range(self.n_coef):
-                    self._row([(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
-                              f"ess{ei}_m{m}_dis{k}")
-                    self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
-                              f"ess{ei}_m{m}_chg{k}")
+            flag = self.problem.add_variable(binary=True,
+                                             name=f"ess{ei}_m{m}_mode")
+            layout.ess_mode[ei] = flag
+            for k in range(self.n_coef):
+                self._row([(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
+                          f"ess{ei}_m{m}_dis{k}")
+                self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
+                          f"ess{ei}_m{m}_chg{k}")
         self._emitted.add(("ess", ei))
 
     def network_block(self, m: int):
@@ -612,8 +585,7 @@ class BlockBuilder:
                         lam = self._coef_vars(len(br.taps), 0.0, 1.0,
                                               f"LamOltc{bi}_m{m}")
                         layout.lam_oltc[bi] = lam
-                        self.problem.add_sos(lam, sos_type=1,
-                                             name=f"oltc{bi}_m{m}_sos")
+                        self.problem.add_sos(lam, name=f"oltc{bi}_m{m}_sos")
                         self._row([(l, 1.0) for l in lam], "==", 1.0,
                                   f"oltc{bi}_m{m}_onehot")
                         for j in range(len(br.taps)):
@@ -679,18 +651,6 @@ class BlockBuilder:
         for m in self.periods:
             self.network_block(m)
             self.tdi_block(m, theta)
-        if self.s0_continuity:
-            for prev, nxt in zip(self.periods, self.periods[1:]):
-                if nxt == prev + 1:
-                    self.problem.add_constraint(
-                        [(self.layouts[prev].s0[-1], 1.0),
-                         (self.layouts[nxt].s0[0], -1.0)],
-                        "==", 0.0, name=f"s0_cont_{prev}_{nxt}")
-        if self.s0_start is not None:
-            first = self.periods[0]
-            self.problem.add_constraint(
-                [(self.layouts[first].s0[0], 1.0)], "==", self.s0_start,
-                name=f"s0_start_m{first}")
         weight = model.horizon.period / self.n_coef
         objective = {}
         for m in self.periods:
@@ -702,7 +662,7 @@ class BlockBuilder:
             problem=self.problem, model=model, theta=theta,
             periods=list(self.periods), layouts=self.layouts,
             margins=self.margins, fitted=self.fitted,
-            n_coef=self.n_coef, polygons=self.polygons,
+            n_coef=self.n_coef,
         )
 
 
@@ -900,8 +860,6 @@ def continuous_time_check(assembled: AssembledProblem, values,
             inj_p[ld.node] -= p_t
             inj_q[ld.node] -= ld.phi * p_t
         for ei, ess in enumerate(model.ess_devices):
-            if ei not in layout.d_ess:
-                continue
             d_t = at(layout.d_ess[ei])
             if np.any((d_t < -feas_tol) | (d_t > 1 + feas_tol)):
                 violations.append(f"period {m} ess {ei}: D outside [0, 1]")
@@ -911,7 +869,6 @@ def continuous_time_check(assembled: AssembledProblem, values,
                 violations.append(f"period {m} ess {ei}: SoE outside bounds")
             inj_p[ess.node] += d_t * (ess.p_d + ess.p_c) - ess.p_c
         for si, sop in enumerate(model.sop_devices):
-            poly = assembled.polygons[f"sop{si}"]
             total = np.zeros(n_times)
             for t, node in enumerate(sop.nodes):
                 p_t = at(layout.p_sop[(si, t)])

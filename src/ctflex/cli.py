@@ -58,7 +58,17 @@ def _load(path: str, alpha: float | None = None) -> NetworkModel:
         except ModelError as exc:
             raise CliError(f"{path}: {exc}") from exc
     if alpha is not None:
-        model = dataclasses.replace(model, alpha=alpha)
+        model = _with_alpha(model, alpha)
+    return model
+
+
+def _with_alpha(model: NetworkModel, alpha: float) -> NetworkModel:
+    """The model at confidence parameter alpha, held to the same rules as
+    a model file."""
+    model = dataclasses.replace(model, alpha=alpha)
+    violations = validate(model)
+    if violations:
+        raise CliError("; ".join(violations))
     return model
 
 
@@ -93,7 +103,6 @@ def _config_from_args(args) -> engine.AssessmentConfig:
             mip_gap=args.gap,
             time_limit=args.time_limit,
             workers=args.workers,
-            coupling=args.coupling,
             mode=getattr(args, "mode", "ct"),
             seed=args.seed,
         )
@@ -193,6 +202,9 @@ def cmd_assess(args) -> int:
 
 
 def cmd_pqbox(args) -> int:
+    for flag, value in (("--delta", args.delta), ("--eps", args.eps)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise CliError(f"{flag} {value} must be positive and finite")
     stages = {}
     os.makedirs(args.out, exist_ok=True)
     if args.tube:
@@ -271,6 +283,9 @@ def cmd_metrics(args) -> int:
     pv_scales = _parse_grid(args.pv_scale_grid, "pv-scale")
     theta_set = parse_theta_set(args.theta_set) if args.theta_set else None
     base = _load(args.model, args.alpha)
+    for alpha in alphas:
+        if alpha is not None:
+            _with_alpha(base, alpha)   # reject a bad grid value before solving
     rows = []
     for alpha in alphas:
         for sop_on in sop_states:
@@ -385,8 +400,6 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True):
                    help="per-subproblem solver limit in seconds")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coupling", choices=("joint", "sequential"),
-                   default="joint")
     p.add_argument("--out", default="out", help="output directory")
 
 

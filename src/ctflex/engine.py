@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .netmodel import NetworkModel
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
     "sample_directions", "all_directions", "compute_margins",
-    "build_subproblem", "solve_slice", "assemble_tube", "assess", "dt_assess",
+    "build_subproblem", "solve_slice", "assemble_tube", "assess",
     "query_point", "metric_M", "penetration_metrics",
     "monte_carlo_validate", "tube_to_csv", "tube_from_csv", "dense_grid_csv",
 ]
@@ -51,16 +51,18 @@ class AssessmentConfig:
     mip_gap: float = 1e-6
     time_limit: float = 300.0
     workers: int | None = None
-    coupling: str = "joint"       # "joint" | "sequential"
-    s0_continuity: bool = False
     mode: str = "ct"              # "ct" | "dt"
     seed: int = 0                 # HiGHS random_seed
 
     def __post_init__(self):
         if self.directions < 2:
             raise ValueError("need at least 2 sampled directions")
-        if self.coupling not in ("joint", "sequential"):
-            raise ValueError(f"unknown coupling mode {self.coupling!r}")
+        # HiGHS ignores a negative or NaN value with a warning that the
+        # backend silences, so the solve would run at HiGHS's default
+        if not self.mip_gap >= 0:
+            raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
+        if not self.time_limit >= 0:
+            raise ValueError(f"time_limit {self.time_limit} must be >= 0")
         if self.mode not in ("ct", "dt"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.seed <= 2147483647:
@@ -170,10 +172,8 @@ def compute_margins(model: NetworkModel) -> ChanceMargins:
 def build_subproblem(model: NetworkModel, theta: float,
                      config: AssessmentConfig,
                      margins: ChanceMargins | None = None,
-                     fitted: FittedProfiles | None = None,
-                     periods=None, ess_e_init=None,
-                     s0_start: float | None = None) -> AssembledProblem:
-    """Assemble the MILP for one direction (all periods unless given)."""
+                     fitted: FittedProfiles | None = None) -> AssembledProblem:
+    """Assemble the MILP for one direction over the whole horizon."""
     n_coef = 1 if config.mode == "dt" else N_COEF
     builder = BlockBuilder(
         model,
@@ -181,10 +181,6 @@ def build_subproblem(model: NetworkModel, theta: float,
         fitted=fitted if fitted is not None
         else fit_profiles(model, degree=n_coef - 1),
         n_coef=n_coef,
-        s0_continuity=config.s0_continuity,
-        periods=periods,
-        ess_e_init=ess_e_init,
-        s0_start=s0_start,
         name=f"slice@{theta:.6f}",
     )
     return builder.build(theta)
@@ -215,40 +211,15 @@ def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
     if fitted is None:
         fitted = fit_profiles(model, degree=n_coef - 1)
     start = time.perf_counter()
+    assembled = build_subproblem(model, theta, config, margins, fitted)
+    sol = solve_assembled(assembled, config)
+    if sol.status != "optimal":
+        status = "limit" if sol.status == "limit" else "infeasible"
+        return Slice(theta, status, None, None, None,
+                     time.perf_counter() - start)
+    coeffs = np.array([[sol.values[v] for v in assembled.layouts[m].s0]
+                       for m in assembled.periods])
     weight = model.horizon.period / n_coef
-    if config.coupling == "joint":
-        assembled = build_subproblem(model, theta, config, margins, fitted)
-        sol = solve_assembled(assembled, config)
-        if sol.status != "optimal":
-            status = "limit" if sol.status == "limit" else "infeasible"
-            return Slice(theta, status, None, None, None,
-                         time.perf_counter() - start)
-        coeffs = np.array([
-            [sol.values[v] for v in assembled.layouts[m].s0]
-            for m in assembled.periods
-        ])
-    else:
-        coeffs = np.zeros((model.horizon.n_periods, n_coef))
-        carry: dict = {}
-        s0_tail = None
-        for m in range(model.horizon.n_periods):
-            assembled = build_subproblem(
-                model, theta, config, margins, fitted,
-                periods=[m], ess_e_init=carry or None,
-                s0_start=s0_tail if config.s0_continuity else None,
-            )
-            sol = solve_assembled(assembled, config)
-            if sol.status != "optimal":
-                status = "limit" if sol.status == "limit" else "infeasible"
-                return Slice(theta, status, None, None, None,
-                             time.perf_counter() - start)
-            layout = assembled.layouts[m]
-            coeffs[m] = [sol.values[v] for v in layout.s0]
-            s0_tail = float(coeffs[m][-1])
-            carry = {
-                ei: float(sol.values[layout.soe[ei][-1]])
-                for ei in range(len(model.ess_devices))
-            }
     period_obj = tuple(weight * float(row.sum()) for row in coeffs)
     return Slice(theta, "optimal", coeffs, float(sum(period_obj)),
                  period_obj, time.perf_counter() - start)
@@ -309,14 +280,6 @@ def assess(model: NetworkModel,
     }
     return assemble_tube(slices, model, mode=config.mode,
                          diagnostics=diagnostics)
-
-
-def dt_assess(model: NetworkModel,
-              config: AssessmentConfig | None = None) -> FlexTube:
-    """Discrete-time baseline: identical blocks with the independent
-    decision trajectories pinned to per-period constants."""
-    config = config or AssessmentConfig()
-    return assess(model, replace(config, mode="dt"))
 
 
 # -- tube queries -------------------------------------------------------------

@@ -1,9 +1,9 @@
 """MILP container solved by HiGHS through scipy.optimize.milp.
 
-The builder collects variables, linear constraints, SOS groups, and a
+The builder collects variables, linear constraints, SOS-1 groups, and a
 linear objective, then freezes.  HiGHS takes continuous and binary
-variables but no native SOS, so SOS groups are lowered to one-hot /
-adjacency binaries by :func:`sos_fallback` before the solve.
+variables but no native SOS, so SOS-1 groups are lowered to one-hot
+binaries by :func:`sos_fallback` before the solve.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class _Constraint:
 
 @dataclass
 class _SosGroup:
+    """SOS-1: at most one member may be nonzero."""
+
     variables: tuple
-    weights: tuple
-    sos_type: int
     name: str
 
 
@@ -63,11 +63,6 @@ class MilpSolution:
     objective: float | None
     values: np.ndarray | None
     wall_time: float
-
-    def value(self, var: int) -> float:
-        if self.values is None:
-            raise ValueError(f"solution with status {self.status!r} carries no assignment")
-        return float(self.values[var])
 
 
 class MilpProblem:
@@ -105,12 +100,6 @@ class MilpProblem:
         self._var_names.append(name or f"x{idx}")
         return idx
 
-    def add_variables(self, count: int, lb: float = 0.0, ub: float = np.inf, *,
-                      binary: bool = False, name: str | None = None) -> list[int]:
-        prefix = name or "x"
-        return [self.add_variable(lb, ub, binary=binary, name=f"{prefix}_{k}")
-                for k in range(count)]
-
     def _as_terms(self, coeffs) -> tuple:
         acc: dict[int, float] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
@@ -133,25 +122,17 @@ class MilpProblem:
         )
         return idx
 
-    def add_sos(self, variables, weights=None, sos_type: int = 1,
-                name: str | None = None) -> int:
+    def add_sos(self, variables, name: str | None = None) -> int:
+        """Add an SOS-1 group: at most one of ``variables`` is nonzero."""
         self._check_mutable()
-        if sos_type not in (1, 2):
-            raise ValueError("sos_type must be 1 or 2")
         variables = tuple(int(v) for v in variables)
         if not variables:
             raise ValueError("empty SOS group")
         for v in variables:
             if not 0 <= v < len(self._lb):
                 raise IndexError(f"unknown variable handle {v}")
-        if weights is None:
-            weights = tuple(float(k + 1) for k in range(len(variables)))
-        else:
-            weights = tuple(float(w) for w in weights)
-            if len(weights) != len(variables):
-                raise ValueError("weights length mismatch")
         idx = len(self._sos)
-        self._sos.append(_SosGroup(variables, weights, sos_type, name or f"s{idx}"))
+        self._sos.append(_SosGroup(variables, name or f"s{idx}"))
         return idx
 
     def set_objective(self, coeffs, sense: str = "max"):
@@ -211,26 +192,18 @@ class MilpProblem:
                 out.append(f"constraint {con.name}: {lhs} != {con.rhs}")
         for grp in self._sos:
             nz = [v for v in grp.variables if abs(values[v]) > tol]
-            if grp.sos_type == 1 and len(nz) > 1:
+            if len(nz) > 1:
                 out.append(f"SOS-1 {grp.name}: {len(nz)} nonzero members")
-            if grp.sos_type == 2:
-                if len(nz) > 2:
-                    out.append(f"SOS-2 {grp.name}: {len(nz)} nonzero members")
-                elif len(nz) == 2:
-                    pos = [grp.variables.index(v) for v in nz]
-                    if abs(pos[0] - pos[1]) != 1:
-                        out.append(f"SOS-2 {grp.name}: nonzero members not adjacent")
         return out
 
 
 def sos_fallback(problem: MilpProblem) -> MilpProblem:
-    """Rewrite SOS groups as binary selections, which HiGHS can solve.
+    """Rewrite SOS-1 groups as binary selections, which HiGHS can solve.
 
-    SOS-1 members get one indicator binary each (at most one may be on);
-    SOS-2 gets one binary per adjacent pair.  Every member needs finite
-    bounds, which serve as the big-M.  Original variable handles keep their
-    indices, so a solution of the rewritten problem restricts to one of the
-    original by truncation.
+    Each member gets one indicator binary, and at most one may be on.
+    Every member needs finite bounds, which serve as the big-M.  Original
+    variable handles keep their indices, so a solution of the rewritten
+    problem restricts to one of the original by truncation.
     """
     out = MilpProblem(name=problem.name)
     for v in range(problem.n_variables):
@@ -245,32 +218,15 @@ def sos_fallback(problem: MilpProblem) -> MilpProblem:
                     f"SOS member {problem._var_names[v]} is unbounded; "
                     "binary fallback needs finite bounds"
                 )
-        k = len(grp.variables)
-        if grp.sos_type == 1:
-            flags = [out.add_variable(binary=True, name=f"{grp.name}_b{j}")
-                     for j in range(k)]
-            out.add_constraint([(b, 1.0) for b in flags], "<=", 1.0,
-                               name=f"{grp.name}_card")
-            for v, b in zip(grp.variables, flags):
-                out.add_constraint([(v, 1.0), (b, -problem._ub[v])], "<=", 0.0,
-                                   name=f"{grp.name}_ub{b}")
-                out.add_constraint([(v, 1.0), (b, -problem._lb[v])], ">=", 0.0,
-                                   name=f"{grp.name}_lb{b}")
-        else:
-            if k == 1:
-                continue  # a single member is trivially an adjacent pair
-            pair_flags = [out.add_variable(binary=True, name=f"{grp.name}_p{j}")
-                          for j in range(k - 1)]
-            out.add_constraint([(b, 1.0) for b in pair_flags], "==", 1.0,
-                               name=f"{grp.name}_pair")
-            for j, v in enumerate(grp.variables):
-                covers = [pair_flags[i] for i in (j - 1, j) if 0 <= i < k - 1]
-                out.add_constraint(
-                    [(v, 1.0)] + [(b, -problem._ub[v]) for b in covers],
-                    "<=", 0.0, name=f"{grp.name}_ub{j}")
-                out.add_constraint(
-                    [(v, 1.0)] + [(b, -problem._lb[v]) for b in covers],
-                    ">=", 0.0, name=f"{grp.name}_lb{j}")
+        flags = [out.add_variable(binary=True, name=f"{grp.name}_b{j}")
+                 for j in range(len(grp.variables))]
+        out.add_constraint([(b, 1.0) for b in flags], "<=", 1.0,
+                           name=f"{grp.name}_card")
+        for v, b in zip(grp.variables, flags):
+            out.add_constraint([(v, 1.0), (b, -problem._ub[v])], "<=", 0.0,
+                               name=f"{grp.name}_ub{b}")
+            out.add_constraint([(v, 1.0), (b, -problem._lb[v])], ">=", 0.0,
+                               name=f"{grp.name}_lb{b}")
     out._objective = dict(problem._objective)
     out._sense = problem._sense
     if problem.frozen:
@@ -413,9 +369,10 @@ def write_lp(problem: MilpProblem, fp):
     if problem._sos:
         w("SOS\n")
         for grp in problem._sos:
+            # LP format needs a weight per member: the implicit 1..k
             members = " ".join(
-                f"{problem._var_names[v]}:{_lp_num(wt)}"
-                for v, wt in zip(grp.variables, grp.weights)
+                f"{problem._var_names[v]}:{_lp_num(k + 1)}"
+                for k, v in enumerate(grp.variables)
             )
-            w(f" {grp.name}: S{grp.sos_type}:: {members}\n")
+            w(f" {grp.name}: S1:: {members}\n")
     w("End\n")

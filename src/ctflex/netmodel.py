@@ -22,7 +22,7 @@ import numpy as np
 
 __all__ = [
     "Profile", "Branch", "PvUnit", "LoadPoint", "EssDevice", "SopDevice",
-    "SvcDevice", "CapacitorBank", "UncertaintySpec", "Horizon",
+    "SvcDevice", "CapacitorBank", "Horizon",
     "NetworkModel", "ModelError", "ParseError", "ValidationError",
     "load_model", "serialize", "validate",
 ]
@@ -174,19 +174,6 @@ class CapacitorBank:
 
 
 @dataclass(frozen=True)
-class UncertaintySpec:
-    """Independent zero-mean Gaussian offsets, constant over the horizon."""
-
-    alpha: float
-    pv_sigma2: tuple = ()
-    load_sigma2: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pv_sigma2", tuple(float(s) for s in self.pv_sigma2))
-        object.__setattr__(self, "load_sigma2", tuple(float(s) for s in self.load_sigma2))
-
-
-@dataclass(frozen=True)
 class Horizon:
     t1: float
     t2: float
@@ -195,10 +182,6 @@ class Horizon:
     @property
     def n_periods(self) -> int:
         return int(round((self.t2 - self.t1) / self.period))
-
-    @property
-    def span(self) -> float:
-        return self.t2 - self.t1
 
 
 @dataclass(frozen=True)
@@ -223,14 +206,6 @@ class NetworkModel:
         for name in ("branches", "pv_units", "loads", "ess_devices",
                      "sop_devices", "svc_devices", "cap_banks"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    @property
-    def uncertainty(self) -> UncertaintySpec:
-        return UncertaintySpec(
-            self.alpha,
-            tuple(pv.sigma2 for pv in self.pv_units),
-            tuple(ld.sigma2 for ld in self.loads),
-        )
 
     # -- topology helpers ---------------------------------------------------
 

@@ -126,8 +126,7 @@ def manual_build(model, theta=None, **kw):
         problem=builder.problem, model=model, theta=theta or 0.0,
         periods=list(builder.periods), layouts=builder.layouts,
         margins=builder.margins,
-        fitted=builder.fitted, n_coef=builder.n_coef,
-        polygons=builder.polygons)
+        fitted=builder.fitted, n_coef=builder.n_coef)
 
 
 def pin(problem, ids, value):
@@ -421,8 +420,6 @@ def test_ess_minimum_duration_unrepresentable():
     model = single_period_model(ess_devices=(ess,))
     with pytest.raises(BuildError, match="minimum mode duration"):
         BlockBuilder(model).build(0.0)
-    # without mode flags the same model builds
-    BlockBuilder(model, ess_mode_flags=False).build(0.0)
 
 
 def test_ess_mode_flag_keeps_period_one_sided():

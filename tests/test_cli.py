@@ -57,7 +57,12 @@ def test_assess_missing_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"],
                                    ["--seed", "2147483648"],
-                                   ["--directions", "1"]])
+                                   ["--directions", "1"],
+                                   ["--gap", "-1"],
+                                   ["--time-limit", "-1"],
+                                   ["--gap", "nan"],
+                                   ["--alpha", "0"],
+                                   ["--alpha", "0.7"]])
 def test_assess_bad_config_is_input_error(flags, tmp_path, capsys):
     rc = run(["assess", "builtin:two-node", *flags, "--out",
               str(tmp_path / "o")])
@@ -119,6 +124,16 @@ def test_pqbox_time_outside_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--delta", "-1"], ["--eps", "0"],
+                                   ["--delta", "inf"], ["--eps", "nan"]])
+def test_pqbox_bad_step_is_input_error(flags, tmp_path, capsys):
+    rc = run(["pqbox", "builtin:ess-symmetric", "--directions", "2",
+              "--workers", "1", "--time", "900", *flags,
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert f"error: {flags[0]}" in capsys.readouterr().err
+
+
 def test_pqbox_no_feasible_direction(tmp_path, capsys):
     # loads only and alpha such that nothing works: use a model with a load
     # whose power factor points between samples -> every direction is a gap
@@ -162,6 +177,15 @@ def test_metrics_empty_grid_rejected(tmp_path, capsys):
     rc = run(["metrics", "builtin:three-node", "--alpha-grid", ",",
               "--out", str(tmp_path / "m")])
     assert rc == 2
+
+
+def test_metrics_alpha_grid_outside_range_rejected(tmp_path, capsys):
+    out = tmp_path / "m"
+    rc = run(["metrics", "builtin:three-node", "--directions", "2",
+              "--workers", "1", "--alpha-grid", "0.1,0.7", "--out", str(out)])
+    assert rc == 2
+    assert "error: uncertainty: alpha 0.7" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_compare_dt(tmp_path):

@@ -1,7 +1,7 @@
 """Engine tests: direction sampling, per-direction solves against the
 hand-derived LP oracle, tube assembly and interpolation queries, metrics,
-coupling modes, DT baseline, serialization round-trips, and Monte Carlo
-validation of the chance margins."""
+DT baseline, serialization round-trips, and Monte Carlo validation of the
+chance margins."""
 
 import csv
 import dataclasses
@@ -68,6 +68,14 @@ def test_seed_outside_highs_range_rejected():
     for seed in (-1, 2147483648):
         with pytest.raises(ValueError, match="seed"):
             engine.AssessmentConfig(seed=seed)
+
+
+@pytest.mark.parametrize("field", ["mip_gap", "time_limit"])
+def test_negative_or_nan_solver_limit_rejected(field):
+    engine.AssessmentConfig(**{field: 0.0})
+    for value in (-1.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match=field):
+            engine.AssessmentConfig(**{field: value})
 
 
 # -- subproblem structure ---------------------------------------------------------
@@ -278,37 +286,6 @@ def test_monte_carlo_validation_respects_alpha():
                                          seed=1)
     assert report["n_tight"] > 0
     assert report["max_rate_tight"] <= model.alpha + 0.01
-
-
-# -- coupling modes ------------------------------------------------------------------
-
-
-def test_sequential_matches_joint_without_storage():
-    model = three_node()
-    joint = engine.solve_slice(model, 0.0, CFG1)
-    seq = engine.solve_slice(
-        model, 0.0, dataclasses.replace(CFG1, coupling="sequential"))
-    assert seq.objective == pytest.approx(joint.objective, rel=1e-9)
-
-
-def test_sequential_greedy_never_beats_joint():
-    model = twelve_node()
-    cfg = engine.AssessmentConfig(directions=3, workers=1)
-    for theta in (0.0, math.pi / 3):
-        joint = engine.solve_slice(model, theta, cfg)
-        seq = engine.solve_slice(
-            model, theta, dataclasses.replace(cfg, coupling="sequential"))
-        assert seq.status == "optimal"
-        assert seq.objective <= joint.objective + 1e-6 * abs(joint.objective)
-
-
-def test_s0_continuity_flag_pins_boundaries():
-    model = twelve_node()
-    cfg = engine.AssessmentConfig(directions=3, workers=1,
-                                  s0_continuity=True)
-    s = engine.solve_slice(model, 0.0, cfg)
-    for prev, nxt in zip(s.coeffs, s.coeffs[1:]):
-        assert prev[-1] == pytest.approx(nxt[0], abs=1e-7)
 
 
 # -- containment monotonicity ---------------------------------------------------------
