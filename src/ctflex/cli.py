@@ -205,6 +205,8 @@ def cmd_pqbox(args) -> int:
     for flag, value in (("--delta", args.delta), ("--eps", args.eps)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise CliError(f"{flag} {value} must be positive and finite")
+    if args.edge_samples < 0:
+        raise CliError(f"--edge-samples {args.edge_samples} must be >= 0")
     stages = {}
     os.makedirs(args.out, exist_ok=True)
     if args.tube:
@@ -281,6 +283,11 @@ def cmd_metrics(args) -> int:
     sop_states = {"on": [True], "off": [False], "both": [True, False]}[args.sop]
     ess_states = {"on": [True], "off": [False], "both": [True, False]}[args.ess]
     pv_scales = _parse_grid(args.pv_scale_grid, "pv-scale")
+    for scale in pv_scales:
+        # twelve_node adds PV only when pv_scale > 0, so a negative or NaN
+        # scale would silently mean "no PV"
+        if scale is not None and not (math.isfinite(scale) and scale >= 0):
+            raise CliError(f"--pv-scale-grid {scale} must be >= 0 and finite")
     theta_set = parse_theta_set(args.theta_set) if args.theta_set else None
     base = _load(args.model, args.alpha)
     for alpha in alphas:

@@ -63,6 +63,8 @@ class AssessmentConfig:
             raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
         if not self.time_limit >= 0:
             raise ValueError(f"time_limit {self.time_limit} must be >= 0")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers {self.workers} must be >= 1")
         if self.mode not in ("ct", "dt"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.seed <= 2147483647:

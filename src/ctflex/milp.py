@@ -284,6 +284,12 @@ class ScipyHighsBackend:
             # not a scipy option: passed to HiGHS verbatim (the warning
             # saying so is silenced below); 0 is the HiGHS default
             "random_seed": options.seed,
+            # also HiGHS options: RENS finds the optimum at the root, while
+            # RINS and the root reduced-cost sub-MIP nest several levels of
+            # sub-MIPs without improving it (mip_heuristic_effort does not
+            # reach them)
+            "mip_heuristic_run_rins": False,
+            "mip_heuristic_run_root_reduced_cost": False,
             # tighter than the HiGHS defaults so coefficient-wise bounds and
             # binary-exact product reconstructions survive trajectory sampling
             "primal_feasibility_tolerance": 1e-9,

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from ctflex import engine
 from ctflex.cli import main, parse_theta_set
 from ctflex.instances import two_node
 from ctflex.netmodel import serialize
@@ -62,7 +63,9 @@ def test_assess_missing_file(tmp_path, capsys):
                                    ["--time-limit", "-1"],
                                    ["--gap", "nan"],
                                    ["--alpha", "0"],
-                                   ["--alpha", "0.7"]])
+                                   ["--alpha", "0.7"],
+                                   ["--workers", "0"],
+                                   ["--workers", "-3"]])
 def test_assess_bad_config_is_input_error(flags, tmp_path, capsys):
     rc = run(["assess", "builtin:two-node", *flags, "--out",
               str(tmp_path / "o")])
@@ -124,9 +127,18 @@ def test_pqbox_time_outside_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_assess(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("assessed before the input was checked")
+
+    monkeypatch.setattr(engine, "assess", fail)
+
+
 @pytest.mark.parametrize("flags", [["--delta", "-1"], ["--eps", "0"],
-                                   ["--delta", "inf"], ["--eps", "nan"]])
-def test_pqbox_bad_step_is_input_error(flags, tmp_path, capsys):
+                                   ["--delta", "inf"], ["--eps", "nan"],
+                                   ["--edge-samples", "-5"]])
+def test_pqbox_bad_step_is_input_error(flags, tmp_path, capsys, no_assess):
     rc = run(["pqbox", "builtin:ess-symmetric", "--directions", "2",
               "--workers", "1", "--time", "900", *flags,
               "--out", str(tmp_path / "b")])
@@ -185,6 +197,17 @@ def test_metrics_alpha_grid_outside_range_rejected(tmp_path, capsys):
               "--workers", "1", "--alpha-grid", "0.1,0.7", "--out", str(out)])
     assert rc == 2
     assert "error: uncertainty: alpha 0.7" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["1,-1", "nan", "inf", "0,-inf"])
+def test_metrics_bad_pv_scale_grid_rejected(grid, tmp_path, capsys,
+                                            no_assess):
+    out = tmp_path / "m"
+    rc = run(["metrics", "builtin:twelve-node", "--directions", "2",
+              "--workers", "1", f"--pv-scale-grid={grid}", "--out", str(out)])
+    assert rc == 2
+    assert "error: --pv-scale-grid" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 

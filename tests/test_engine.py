@@ -70,6 +70,14 @@ def test_seed_outside_highs_range_rejected():
             engine.AssessmentConfig(seed=seed)
 
 
+def test_workers_below_one_rejected():
+    engine.AssessmentConfig(workers=None)
+    engine.AssessmentConfig(workers=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            engine.AssessmentConfig(workers=workers)
+
+
 @pytest.mark.parametrize("field", ["mip_gap", "time_limit"])
 def test_negative_or_nan_solver_limit_rejected(field):
     engine.AssessmentConfig(**{field: 0.0})

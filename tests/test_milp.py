@@ -4,10 +4,12 @@ determinism, and the LP text dump."""
 
 import io
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
 from ctflex import milp
 from ctflex.milp import (
@@ -231,7 +233,9 @@ def test_solution_restricted_to_original_variables():
     assert len(sol.values) == 3
 
 
-def test_seed_reaches_highs_on_both_solves(monkeypatch):
+def _stubbed_options(monkeypatch, seed=0):
+    """Options the backend hands scipy on the first solve and on the
+    presolve-off retry of a stubbed infeasible verdict."""
     calls = []
 
     def fake_milp(c, **kw):
@@ -242,11 +246,38 @@ def test_seed_reaches_highs_on_both_solves(monkeypatch):
     p = MilpProblem()
     x = p.add_variable(0.0, 1.0)
     p.set_objective({x: 1.0})
-    sol = solve(p.freeze(), SolveOptions(seed=7))
+    sol = solve(p.freeze(), SolveOptions(seed=seed))
     # an infeasible verdict is re-checked with presolve off
     assert sol.status == "infeasible"
     assert [o["presolve"] for o in calls] == [True, False]
+    return calls
+
+
+def test_seed_reaches_highs_on_both_solves(monkeypatch):
+    calls = _stubbed_options(monkeypatch, seed=7)
     assert [o["random_seed"] for o in calls] == [7, 7]
+    for name in ("mip_heuristic_run_rins",
+                 "mip_heuristic_run_root_reduced_cost"):
+        assert [o[name] for o in calls] == [False, False]
+
+
+def test_installed_highs_accepts_every_option(monkeypatch):
+    calls = _stubbed_options(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for opts in calls:
+            res = scipy_milp([-1.0, -1.0], integrality=[1, 0],
+                             bounds=Bounds(0.0, 1.0),
+                             constraints=LinearConstraint([[1.0, 1.0]],
+                                                          -np.inf, 1.5),
+                             options=opts)
+            assert res.status == 0
+    messages = [str(w.message) for w in caught]
+    # scipy lists the options it hands HiGHS verbatim as a set, which is
+    # expected; HiGHS names each key it rejects as a one-entry dict
+    rejected = [name for name in calls[0] for msg in messages
+                if f"Unrecognized options detected: {{'{name}': " in msg]
+    assert rejected == [], messages
 
 
 def test_check_solution_reports_violations():
