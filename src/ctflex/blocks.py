@@ -154,7 +154,6 @@ class PeriodLayout:
     pv_clamp: dict = field(default_factory=dict)    # pv -> [4 ids] clamp arg
     d_ess: dict = field(default_factory=dict)
     soe: dict = field(default_factory=dict)        # ess -> [5 ids]
-    ess_mode: dict = field(default_factory=dict)   # ess -> binary id
     p_sop: dict = field(default_factory=dict)      # (sop, terminal) -> [4 ids]
     q_sop: dict = field(default_factory=dict)
     q_svc: dict = field(default_factory=dict)
@@ -441,6 +440,10 @@ class BlockBuilder:
         coefficients are confined to [0, E_max].  A per-period binary mode
         flag keeps each period on one side of D = 0.5, which realizes the
         minimum mode duration whenever the period is at least that long.
+        With a single coefficient per period (DT) the flag is vacuous: one
+        value of D always lies on one side of 0.5, and the flag's rows admit
+        [0, 0.5] or [0.5, 1], whose union is D's own bound, so neither the
+        binary nor its rows are emitted.
         """
         model = self.model
         ess = model.ess_devices[ei]
@@ -475,14 +478,14 @@ class BlockBuilder:
                            (d_ids[j], step * kappa)],
                           "==", step * charge_gain, f"ess{ei}_m{m}_soe{j}")
             prev_end = soe[-1]
-            flag = self.problem.add_variable(binary=True,
-                                             name=f"ess{ei}_m{m}_mode")
-            layout.ess_mode[ei] = flag
-            for k in range(self.n_coef):
-                self._row([(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
-                          f"ess{ei}_m{m}_dis{k}")
-                self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
-                          f"ess{ei}_m{m}_chg{k}")
+            if self.n_coef > 1:
+                flag = self.problem.add_variable(binary=True,
+                                                 name=f"ess{ei}_m{m}_mode")
+                for k in range(self.n_coef):
+                    self._row([(d_ids[k], 1.0), (flag, -0.5)], ">=", 0.0,
+                              f"ess{ei}_m{m}_dis{k}")
+                    self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
+                              f"ess{ei}_m{m}_chg{k}")
         self._emitted.add(("ess", ei))
 
     def network_block(self, m: int):

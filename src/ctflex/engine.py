@@ -249,7 +249,8 @@ def assess(model: NetworkModel,
     margins = compute_margins(model)
     fitted = fit_profiles(model, degree=0 if config.mode == "dt" else 3)
     thetas = all_directions(config.directions)
-    workers = config.workers or min(len(thetas), os.cpu_count() or 1)
+    # never more workers than directions: the pool forks all of them at once
+    workers = min(config.workers or os.cpu_count() or 1, len(thetas))
     start = time.perf_counter()
     results: dict = {}
     if workers > 1:

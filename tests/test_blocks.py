@@ -18,7 +18,7 @@ from ctflex.blocks import (
     BlockBuilder, BuildError, ChanceMargins, circle_polygon,
     continuous_time_check, fit_profiles, scalar_response_system,
 )
-from ctflex.instances import _sampled, twelve_node
+from ctflex.instances import _sampled, ess_symmetric, twelve_node
 from ctflex.milp import SolveOptions, solve
 from ctflex.netmodel import (
     Branch, CapacitorBank, EssDevice, Horizon, LoadPoint, NetworkModel,
@@ -432,6 +432,63 @@ def test_ess_mode_flag_keeps_period_one_sided():
     p.add_constraint([(layout.d_ess[0][3], 1.0)], "==", 0.1)
     p.freeze()
     assert solve(p).status == "infeasible"
+
+
+def ess_mode_flags(problem):
+    return [n for n in problem._var_names
+            if n.startswith("ess") and n.endswith("_mode")]
+
+
+@pytest.mark.parametrize("build", [ess_symmetric, twelve_node])
+def test_dt_build_has_no_ess_mode_flag(build):
+    model = build()
+    dt = engine.build_subproblem(
+        model, 0.0, engine.AssessmentConfig(mode="dt", workers=1))
+    ct = engine.build_subproblem(
+        model, 0.0, engine.AssessmentConfig(workers=1))
+    assert ess_mode_flags(dt.problem) == []
+    assert not any(con.name.endswith(("_dis0", "_chg0"))
+                   for con in dt.problem._constraints)
+    assert len(ess_mode_flags(ct.problem)) == \
+        len(model.ess_devices) * model.horizon.n_periods
+
+
+def with_ess_mode_flags(assembled):
+    """Put the per-period mode binary and its two rows back by hand, as the
+    builder emits them when a period has several coefficients."""
+    p = assembled.problem
+    p._frozen = False
+    for m in assembled.periods:
+        for ei, d_ids in assembled.layouts[m].d_ess.items():
+            flag = p.add_variable(binary=True, name=f"ess{ei}_m{m}_mode")
+            for k, d in enumerate(d_ids):
+                p.add_constraint([(d, 1.0), (flag, -0.5)], ">=", 0.0,
+                                 f"ess{ei}_m{m}_dis{k}")
+                p.add_constraint([(d, 1.0), (flag, -0.5)], "<=", 0.5,
+                                 f"ess{ei}_m{m}_chg{k}")
+    p.freeze()
+    return assembled
+
+
+@pytest.mark.parametrize("build, directions",
+                         [(twelve_node, 3), (ess_symmetric, 2)])
+def test_dt_without_ess_mode_flag_matches_flagged_model(build, directions):
+    model = build()
+    config = engine.AssessmentConfig(mode="dt", directions=directions,
+                                     workers=1)
+    margins = engine.compute_margins(model)
+    for theta in engine.all_directions(directions):
+        got = engine.solve_assembled(engine.build_subproblem(
+            model, float(theta), config, margins), config)
+        flagged = with_ess_mode_flags(engine.build_subproblem(
+            model, float(theta), config, margins))
+        assert len(ess_mode_flags(flagged.problem)) == \
+            len(model.ess_devices) * model.horizon.n_periods
+        want = engine.solve_assembled(flagged, config)
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert abs(got.objective - want.objective) <= config.mip_gap * \
+                max(abs(got.objective), abs(want.objective), 1.0)
 
 
 # -- network block -----------------------------------------------------------------

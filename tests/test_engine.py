@@ -3,6 +3,7 @@ hand-derived LP oracle, tube assembly and interpolation queries, metrics,
 DT baseline, serialization round-trips, and Monte Carlo validation of the
 chance margins."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -454,3 +455,33 @@ def test_assess_parallel_matches_serial():
         assert a.status == b.status
         if a.feasible:
             assert np.allclose(a.coeffs, b.coeffs, atol=1e-9)
+
+
+@pytest.mark.parametrize("workers, pool_size", [(500, 4), (3, 3)])
+def test_explicit_workers_capped_at_direction_count(monkeypatch, toy_tube,
+                                                    workers, pool_size):
+    # the stub runs every submitted solve inline, so no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    tube = engine.assess(three_node(), engine.AssessmentConfig(
+        directions=2, workers=workers))
+    assert sizes == [pool_size]
+    for a, b in zip(toy_tube.slices, tube.slices):
+        assert a.status == b.status
+        assert a.objective == b.objective
