@@ -34,7 +34,7 @@ __all__ = [
     "continuous_time_check",
 ]
 
-N_COEF = 4  # cubic decision trajectories throughout
+N_COEF = 4  # cubic decision trajectories in continuous time
 
 
 class BuildError(RuntimeError):
@@ -120,7 +120,8 @@ class FittedProfiles:
     load: tuple        # per load point
 
 
-def fit_profiles(model: NetworkModel, degree: int = 3) -> FittedProfiles:
+def fit_profiles(model: NetworkModel,
+                 degree: int = N_COEF - 1) -> FittedProfiles:
     hz = model.horizon
 
     def coeffs(profile):
@@ -189,26 +190,17 @@ class BlockBuilder:
     def __init__(self, model: NetworkModel, *,
                  margins: ChanceMargins | None = None,
                  fitted: FittedProfiles | None = None,
-                 n_coef: int = N_COEF,
                  name: str = "slice"):
         self.model = model
         self.margins = margins or ChanceMargins.zero()
-        self.fitted = fitted if fitted is not None \
-            else fit_profiles(model, degree=n_coef - 1)
-        if self.fitted.degree != n_coef - 1:
-            raise BuildError(
-                f"fitted profiles have degree {self.fitted.degree}; "
-                f"the transcription needs degree {n_coef - 1}")
-        if n_coef < 1:
-            raise BuildError("need at least one coefficient per period")
-        self.n_coef = n_coef
+        self.fitted = fitted if fitted is not None else fit_profiles(model)
+        # the fitted degree fixes the transcription: cubic CT or one-value DT
+        self.n_coef = self.fitted.degree + 1
         self.periods = list(range(model.horizon.n_periods))
         self.problem = MilpProblem(name=name)
         self.layouts: dict = {}
-        self._emitted: set = set()
         self._parent = model.parent_branch()
         self._children = model.child_branches()
-        self._load_data: dict = {}    # (load idx, period) -> (p_coef, q_coef)
 
     # -- small helpers ------------------------------------------------------
 
@@ -219,19 +211,10 @@ class BlockBuilder:
     def _row(self, terms, sense, rhs, name):
         self.problem.add_constraint(terms, sense, rhs, name=name)
 
-    def _require_voltage(self, node: int, m: int, who: str) -> list:
-        layout = self.layouts.get(m)
-        if layout is None or node not in layout.u:
-            raise BuildError(f"{who}: voltage variables for node {node} in "
-                             f"period {m} are missing; emit init_period first")
-        return layout.u[node]
-
     # -- per-period scaffolding ---------------------------------------------
 
     def init_period(self, m: int) -> PeriodLayout:
         """Create the shared node-voltage, branch-flow, and TDI variables."""
-        if m in self.layouts:
-            return self.layouts[m]
         model = self.model
         layout = PeriodLayout()
         self.layouts[m] = layout
@@ -269,8 +252,8 @@ class BlockBuilder:
         """
         model = self.model
         pv = model.pv_units[pi]
-        u_ids = self._require_voltage(pv.node, m, f"pv {pi}")
         layout = self.layouts[m]
+        u_ids = layout.u[pv.node]
 
         p_ids = self._coef_vars(self.n_coef, 0.0, pv.s_max,
                                 f"Ppv{pi}_m{m}")
@@ -329,22 +312,11 @@ class BlockBuilder:
                 if u4 < model.u_max:
                     self._row([(u_k, 1.0)], "<=", u4,
                               f"pv{pi}_m{m}_admhi{k}")
-        self._emitted.add(("pv", pi, m))
-
-    def load_block(self, li: int, m: int):
-        """Record the fitted load coefficients; Q follows the fixed power
-        factor.  Pure data — loads add no decision variables."""
-        ld = self.model.loads[li]
-        p_coef = self.fitted.load[li][m]
-        self._load_data[(li, m)] = (p_coef, ld.phi * p_coef)
-        self._emitted.add(("load", li, m))
 
     def sop_block(self, si: int, m: int):
         """Terminal balance, per-terminal capacity polygon, and P box."""
         sop = self.model.sop_devices[si]
-        layout = self.layouts.get(m)
-        if layout is None:
-            raise BuildError(f"sop {si}: period {m} not initialized")
+        layout = self.layouts[m]
         poly = circle_polygon(sop.s_max)
         term_p = []
         for t in range(2):
@@ -375,13 +347,12 @@ class BlockBuilder:
             for a_ids in abs_ids:
                 terms.append((a_ids[k], sop.loss))
             self._row(terms, "==", 0.0, f"sop{si}_m{m}_bal{k}")
-        self._emitted.add(("sop", si, m))
 
     def svc_block(self, si: int, m: int):
         """Linear voltage droop: Q = 0.5 k (U - U_ref), exact coefficient-wise."""
         svc = self.model.svc_devices[si]
-        u_ids = self._require_voltage(svc.node, m, f"svc {si}")
         layout = self.layouts[m]
+        u_ids = layout.u[svc.node]
         ms = self.margins.for_svc(si)
         lb = -np.inf if svc.q_min is None else svc.q_min + ms
         ub = np.inf if svc.q_max is None else svc.q_max - ms
@@ -391,7 +362,6 @@ class BlockBuilder:
         for k in range(self.n_coef):
             self._row([(q_ids[k], 1.0), (u_ids[k], -half_k)], "==",
                       -half_k * svc.u_ref, f"svc{si}_m{m}_droop{k}")
-        self._emitted.add(("svc", si, m))
 
     def _mccormick(self, z_ids, lam, u_ids, tag):
         """z = lam * U lowered by the four McCormick rows on [u_min, u_max];
@@ -410,8 +380,8 @@ class BlockBuilder:
         """SOS-1 step selection with a McCormick-exact susceptance-voltage
         product: Q_C = q_k lam_k U, one step active per period."""
         cap = self.model.cap_banks[ci]
-        u_ids = self._require_voltage(cap.node, m, f"cap {ci}")
         layout = self.layouts[m]
+        u_ids = layout.u[cap.node]
         lam = self._coef_vars(len(cap.steps), 0.0, 1.0, f"LamCap{ci}_m{m}")
         layout.lam_cap[ci] = lam
         self.problem.add_sos(lam, name=f"cap{ci}_m{m}_sos")
@@ -430,7 +400,6 @@ class BlockBuilder:
             terms = [(q_ids[k], 1.0)]
             terms += [(z_all[j][k], -cap.steps[j]) for j in range(len(cap.steps))]
             self._row(terms, "==", 0.0, f"cap{ci}_m{m}_sum{k}")
-        self._emitted.add(("cap", ci, m))
 
     def ess_block(self, ei: int):
         """Charge/discharge trajectory with stored-energy tracking.
@@ -459,9 +428,7 @@ class BlockBuilder:
         charge_gain = ess.eta_c * ess.p_c
         prev_end = None
         for m in self.periods:
-            layout = self.layouts.get(m)
-            if layout is None:
-                raise BuildError(f"ess {ei}: period {m} not initialized")
+            layout = self.layouts[m]
             d_ids = self._coef_vars(self.n_coef, 0.0, 1.0, f"D{ei}_m{m}")
             layout.d_ess[ei] = d_ids
             soe = self._coef_vars(self.n_coef + 1, 0.0, ess.e_max,
@@ -486,31 +453,12 @@ class BlockBuilder:
                               f"ess{ei}_m{m}_dis{k}")
                     self._row([(d_ids[k], 1.0), (flag, -0.5)], "<=", 0.5,
                               f"ess{ei}_m{m}_chg{k}")
-        self._emitted.add(("ess", ei))
 
     def network_block(self, m: int):
         """Linearized Distflow: nodal balances, branch voltage drops,
         regulator bands, OLTC tap products, and the TDI coupling."""
         model = self.model
-        layout = self.layouts.get(m)
-        if layout is None:
-            raise BuildError(f"network block: period {m} not initialized")
-        for pi in range(len(model.pv_units)):
-            if ("pv", pi, m) not in self._emitted:
-                raise BuildError(f"network block period {m}: pv {pi} missing")
-        for li in range(len(model.loads)):
-            if ("load", li, m) not in self._emitted:
-                raise BuildError(f"network block period {m}: load {li} missing")
-        for si in range(len(model.sop_devices)):
-            if ("sop", si, m) not in self._emitted:
-                raise BuildError(f"network block period {m}: sop {si} missing")
-        for si in range(len(model.svc_devices)):
-            if ("svc", si, m) not in self._emitted:
-                raise BuildError(f"network block period {m}: svc {si} missing")
-        for ci in range(len(model.cap_banks)):
-            if ("cap", ci, m) not in self._emitted:
-                raise BuildError(f"network block period {m}: cap {ci} missing")
-
+        layout = self.layouts[m]
         pv_at, load_at, svc_at, cap_at = {}, {}, {}, {}
         for pi, pv in enumerate(model.pv_units):
             pv_at.setdefault(pv.node, []).append(pi)
@@ -542,10 +490,6 @@ class BlockBuilder:
                     q_terms.append((layout.q_pv[pi][k], -1.0))
                 for ei in ess_at.get(node, ()):
                     ess = model.ess_devices[ei]
-                    if ei not in layout.d_ess:
-                        raise BuildError(
-                            f"network block period {m}: ess {ei} missing"
-                        )
                     # injection D (P_D + P_C) - P_C; the constant joins the
                     # load on the right-hand side
                     p_terms.append((layout.d_ess[ei][k],
@@ -559,9 +503,10 @@ class BlockBuilder:
                 for ci in cap_at.get(node, ()):
                     q_terms.append((layout.q_cap[ci][k], -1.0))
                 for li in load_at.get(node, ()):
-                    p_coef, q_coef = self._load_data[(li, m)]
-                    p_rhs += p_coef[k]
-                    q_rhs += q_coef[k]
+                    # loads are data; Q follows the fixed power factor
+                    p_k = self.fitted.load[li][m][k]
+                    p_rhs += p_k
+                    q_rhs += model.loads[li].phi * p_k
                 self._row(p_terms, "==", -p_rhs, f"net_m{m}_pbal{node}_{k}")
                 self._row(q_terms, "==", -q_rhs, f"net_m{m}_qbal{node}_{k}")
 
@@ -611,14 +556,11 @@ class BlockBuilder:
                     self._row([(layout.u_reg[bi][k], 1.0),
                                (layout.u[br.to_node][k], -br.tau_max ** 2)],
                               "<=", 0.0, f"net_m{m}_regup{bi}_{k}")
-        self._emitted.add(("network", m))
 
     def tdi_block(self, m: int, theta: float):
         """TDI injections are the root branch flows; the direction factor
         ties them to the nonnegative magnitude trajectory."""
-        layout = self.layouts.get(m)
-        if layout is None or ("network", m) not in self._emitted:
-            raise BuildError(f"tdi block: network block for period {m} missing")
+        layout = self.layouts[m]
         root_branches = self._children[0]
         ct, st = _cos_sin(theta)
         for k in range(self.n_coef):
@@ -641,8 +583,6 @@ class BlockBuilder:
             self.init_period(m)
             for pi in range(len(model.pv_units)):
                 self.pv_block(pi, m)
-            for li in range(len(model.loads)):
-                self.load_block(li, m)
             for si in range(len(model.sop_devices)):
                 self.sop_block(si, m)
             for si in range(len(model.svc_devices)):

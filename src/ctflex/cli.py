@@ -96,6 +96,38 @@ def parse_theta_set(text: str) -> tuple:
     return tuple(out)
 
 
+def _theta_set(args) -> tuple | None:
+    """The parsed ``--theta-set``, if given, each direction among the 2K
+    that the assessment samples."""
+    if not args.theta_set:
+        return None
+    theta_set = parse_theta_set(args.theta_set)
+    sampled = engine.all_directions(args.directions)
+    for th in theta_set:
+        if engine.match_direction(sampled, th) is None:
+            raise CliError(f"--theta-set direction {th} is not among the "
+                           f"{len(sampled)} sampled directions")
+    return theta_set
+
+
+def _stored_tube(tube_path: str, summary_path: str) -> engine.FlexTube:
+    """A tube read back from an assessment's tube CSV and summary JSON."""
+    for path in (tube_path, summary_path):
+        if not os.path.exists(path):
+            raise CliError(f"file not found: {path}")
+    try:
+        with open(summary_path) as fp:
+            summary = json.load(fp)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{summary_path}: unreadable JSON: {exc}") from exc
+    if not isinstance(summary, dict) or "horizon" not in summary:
+        raise CliError(f"{summary_path}: no horizon block")
+    mode = summary.get("mode", "ct")
+    if mode not in engine.N_COEF_BY_MODE:
+        raise CliError(f"{summary_path}: unknown mode {mode!r}")
+    return engine.tube_from_csv(tube_path, summary["horizon"], mode)
+
+
 def _config_from_args(args) -> engine.AssessmentConfig:
     try:
         return engine.AssessmentConfig(
@@ -168,6 +200,7 @@ def _summary(tube: engine.FlexTube, model: NetworkModel, theta_set) -> dict:
 def cmd_assess(args) -> int:
     model = _load(args.model, args.alpha)
     config = _config_from_args(args)
+    theta_set = _theta_set(args)
     os.makedirs(args.out, exist_ok=True)
     stages = {}
     t0 = time.perf_counter()
@@ -177,7 +210,6 @@ def cmd_assess(args) -> int:
         print("assessment empty: every direction is infeasible",
               file=sys.stderr)
         return EXIT_EMPTY
-    theta_set = parse_theta_set(args.theta_set) if args.theta_set else None
     t0 = time.perf_counter()
     with open(os.path.join(args.out, "tube.csv"), "w", newline="") as fp:
         engine.tube_to_csv(tube, fp)
@@ -212,10 +244,7 @@ def cmd_pqbox(args) -> int:
     if args.tube:
         if not args.summary:
             raise CliError("--tube needs --summary for the horizon block")
-        with open(args.summary) as fp:
-            summary = json.load(fp)
-        tube = engine.tube_from_csv(args.tube, summary["horizon"],
-                                    summary.get("mode", "ct"))
+        tube = _stored_tube(args.tube, args.summary)
         model = None
     else:
         model = _load(args.model, args.alpha)
@@ -278,7 +307,6 @@ def cmd_metrics(args) -> int:
     import csv as _csv
 
     config = _config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
     alphas = _parse_grid(args.alpha_grid, "alpha")
     sop_states = {"on": [True], "off": [False], "both": [True, False]}[args.sop]
     ess_states = {"on": [True], "off": [False], "both": [True, False]}[args.ess]
@@ -288,11 +316,15 @@ def cmd_metrics(args) -> int:
         # scale would silently mean "no PV"
         if scale is not None and not (math.isfinite(scale) and scale >= 0):
             raise CliError(f"--pv-scale-grid {scale} must be >= 0 and finite")
-    theta_set = parse_theta_set(args.theta_set) if args.theta_set else None
+    if args.model != "builtin:twelve-node" and \
+            any(scale not in (None, 1.0) for scale in pv_scales):
+        raise CliError("--pv-scale-grid needs builtin:twelve-node")
+    theta_set = _theta_set(args)
     base = _load(args.model, args.alpha)
     for alpha in alphas:
         if alpha is not None:
             _with_alpha(base, alpha)   # reject a bad grid value before solving
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in alphas:
         for sop_on in sop_states:
@@ -311,9 +343,6 @@ def cmd_metrics(args) -> int:
                             model = dataclasses.replace(model, sop_devices=())
                         if not ess_on:
                             model = dataclasses.replace(model, ess_devices=())
-                        if scale is not None and scale != 1.0:
-                            raise CliError(
-                                "--pv-scale-grid needs builtin:twelve-node")
                     tube = engine.assess(model, config)
                     try:
                         m_val = engine.metric_M(tube, theta_set)
@@ -391,15 +420,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, with_mode: bool = True):
+def _add_common(p: argparse.ArgumentParser, with_mode: bool = True,
+                with_theta_set: bool = True):
     p.add_argument("model", help="model file path or builtin:NAME "
                    f"({', '.join(sorted(_BUILTIN))})")
     p.add_argument("--directions", type=int, default=12, metavar="K",
                    help="direction samples over the half plane (default 12)")
     if with_mode:
-        p.add_argument("--mode", choices=("ct", "dt"), default="ct")
-    p.add_argument("--theta-set", default=None,
-                   help="directions for the M metric, e.g. '0,pi/3,2pi/3,...'")
+        p.add_argument("--mode", choices=tuple(engine.N_COEF_BY_MODE),
+                       default="ct")
+    if with_theta_set:
+        p.add_argument("--theta-set", default=None,
+                       help="directions for the M metric, each one sampled, "
+                       "e.g. '0,pi/3,2pi/3,...'")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the model's confidence parameter")
     p.add_argument("--gap", type=float, default=1e-6, help="MIP relative gap")
@@ -426,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("pqbox", help="decoupled P-Q rectangle at a time")
-    _add_common(p)
+    _add_common(p, with_theta_set=False)
     p.add_argument("--time", type=float, required=True, metavar="T0")
     p.add_argument("--delta", type=float, default=None,
                    help="initial step (default 5%% of the largest radius)")
@@ -452,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("compare-dt", help="CT vs DT per-direction objectives")
-    _add_common(p, with_mode=False)
+    _add_common(p, with_mode=False, with_theta_set=False)
     p.set_defaults(func=cmd_compare_dt)
 
     p = sub.add_parser("validate", help="check a model file")

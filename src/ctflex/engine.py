@@ -38,11 +38,14 @@ __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
     "sample_directions", "all_directions", "compute_margins",
     "build_subproblem", "solve_slice", "assemble_tube", "assess",
-    "query_point", "metric_M", "penetration_metrics",
+    "query_point", "match_direction", "metric_M", "penetration_metrics",
     "monte_carlo_validate", "tube_to_csv", "tube_from_csv", "dense_grid_csv",
 ]
 
 DEFAULT_THETA_SET = tuple(k * math.pi / 3.0 for k in range(6))
+# Bernstein coefficients per period: cubic trajectories in the
+# continuous-time model, one period value in the discrete-time baseline
+N_COEF_BY_MODE = {"ct": N_COEF, "dt": 1}
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class AssessmentConfig:
             raise ValueError(f"time_limit {self.time_limit} must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers {self.workers} must be >= 1")
-        if self.mode not in ("ct", "dt"):
+        if self.mode not in N_COEF_BY_MODE:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.seed <= 2147483647:
             raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
@@ -77,9 +80,8 @@ class Slice:
 
     theta: float
     status: str                    # optimal | infeasible | limit
-    coeffs: np.ndarray | None      # (n_periods, 4) when optimal
+    coeffs: np.ndarray | None      # (n_periods, n_coef) when optimal
     objective: float | None
-    period_objectives: tuple | None
     wall_time: float = 0.0
 
     @property
@@ -176,13 +178,11 @@ def build_subproblem(model: NetworkModel, theta: float,
                      margins: ChanceMargins | None = None,
                      fitted: FittedProfiles | None = None) -> AssembledProblem:
     """Assemble the MILP for one direction over the whole horizon."""
-    n_coef = 1 if config.mode == "dt" else N_COEF
     builder = BlockBuilder(
         model,
         margins=margins if margins is not None else compute_margins(model),
         fitted=fitted if fitted is not None
-        else fit_profiles(model, degree=n_coef - 1),
-        n_coef=n_coef,
+        else fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
         name=f"slice@{theta:.6f}",
     )
     return builder.build(theta)
@@ -207,24 +207,24 @@ def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
     proven optimum is conservatively treated the same way (with its own
     status label for the logs).
     """
-    n_coef = 1 if config.mode == "dt" else N_COEF
-    if margins is None:
-        margins = compute_margins(model)
-    if fitted is None:
-        fitted = fit_profiles(model, degree=n_coef - 1)
     start = time.perf_counter()
     assembled = build_subproblem(model, theta, config, margins, fitted)
     sol = solve_assembled(assembled, config)
     if sol.status != "optimal":
         status = "limit" if sol.status == "limit" else "infeasible"
-        return Slice(theta, status, None, None, None,
-                     time.perf_counter() - start)
+        return Slice(theta, status, None, None, time.perf_counter() - start)
     coeffs = np.array([[sol.values[v] for v in assembled.layouts[m].s0]
                        for m in assembled.periods])
-    weight = model.horizon.period / n_coef
-    period_obj = tuple(weight * float(row.sum()) for row in coeffs)
-    return Slice(theta, "optimal", coeffs, float(sum(period_obj)),
-                 period_obj, time.perf_counter() - start)
+    return Slice(theta, "optimal", coeffs,
+                 _objective(coeffs, model.horizon.period, assembled.n_coef),
+                 time.perf_counter() - start)
+
+
+def _objective(coeffs: np.ndarray, period: float, n_coef: int) -> float:
+    """Integral of S0 over the horizon: each period's coefficient sum
+    weighted by period / n_coef, summed period by period."""
+    weight = period / n_coef
+    return float(sum(weight * float(row.sum()) for row in coeffs))
 
 
 def assemble_tube(slices, model: NetworkModel, mode: str = "ct",
@@ -247,7 +247,7 @@ def assess(model: NetworkModel,
     bounded worker pool, and assemble the tube."""
     config = config or AssessmentConfig()
     margins = compute_margins(model)
-    fitted = fit_profiles(model, degree=0 if config.mode == "dt" else 3)
+    fitted = fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1)
     thetas = all_directions(config.directions)
     # never more workers than directions: the pool forks all of them at once
     workers = min(config.workers or os.cpu_count() or 1, len(thetas))
@@ -340,6 +340,13 @@ def query_point(tube: FlexTube, theta: float, t: float):
     return (float(p[0]), float(p[1]))
 
 
+def match_direction(thetas: np.ndarray, theta: float) -> int | None:
+    """Index of the sampled direction within 1e-9 of theta (taken modulo
+    2 pi), or None when theta was not sampled."""
+    match = np.where(np.abs(thetas - (theta % (2 * math.pi))) <= 1e-9)[0]
+    return int(match[0]) if len(match) else None
+
+
 def metric_M(tube: FlexTube, theta_set=None) -> float:
     """Aggregate flexibility: sum of coefficient sums of S0 over the chosen
     directions and all periods; infeasible directions contribute zero."""
@@ -347,11 +354,11 @@ def metric_M(tube: FlexTube, theta_set=None) -> float:
     thetas = tube.directions
     total = 0.0
     for th in theta_set:
-        match = np.where(np.abs(thetas - (th % (2 * math.pi))) <= 1e-9)[0]
-        if len(match) == 0:
+        k = match_direction(thetas, th)
+        if k is None:
             raise ValueError(
                 f"direction {th} is not among the sampled directions")
-        s = tube.slices[int(match[0])]
+        s = tube.slices[k]
         if s.feasible:
             total += float(np.sum(s.coeffs))
     return total
@@ -494,20 +501,18 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
                                           int(row["coef_index"]))] = \
                 float(row["value"])
     n_periods = int(horizon["n_periods"])
-    n_coef = 1 if mode == "dt" else N_COEF
+    n_coef = N_COEF_BY_MODE[mode]
     slices = []
-    weight = float(horizon["period"]) / n_coef
     for th in sorted(per_theta):
         cells = per_theta[th]
         if cells is None:
-            slices.append(Slice(th, status[th], None, None, None))
+            slices.append(Slice(th, status[th], None, None))
             continue
         coeffs = np.zeros((n_periods, n_coef))
         for (m, k), v in cells.items():
             coeffs[m, k] = v
-        period_obj = tuple(weight * float(r.sum()) for r in coeffs)
-        slices.append(Slice(th, "optimal", coeffs, float(sum(period_obj)),
-                            period_obj))
+        slices.append(Slice(th, "optimal", coeffs, _objective(
+            coeffs, float(horizon["period"]), n_coef)))
     return FlexTube(tuple(slices), float(horizon["t1"]),
                     float(horizon["period"]), n_periods, mode=mode)
 

@@ -105,8 +105,6 @@ def manual_build(model, theta=None, **kw):
         builder.init_period(m)
         for pi in range(len(model.pv_units)):
             builder.pv_block(pi, m)
-        for li in range(len(model.loads)):
-            builder.load_block(li, m)
         for si in range(len(model.sop_devices)):
             builder.sop_block(si, m)
         for si in range(len(model.svc_devices)):
@@ -209,31 +207,34 @@ def test_pv_forecast_cap_binds():
         assert sol.values[vid] == pytest.approx(0.2, abs=1e-8)
 
 
-def test_pv_missing_voltage_vars_is_error():
-    model = pv_model()
-    builder = BlockBuilder(model)
-    with pytest.raises(BuildError, match="voltage"):
-        builder.pv_block(0, 0)
-
-
 # -- load block -------------------------------------------------------------------
+
+
+def balance_rhs(asm, kind):
+    """Right-hand sides of node 1's active ("p") or reactive ("q") balance
+    rows in period 0, one per coefficient; a load enters as -P and -phi P."""
+    rhs = {con.name: con.rhs for con in asm.problem._constraints}
+    return np.array([rhs[f"net_m0_{kind}bal1_{k}"]
+                     for k in range(asm.n_coef)])
 
 
 def test_load_q_follows_power_factor():
     load = LoadPoint(1, _sampled(lambda tau: 2.0, horizon=900.0), phi=0.5)
     model = single_period_model(loads=(load,))
-    builder, _ = manual_build(model)
-    p_coef, q_coef = builder._load_data[(0, 0)]
-    assert np.allclose(p_coef, 2.0, atol=1e-9)
-    assert np.allclose(q_coef, 1.0, atol=1e-9)
+    _, asm = manual_build(model)
+    assert np.allclose(balance_rhs(asm, "p"), -2.0, atol=1e-9)
+    assert np.allclose(balance_rhs(asm, "q"), -1.0, atol=1e-9)
 
 
 def test_load_zero_phi_and_ramp_linearity():
     ramp = LoadPoint(1, _sampled(lambda tau: tau, horizon=900.0), phi=1.0)
     model = single_period_model(loads=(ramp,))
-    builder, _ = manual_build(model)
-    p_coef, q_coef = builder._load_data[(0, 0)]
-    assert np.allclose(q_coef, p_coef)
+    _, asm = manual_build(model)
+    p_rhs = balance_rhs(asm, "p")
+    assert np.array_equal(p_rhs, -asm.fitted.load[0][0])
+    assert np.array_equal(balance_rhs(asm, "q"), p_rhs)
+    # a ramp's Bernstein coefficients are equally spaced
+    assert np.allclose(p_rhs, [0.0, -1 / 3, -2 / 3, -1.0], atol=1e-9)
 
 
 # -- sop block ---------------------------------------------------------------------
@@ -413,6 +414,14 @@ def test_ess_empty_store_cannot_discharge():
     assert solve(asm.problem).status == "infeasible"
 
 
+def test_voltage_margin_wider_than_band_is_error():
+    # a 0.6 margin on each side of the [0.25, 1.44] band leaves nothing
+    builder = BlockBuilder(single_period_model(),
+                           margins=ChanceMargins(u_node={1: 0.6}))
+    with pytest.raises(BuildError, match="exceeds the band"):
+        builder.build(0.0)
+
+
 def test_ess_minimum_duration_unrepresentable():
     ess = EssDevice(1, e_max=100.0, e_init=50.0, eta_c=1.0, eta_d=1.0,
                     p_c=0.1, p_d=0.1, t_min_charge=1800.0,
@@ -542,14 +551,6 @@ def test_degenerate_regulator_reduces_to_plain_branch():
     # tau = 1: U_i = U_j + 2 (r P + x Q) exactly
     for vid in layout.u[1]:
         assert sol.values[vid] == pytest.approx(0.6, abs=1e-8)
-
-
-def test_network_block_requires_device_blocks():
-    model = pv_model()
-    builder = BlockBuilder(model)
-    builder.init_period(0)
-    with pytest.raises(BuildError, match="pv 0 missing"):
-        builder.network_block(0)
 
 
 # -- response system -----------------------------------------------------------------

@@ -211,6 +211,68 @@ def test_metrics_bad_pv_scale_grid_rejected(grid, tmp_path, capsys,
     assert not (out / "metrics.csv").exists()
 
 
+def test_metrics_pv_scale_grid_needs_builtin_before_solving(tmp_path, capsys,
+                                                          no_assess):
+    out = tmp_path / "m"
+    rc = run(["metrics", "builtin:three-node", "--directions", "2",
+              "--workers", "1", "--pv-scale-grid", "1,2", "--out", str(out)])
+    assert rc == 2
+    assert "error: --pv-scale-grid needs builtin:twelve-node" in \
+        capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["assess", "metrics"])
+@pytest.mark.parametrize("theta_set", ["0,pi/7", "0,nan", "pi/3"])
+def test_unsampled_theta_set_rejected_before_solving(command, theta_set,
+                                                     tmp_path, capsys,
+                                                     no_assess):
+    # K = 2 samples 0, pi/2, pi and 3pi/2 only
+    out = tmp_path / "o"
+    rc = run([command, "builtin:three-node", "--directions", "2",
+              "--workers", "1", "--theta-set", theta_set, "--out", str(out)])
+    assert rc == 2
+    assert "error: --theta-set direction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pqbox", "compare-dt"])
+def test_theta_set_only_where_M_is_reported(command, capsys):
+    required = ["--time", "0"] if command == "pqbox" else []
+    with pytest.raises(SystemExit) as exc:
+        run([command, "builtin:three-node", *required, "--theta-set", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta-set" in capsys.readouterr().err
+
+
+TUBE_CSV = "theta,period,coef_index,value,status\n0.0,0,0,1.0,optimal\n"
+HORIZON = {"t1": 0.0, "period": 900.0, "n_periods": 1}
+
+
+@pytest.mark.parametrize("tube_text, summary_text, message", [
+    (None, json.dumps({"horizon": HORIZON}), "file not found"),
+    (TUBE_CSV, None, "file not found"),
+    (TUBE_CSV, "{not json", "unreadable JSON"),
+    (TUBE_CSV, json.dumps({"mode": "ct"}), "no horizon block"),
+    (TUBE_CSV, json.dumps({"horizon": HORIZON, "mode": "xx"}),
+     "unknown mode"),
+], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode"])
+def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
+                                        tmp_path, capsys):
+    paths = []
+    for name, text in (("tube.csv", tube_text),
+                       ("summary.json", summary_text)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    rc = run(["pqbox", "builtin:three-node", "--tube", paths[0],
+              "--summary", paths[1], "--time", "450",
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_compare_dt(tmp_path):
     out = str(tmp_path / "cmp")
     rc = run(["compare-dt", "builtin:three-node", "--directions", "2",

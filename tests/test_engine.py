@@ -206,8 +206,7 @@ def test_query_point_interpolates_on_segment(sym_tube):
 def test_metric_m_counts_coefficient_sums():
     coeffs = np.ones((4, 4))
     slices = tuple(
-        engine.Slice(k * math.pi / 3, "optimal", coeffs, 3600.0,
-                     (900.0,) * 4)
+        engine.Slice(k * math.pi / 3, "optimal", coeffs, 3600.0)
         for k in range(6)
     )
     tube = engine.FlexTube(slices, 0.0, 900.0, 4)
@@ -218,7 +217,7 @@ def test_metric_m_counts_coefficient_sums():
 
 def test_metric_m_infeasible_contributes_zero():
     slices = tuple(
-        engine.Slice(k * math.pi / 3, "infeasible", None, None, None)
+        engine.Slice(k * math.pi / 3, "infeasible", None, None)
         for k in range(6)
     )
     tube = engine.FlexTube(slices, 0.0, 900.0, 4)
@@ -227,7 +226,7 @@ def test_metric_m_infeasible_contributes_zero():
 
 def test_metric_m_requires_sampled_direction():
     tube = engine.FlexTube(
-        (engine.Slice(0.0, "optimal", np.ones((1, 4)), 900.0, (900.0,)),),
+        (engine.Slice(0.0, "optimal", np.ones((1, 4)), 900.0),),
         0.0, 900.0, 1)
     with pytest.raises(ValueError, match="not among"):
         engine.metric_M(tube, [0.123])
@@ -368,26 +367,31 @@ def test_ct_tracks_ramp_dt_stays_flat():
 # -- serialization -----------------------------------------------------------------------
 
 
-def test_tube_csv_roundtrip(toy_tube):
-    buf = io.StringIO()
-    engine.tube_to_csv(toy_tube, buf)
-    buf.seek(0)
-    import tempfile, os
-    with tempfile.NamedTemporaryFile("w", suffix=".csv",
-                                     delete=False) as fp:
-        fp.write(buf.getvalue())
-        path = fp.name
-    try:
-        back = engine.tube_from_csv(path, {"t1": 0.0, "period": 900.0,
-                                           "n_periods": 4})
-        assert len(back.slices) == len(toy_tube.slices)
-        for a, b in zip(back.slices, toy_tube.slices):
-            assert a.theta == pytest.approx(b.theta)
+@pytest.fixture(scope="module")
+def dt_tube():
+    return engine.assess(three_node(), engine.AssessmentConfig(
+        directions=2, workers=1, mode="dt"))
+
+
+def test_tube_csv_roundtrip(toy_tube, gap_tube, dt_tube, tmp_path):
+    # a CT tube, a CT tube with gaps, and a DT tube come back exactly
+    assert gap_tube.gaps and dt_tube.slices[0].coeffs.shape[1] == 1
+    for i, tube in enumerate((toy_tube, gap_tube, dt_tube)):
+        path = tmp_path / f"tube{i}.csv"
+        with open(path, "w", newline="") as fp:
+            engine.tube_to_csv(tube, fp)
+        horizon = {"t1": tube.t1, "period": tube.period,
+                   "n_periods": tube.n_periods}
+        back = engine.tube_from_csv(str(path), horizon, tube.mode)
+        assert len(back.slices) == len(tube.slices)
+        for a, b in zip(back.slices, tube.slices):
+            assert a.theta == b.theta
             assert a.status == b.status
-            if a.feasible:
-                assert np.allclose(a.coeffs, b.coeffs)
-    finally:
-        os.unlink(path)
+            assert a.objective == b.objective
+            if b.feasible:
+                assert np.array_equal(a.coeffs, b.coeffs)
+            else:
+                assert a.coeffs is None
 
 
 def test_dense_grid_emission(sym_tube):
@@ -402,16 +406,16 @@ def synthetic_tube(mode, gap):
     """Eight directions over three periods with random coefficients; the
     direction at index ``gap`` is infeasible."""
     rng = np.random.default_rng(17)
-    n_coef = 1 if mode == "dt" else 4
+    n_coef = engine.N_COEF_BY_MODE[mode]
     slices = []
     for k in range(8):
         theta = k * math.pi / 4
         if k == gap:
-            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+            slices.append(engine.Slice(theta, "infeasible", None, None))
         else:
             slices.append(engine.Slice(theta, "optimal",
                                        rng.uniform(0.1, 2.0, (3, n_coef)),
-                                       1.0, (1.0, 1.0, 1.0)))
+                                       1.0))
     return engine.FlexTube(tuple(slices), 0.0, 900.0, 3, mode=mode)
 
 

@@ -183,10 +183,10 @@ def gap_and_zero_tube():
     for k in range(8):
         theta = k * math.pi / 4
         if k == 3:
-            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+            slices.append(engine.Slice(theta, "infeasible", None, None))
             continue
         coeffs = np.zeros((2, 4)) if k == 6 else rng.uniform(0.2, 1.5, (2, 4))
-        slices.append(engine.Slice(theta, "optimal", coeffs, 1.0, (0.5, 0.5)))
+        slices.append(engine.Slice(theta, "optimal", coeffs, 1.0))
     return engine.FlexTube(tuple(slices), 0.0, 900.0, 2)
 
 
@@ -216,8 +216,8 @@ def test_section_oracle_bit_identical_to_reference():
 
 
 def test_section_origin_without_feasible_direction():
-    slices = tuple(engine.Slice(k * math.pi / 2, "infeasible", None, None,
-                                None) for k in range(4))
+    slices = tuple(engine.Slice(k * math.pi / 2, "infeasible", None, None)
+                   for k in range(4))
     section = cross_section(engine.FlexTube(slices, 0.0, 900.0, 1), 450.0)
     for p, q in ((0.0, 0.0), (1e-10, 0.0), (0.3, 0.2)):
         assert section.contains(p, q) is False
@@ -266,10 +266,9 @@ def test_initial_point_half_plane_piece():
     for k in range(8):
         theta = k * math.pi / 4
         if theta <= math.pi + 1e-12:
-            slices.append(engine.Slice(theta, "optimal", coeffs, 1800.0,
-                                       (1800.0,)))
+            slices.append(engine.Slice(theta, "optimal", coeffs, 1800.0))
         else:
-            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+            slices.append(engine.Slice(theta, "infeasible", None, None))
     tube = engine.FlexTube(tuple(slices), 0.0, 900.0, 1)
     p0, q0 = initial_point(cross_section(tube, 450.0))
     # width exactly pi -> rule (ii): half the mid-direction boundary radius
@@ -285,9 +284,9 @@ def test_initial_point_wide_piece_uses_largest_radius():
         if theta <= 1.5 * math.pi + 1e-12:
             r = 1.0 + 0.1 * k
             slices.append(engine.Slice(theta, "optimal", np.full((1, 4), r),
-                                       900.0 * r, (900.0 * r,)))
+                                       900.0 * r))
         else:
-            slices.append(engine.Slice(theta, "infeasible", None, None, None))
+            slices.append(engine.Slice(theta, "infeasible", None, None))
     tube = engine.FlexTube(tuple(slices), 0.0, 900.0, 1)
     p0, q0 = initial_point(cross_section(tube, 450.0))
     r_best = 1.0 + 0.1 * 6
@@ -298,8 +297,8 @@ def test_initial_point_wide_piece_uses_largest_radius():
 
 
 def test_initial_point_no_feasible_direction():
-    slices = tuple(engine.Slice(k * math.pi / 2, "infeasible", None, None,
-                                None) for k in range(4))
+    slices = tuple(engine.Slice(k * math.pi / 2, "infeasible", None, None)
+                   for k in range(4))
     tube = engine.FlexTube(slices, 0.0, 900.0, 1)
     with pytest.raises(ValueError, match="no feasible"):
         initial_point(cross_section(tube, 450.0))
