@@ -134,14 +134,13 @@ class CtTrajectory:
 
 
 def fit(times, values, period: float, t1: float, n_periods: int,
-        degree: int = 3, continuity: bool | None = None
-        ) -> tuple[CtTrajectory, float]:
+        degree: int = 3) -> tuple[CtTrajectory, float]:
     """Least-squares Bernstein fit of sampled data, one piece per period.
 
-    C0 continuity at interior boundaries is enforced by sharing the
-    boundary coefficient between adjacent periods (on by default for
-    degree >= 1; degree 0 fits are independent period means).  Returns the
-    trajectory and the residual 2-norm.
+    For degree >= 1, C0 continuity at interior boundaries is enforced by
+    sharing the boundary coefficient between adjacent periods; degree 0
+    fits are independent period means.  Returns the trajectory and the
+    residual 2-norm.
 
     Raises ValueError if any period holds fewer than degree+1 samples.
     """
@@ -149,11 +148,6 @@ def fit(times, values, period: float, t1: float, n_periods: int,
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    if continuity is None:
-        continuity = degree >= 1
-    if degree == 0:
-        continuity = False
-
     horizon = n_periods * period
     if np.any(t < t1 - 1e-9) or np.any(t > t1 + horizon + 1e-9):
         raise ValueError("samples outside the horizon")
@@ -170,7 +164,7 @@ def fit(times, values, period: float, t1: float, n_periods: int,
         )
 
     basis = basis_matrix(degree, s)
-    if continuity:
+    if degree >= 1:
         # column map: coefficient i of period p -> p*degree + i, which makes
         # the last coefficient of p and the first of p+1 the same unknown
         n_cols = n_periods * degree + 1

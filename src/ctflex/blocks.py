@@ -152,7 +152,6 @@ class PeriodLayout:
     p_pv: dict = field(default_factory=dict)
     q_pv: dict = field(default_factory=dict)
     pv_segment: dict = field(default_factory=dict)  # pv -> [b1, b2] binaries
-    pv_clamp: dict = field(default_factory=dict)    # pv -> [4 ids] clamp arg
     d_ess: dict = field(default_factory=dict)
     soe: dict = field(default_factory=dict)        # ess -> [5 ids]
     p_sop: dict = field(default_factory=dict)      # (sop, terminal) -> [4 ids]
@@ -210,6 +209,13 @@ class BlockBuilder:
 
     def _row(self, terms, sense, rhs, name):
         self.problem.add_constraint(terms, sense, rhs, name=name)
+
+    def _one_hot(self, count: int, tag: str, row: str) -> list:
+        """``count`` binaries ``{tag}_{j}``, exactly one of them on."""
+        lam = [self.problem.add_variable(binary=True, name=f"{tag}_{j}")
+               for j in range(count)]
+        self._row([(l, 1.0) for l in lam], "==", 1.0, row)
+        return lam
 
     # -- per-period scaffolding ---------------------------------------------
 
@@ -291,7 +297,6 @@ class BlockBuilder:
                       f"pv{pi}_m{m}_segorder")
             y_ids = self._coef_vars(self.n_coef, 0.0, width,
                                     f"Ypv{pi}_m{m}")
-            layout.pv_clamp[pi] = y_ids
             over_hi = model.u_max - u3
             under_lo = u2 - model.u_min
             for k in range(self.n_coef):
@@ -377,15 +382,15 @@ class BlockBuilder:
                       f"{tag}_mc4c{k}")
 
     def capbank_block(self, ci: int, m: int):
-        """SOS-1 step selection with a McCormick-exact susceptance-voltage
-        product: Q_C = q_k lam_k U, one step active per period."""
+        """One-hot binary step selection with a McCormick-exact
+        susceptance-voltage product: Q_C = q_k lam_k U, one step active per
+        period."""
         cap = self.model.cap_banks[ci]
         layout = self.layouts[m]
         u_ids = layout.u[cap.node]
-        lam = self._coef_vars(len(cap.steps), 0.0, 1.0, f"LamCap{ci}_m{m}")
+        lam = self._one_hot(len(cap.steps), f"LamCap{ci}_m{m}",
+                            f"cap{ci}_m{m}_onehot")
         layout.lam_cap[ci] = lam
-        self.problem.add_sos(lam, name=f"cap{ci}_m{m}_sos")
-        self._row([(l, 1.0) for l in lam], "==", 1.0, f"cap{ci}_m{m}_onehot")
         q_ids = self._coef_vars(self.n_coef, -np.inf, np.inf,
                                 f"Qcap{ci}_m{m}")
         layout.q_cap[ci] = q_ids
@@ -530,12 +535,9 @@ class BlockBuilder:
                     terms.append((layout.u_reg[bi][k], -1.0))
                 else:  # oltc
                     if bi not in layout.lam_oltc:
-                        lam = self._coef_vars(len(br.taps), 0.0, 1.0,
-                                              f"LamOltc{bi}_m{m}")
+                        lam = self._one_hot(len(br.taps), f"LamOltc{bi}_m{m}",
+                                            f"oltc{bi}_m{m}_onehot")
                         layout.lam_oltc[bi] = lam
-                        self.problem.add_sos(lam, name=f"oltc{bi}_m{m}_sos")
-                        self._row([(l, 1.0) for l in lam], "==", 1.0,
-                                  f"oltc{bi}_m{m}_onehot")
                         for j in range(len(br.taps)):
                             z_ids = self._coef_vars(self.n_coef, 0.0,
                                                     model.u_max,

@@ -96,16 +96,19 @@ def parse_theta_set(text: str) -> tuple:
     return tuple(out)
 
 
-def _theta_set(args) -> tuple | None:
-    """The parsed ``--theta-set``, if given, each direction among the 2K
-    that the assessment samples."""
-    if not args.theta_set:
+def _theta_set(args, default: tuple | None = None) -> tuple | None:
+    """The parsed ``--theta-set``, or ``default`` when it is not given,
+    each direction among the 2K that the assessment samples."""
+    if args.theta_set:
+        theta_set, source = parse_theta_set(args.theta_set), "--theta-set"
+    elif default is None:
         return None
-    theta_set = parse_theta_set(args.theta_set)
+    else:
+        theta_set, source = default, "default --theta-set"
     sampled = engine.all_directions(args.directions)
     for th in theta_set:
         if engine.match_direction(sampled, th) is None:
-            raise CliError(f"--theta-set direction {th} is not among the "
+            raise CliError(f"{source} direction {th} is not among the "
                            f"{len(sampled)} sampled directions")
     return theta_set
 
@@ -122,10 +125,20 @@ def _stored_tube(tube_path: str, summary_path: str) -> engine.FlexTube:
         raise CliError(f"{summary_path}: unreadable JSON: {exc}") from exc
     if not isinstance(summary, dict) or "horizon" not in summary:
         raise CliError(f"{summary_path}: no horizon block")
+    horizon = summary["horizon"]
+    missing = [key for key in ("t1", "period", "n_periods")
+               if not isinstance(horizon, dict)
+               or not isinstance(horizon.get(key), (int, float))]
+    if missing:
+        raise CliError(f"{summary_path}: horizon block lacks a number for "
+                       f"{', '.join(missing)}")
     mode = summary.get("mode", "ct")
     if mode not in engine.N_COEF_BY_MODE:
         raise CliError(f"{summary_path}: unknown mode {mode!r}")
-    return engine.tube_from_csv(tube_path, summary["horizon"], mode)
+    try:
+        return engine.tube_from_csv(tube_path, horizon, mode)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _config_from_args(args) -> engine.AssessmentConfig:
@@ -319,11 +332,11 @@ def cmd_metrics(args) -> int:
     if args.model != "builtin:twelve-node" and \
             any(scale not in (None, 1.0) for scale in pv_scales):
         raise CliError("--pv-scale-grid needs builtin:twelve-node")
-    theta_set = _theta_set(args)
     base = _load(args.model, args.alpha)
     for alpha in alphas:
         if alpha is not None:
             _with_alpha(base, alpha)   # reject a bad grid value before solving
+    theta_set = _theta_set(args, engine.DEFAULT_THETA_SET)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for alpha in alphas:
@@ -345,10 +358,6 @@ def cmd_metrics(args) -> int:
                             model = dataclasses.replace(model, ess_devices=())
                     tube = engine.assess(model, config)
                     try:
-                        m_val = engine.metric_M(tube, theta_set)
-                    except ValueError as exc:
-                        raise CliError(str(exc)) from exc
-                    try:
                         k1, k2 = engine.penetration_metrics(model)
                     except ValueError:
                         k1, k2 = None, None
@@ -357,7 +366,7 @@ def cmd_metrics(args) -> int:
                         "sop": int(sop_on),
                         "ess": int(ess_on),
                         "pv_scale": 1.0 if scale is None else scale,
-                        "M": m_val,
+                        "M": engine.metric_M(tube, theta_set),
                         "K1": k1,
                         "K2": k2,
                         "gaps": len(tube.gaps),

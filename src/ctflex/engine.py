@@ -486,7 +486,11 @@ def tube_to_csv(tube: FlexTube, fp):
 
 
 def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
-    """Rebuild a tube from its CSV plus the horizon block of the summary."""
+    """Rebuild a tube from its CSV plus the horizon block of the summary.
+
+    Raises ValueError unless every optimal slice has exactly the periods
+    and coefficients that the horizon and the mode declare.
+    """
     per_theta: dict = {}
     status: dict = {}
     with open(path, newline="") as fp:
@@ -508,6 +512,11 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
         if cells is None:
             slices.append(Slice(th, status[th], None, None))
             continue
+        if set(cells) != set(np.ndindex(n_periods, n_coef)):
+            raise ValueError(
+                f"{path}: theta {th!r} does not fill exactly the "
+                f"{n_periods} x {n_coef} period x coefficient grid ({mode}) "
+                "that the summary declares")
         coeffs = np.zeros((n_periods, n_coef))
         for (m, k), v in cells.items():
             coeffs[m, k] = v

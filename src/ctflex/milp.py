@@ -1,9 +1,8 @@
 """MILP container solved by HiGHS through scipy.optimize.milp.
 
-The builder collects variables, linear constraints, SOS-1 groups, and a
-linear objective, then freezes.  HiGHS takes continuous and binary
-variables but no native SOS, so SOS-1 groups are lowered to one-hot
-binaries by :func:`sos_fallback` before the solve.
+The builder collects continuous and binary variables, linear constraints
+and a linear objective, then freezes; HiGHS solves the frozen problem as
+it stands.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ class _Constraint:
 
 
 @dataclass
-class _SosGroup:
-    """SOS-1: at most one member may be nonzero."""
-
-    variables: tuple
-    name: str
-
-
-@dataclass
 class MilpSolution:
     """Solver answer; ``values`` is present for optimal and incumbent-bearing
     limit statuses, indexed like the problem's variables."""
@@ -75,7 +66,6 @@ class MilpProblem:
         self._binary: list[bool] = []
         self._var_names: list[str] = []
         self._constraints: list[_Constraint] = []
-        self._sos: list[_SosGroup] = []
         self._objective: dict[int, float] = {}
         self._sense = "max"
         self._frozen = False
@@ -122,19 +112,6 @@ class MilpProblem:
         )
         return idx
 
-    def add_sos(self, variables, name: str | None = None) -> int:
-        """Add an SOS-1 group: at most one of ``variables`` is nonzero."""
-        self._check_mutable()
-        variables = tuple(int(v) for v in variables)
-        if not variables:
-            raise ValueError("empty SOS group")
-        for v in variables:
-            if not 0 <= v < len(self._lb):
-                raise IndexError(f"unknown variable handle {v}")
-        idx = len(self._sos)
-        self._sos.append(_SosGroup(variables, name or f"s{idx}"))
-        return idx
-
     def set_objective(self, coeffs, sense: str = "max"):
         self._check_mutable()
         if sense not in ("max", "min"):
@@ -160,20 +137,13 @@ class MilpProblem:
     def n_constraints(self) -> int:
         return len(self._constraints)
 
-    @property
-    def has_sos(self) -> bool:
-        return bool(self._sos)
-
-    def variable_bounds(self, var: int) -> tuple[float, float]:
-        return self._lb[var], self._ub[var]
-
     def objective_value(self, values) -> float:
         return float(sum(c * values[v] for v, c in self._objective.items()))
 
     def check_solution(self, values, tol: float = 1e-7) -> list[str]:
         """Standalone feasibility checker: evaluates every emitted bound,
-        constraint, integrality requirement, and SOS group at ``values`` and
-        returns the violations beyond ``tol`` (empty list if feasible)."""
+        constraint and integrality requirement at ``values`` and returns the
+        violations beyond ``tol`` (empty list if feasible)."""
         values = np.asarray(values, dtype=float)
         out = []
         for v in range(self.n_variables):
@@ -190,48 +160,18 @@ class MilpProblem:
                 out.append(f"constraint {con.name}: {lhs} < {con.rhs}")
             elif con.sense == "==" and abs(lhs - con.rhs) > tol:
                 out.append(f"constraint {con.name}: {lhs} != {con.rhs}")
-        for grp in self._sos:
-            nz = [v for v in grp.variables if abs(values[v]) > tol]
-            if len(nz) > 1:
-                out.append(f"SOS-1 {grp.name}: {len(nz)} nonzero members")
         return out
 
 
 def sos_fallback(problem: MilpProblem) -> MilpProblem:
-    """Rewrite SOS-1 groups as binary selections, which HiGHS can solve.
+    """Return ``problem`` unchanged.
 
-    Each member gets one indicator binary, and at most one may be on.
-    Every member needs finite bounds, which serve as the big-M.  Original
-    variable handles keep their indices, so a solution of the rewritten
-    problem restricts to one of the original by truncation.
+    The problem has no SOS groups left to lower: one-hot selections are
+    declared binary where they are built.  Nothing in the package calls
+    this; it stays only because the benchmark harness in ``perfbench/``
+    still wraps it by name, and goes when the harness drops that hook.
     """
-    out = MilpProblem(name=problem.name)
-    for v in range(problem.n_variables):
-        out.add_variable(problem._lb[v], problem._ub[v],
-                         binary=problem._binary[v], name=problem._var_names[v])
-    for con in problem._constraints:
-        out.add_constraint(list(con.terms), con.sense, con.rhs, name=con.name)
-    for grp in problem._sos:
-        for v in grp.variables:
-            if not np.isfinite(problem._lb[v]) or not np.isfinite(problem._ub[v]):
-                raise ValueError(
-                    f"SOS member {problem._var_names[v]} is unbounded; "
-                    "binary fallback needs finite bounds"
-                )
-        flags = [out.add_variable(binary=True, name=f"{grp.name}_b{j}")
-                 for j in range(len(grp.variables))]
-        out.add_constraint([(b, 1.0) for b in flags], "<=", 1.0,
-                           name=f"{grp.name}_card")
-        for v, b in zip(grp.variables, flags):
-            out.add_constraint([(v, 1.0), (b, -problem._ub[v])], "<=", 0.0,
-                               name=f"{grp.name}_ub{b}")
-            out.add_constraint([(v, 1.0), (b, -problem._lb[v])], ">=", 0.0,
-                               name=f"{grp.name}_lb{b}")
-    out._objective = dict(problem._objective)
-    out._sense = problem._sense
-    if problem.frozen:
-        out.freeze()
-    return out
+    return problem
 
 
 @dataclass
@@ -320,20 +260,10 @@ class ScipyHighsBackend:
 
 def solve(problem: MilpProblem,
           options: SolveOptions | None = None) -> MilpSolution:
-    """Solve a frozen problem, lowering its SOS groups first.
-
-    The returned assignment is restricted to the original problem's
-    variables even when the fallback added binaries.
-    """
+    """Solve a frozen problem with HiGHS."""
     if not problem.frozen:
         raise ValueError("freeze() the problem before solving")
-    options = options or SolveOptions()
-    to_solve = sos_fallback(problem) if problem.has_sos else problem
-    sol = ScipyHighsBackend().solve(to_solve, options)
-    if sol.values is not None and len(sol.values) > problem.n_variables:
-        sol = MilpSolution(sol.status, problem.objective_value(sol.values),
-                           sol.values[: problem.n_variables], sol.wall_time)
-    return sol
+    return ScipyHighsBackend().solve(problem, options or SolveOptions())
 
 
 def _lp_num(x: float) -> str:
@@ -372,13 +302,4 @@ def write_lp(problem: MilpProblem, fp):
         w("Binaries\n")
         for name in binaries:
             w(f" {name}\n")
-    if problem._sos:
-        w("SOS\n")
-        for grp in problem._sos:
-            # LP format needs a weight per member: the implicit 1..k
-            members = " ".join(
-                f"{problem._var_names[v]}:{_lp_num(k + 1)}"
-                for k, v in enumerate(grp.variables)
-            )
-            w(f" {grp.name}: S1:: {members}\n")
     w("End\n")

@@ -500,6 +500,34 @@ def test_dt_without_ess_mode_flag_matches_flagged_model(build, directions):
                 max(abs(got.objective), abs(want.objective), 1.0)
 
 
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_selections_are_binary_one_hot(mode):
+    # capacitor steps and OLTC taps are one-hot binaries as built: HiGHS
+    # solves the problem as it stands, with no lowering flags or rows
+    config = engine.AssessmentConfig(mode=mode, workers=1)
+    asm = engine.build_subproblem(twelve_node(), math.pi, config)
+    p = asm.problem
+    rows = {con.name: con for con in p._constraints}
+    groups = 0
+    for m in asm.periods:
+        lay = asm.layouts[m]
+        for prefix, selections in (("cap", lay.lam_cap),
+                                   ("oltc", lay.lam_oltc)):
+            for i, lam in selections.items():
+                groups += 1
+                for v in lam:
+                    assert p._binary[v] and (p._lb[v], p._ub[v]) == (0.0, 1.0)
+                row = rows[f"{prefix}{i}_m{m}_onehot"]
+                assert (row.terms, row.sense, row.rhs) == \
+                    (tuple((v, 1.0) for v in lam), "==", 1.0)
+    assert groups == 2 * len(asm.periods)
+    assert not [n for n in p._var_names if "_sos" in n]
+    assert not [name for name in rows if "_sos" in name]
+    sol = engine.solve_assembled(asm, config)
+    assert sol.status == "optimal"
+    assert len(sol.values) == p.n_variables
+
+
 # -- network block -----------------------------------------------------------------
 
 

@@ -236,6 +236,18 @@ def test_unsampled_theta_set_rejected_before_solving(command, theta_set,
     assert not out.exists()
 
 
+def test_metrics_default_theta_set_unsampled_before_solving(tmp_path, capsys,
+                                                           no_assess):
+    # the default set holds the multiples of pi/3; K = 2 samples none but 0
+    # and pi
+    out = tmp_path / "m"
+    rc = run(["metrics", "builtin:two-node", "--directions", "2",
+              "--workers", "1", "--out", str(out)])
+    assert rc == 2
+    assert "error: default --theta-set direction" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pqbox", "compare-dt"])
 def test_theta_set_only_where_M_is_reported(command, capsys):
     required = ["--time", "0"] if command == "pqbox" else []
@@ -247,6 +259,9 @@ def test_theta_set_only_where_M_is_reported(command, capsys):
 
 TUBE_CSV = "theta,period,coef_index,value,status\n0.0,0,0,1.0,optimal\n"
 HORIZON = {"t1": 0.0, "period": 900.0, "n_periods": 1}
+# one CT slice over two periods
+CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
+    f"0.0,{m},{k},1.0,optimal\n" for m in range(2) for k in range(4))
 
 
 @pytest.mark.parametrize("tube_text, summary_text, message", [
@@ -256,7 +271,21 @@ HORIZON = {"t1": 0.0, "period": 900.0, "n_periods": 1}
     (TUBE_CSV, json.dumps({"mode": "ct"}), "no horizon block"),
     (TUBE_CSV, json.dumps({"horizon": HORIZON, "mode": "xx"}),
      "unknown mode"),
-], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode"])
+    (CT_TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 2},
+                              "mode": "dt"}),
+     "tube.csv: theta 0.0 does not fill exactly the 2 x 1 period"),
+    (TUBE_CSV, json.dumps({"horizon": {"t1": 0.0, "period": 900.0}}),
+     "horizon block lacks a number for n_periods"),
+    (TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": None}}),
+     "horizon block lacks a number for n_periods"),
+    (CT_TUBE_CSV, json.dumps({"horizon": HORIZON, "mode": "ct"}),
+     "tube.csv: theta 0.0 does not fill exactly the 1 x 4 period"),
+    (CT_TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 3},
+                              "mode": "ct"}),
+     "tube.csv: theta 0.0 does not fill exactly the 3 x 4 period"),
+], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
+        "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
+        "too-many-periods"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []

@@ -1,6 +1,6 @@
 """MILP container and HiGHS solve tests: builder contracts, enumeration-oracle
-checks of small integer programs, SOS-1 fallback equivalence and layout,
-determinism, and the LP text dump."""
+checks of small integer programs, determinism, post-solve checks, and the
+LP text dump."""
 
 import io
 import itertools
@@ -13,8 +13,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
 from ctflex import milp
 from ctflex.milp import (
-    FrozenProblemError, MilpProblem, SolveOptions, solve, sos_fallback,
-    write_lp,
+    FrozenProblemError, MilpProblem, SolveOptions, solve, write_lp,
 )
 
 
@@ -105,132 +104,6 @@ def test_unknown_handles_rejected():
     p = MilpProblem()
     with pytest.raises(IndexError):
         p.add_constraint({3: 1.0}, "<=", 1.0)
-    with pytest.raises(IndexError):
-        p.add_sos([0])
-
-
-def test_sos1_selects_best_member():
-    # enumeration over the two one-hot patterns: lam2 = 1 wins
-    p = MilpProblem()
-    l1 = p.add_variable(0.0, 1.0)
-    l2 = p.add_variable(0.0, 1.0)
-    p.add_constraint({l1: 1.0, l2: 1.0}, "==", 1.0)
-    p.add_sos([l1, l2])
-    p.set_objective({l1: 1.0, l2: 2.0})
-    sol = solve(p.freeze())
-    assert sol.objective == pytest.approx(2.0)
-    assert sol.values[l2] == pytest.approx(1.0)
-    assert p.check_solution(sol.values) == []
-
-
-def _random_sos_problem(rng):
-    p = MilpProblem()
-    xs = [p.add_variable(0.0, float(rng.uniform(0.5, 2.0))) for _ in range(4)]
-    p.add_constraint([(x, 1.0) for x in xs], "<=", 2.5)
-    p.add_sos(xs)
-    p.set_objective({x: float(c) for x, c in zip(xs, rng.uniform(0.1, 1, 4))})
-    return p.freeze(), xs
-
-
-def _enumerate_sos_optimum(problem, xs):
-    """Brute-force over support patterns; each pattern leaves an LP solved
-    exactly (here: greedy on a single knapsack row)."""
-    patterns = [(i,) for i in range(len(xs))] + [()]
-    best = 0.0
-    ubs = [problem.variable_bounds(x)[1] for x in xs]
-    c = [problem._objective.get(x, 0.0) for x in xs]
-    for pattern in patterns:
-        order = sorted(pattern, key=lambda i: -c[i])
-        room = 2.5
-        val = 0.0
-        for i in order:
-            take = min(ubs[i], room)
-            val += c[i] * take
-            room -= take
-        best = max(best, val)
-    return best
-
-
-def test_sos_fallback_preserves_optimum():
-    rng = np.random.default_rng(12)
-    for _ in range(8):
-        problem, xs = _random_sos_problem(rng)
-        oracle = _enumerate_sos_optimum(problem, xs)
-        sol = solve(problem)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(oracle, abs=1e-7)
-        assert problem.check_solution(sol.values, tol=1e-7) == []
-
-
-def test_sos_fallback_empty_is_identity():
-    p = MilpProblem()
-    x = p.add_variable(0.0, 1.0)
-    p.set_objective({x: 1.0})
-    fb = sos_fallback(p)
-    assert fb.n_variables == p.n_variables
-    assert fb.n_constraints == p.n_constraints
-
-
-def test_sos_fallback_unbounded_member_rejected():
-    p = MilpProblem()
-    x = p.add_variable(0.0, np.inf)
-    y = p.add_variable(0.0, 1.0)
-    p.add_sos([x, y])
-    with pytest.raises(ValueError, match="unbounded"):
-        sos_fallback(p)
-
-
-def test_sos_fallback_lp_layout():
-    # HiGHS numbers its columns and rows in this order: the flag binaries
-    # after the original variables, then the cardinality row, then one
-    # upper and one lower big-M row per member (named by the flag's index)
-    p = MilpProblem(name="pick3")
-    x = p.add_variable(0.0, 1.0, name="x")
-    y = p.add_variable(-1.0, 2.0, name="y")
-    z = p.add_variable(0.0, 3.0, name="z")
-    p.add_constraint({x: 1.0, y: 1.0, z: 1.0}, "<=", 2.5, name="total")
-    p.add_sos([x, y, z], name="g")
-    p.set_objective({x: 1.0, y: 2.0, z: 0.5})
-    p.freeze()
-    buf = io.StringIO()
-    write_lp(p, buf)
-    assert " g: S1:: x:1.0 y:2.0 z:3.0\n" in buf.getvalue()
-    buf = io.StringIO()
-    write_lp(sos_fallback(p), buf)
-    assert buf.getvalue() == (
-        "\\ pick3\n"
-        "Maximize\n"
-        " obj: + 1.0 x + 2.0 y + 0.5 z\n"
-        "Subject To\n"
-        " total: + 1.0 x + 1.0 y + 1.0 z <= 2.5\n"
-        " g_card: + 1.0 g_b0 + 1.0 g_b1 + 1.0 g_b2 <= 1.0\n"
-        " g_ub3: + 1.0 x - 1.0 g_b0 <= 0.0\n"
-        " g_lb3: + 1.0 x >= 0.0\n"
-        " g_ub4: + 1.0 y - 2.0 g_b1 <= 0.0\n"
-        " g_lb4: + 1.0 y + 1.0 g_b1 >= 0.0\n"
-        " g_ub5: + 1.0 z - 3.0 g_b2 <= 0.0\n"
-        " g_lb5: + 1.0 z >= 0.0\n"
-        "Bounds\n"
-        " 0.0 <= x <= 1.0\n"
-        " -1.0 <= y <= 2.0\n"
-        " 0.0 <= z <= 3.0\n"
-        " 0.0 <= g_b0 <= 1.0\n"
-        " 0.0 <= g_b1 <= 1.0\n"
-        " 0.0 <= g_b2 <= 1.0\n"
-        "Binaries\n"
-        " g_b0\n"
-        " g_b1\n"
-        " g_b2\n"
-        "End\n")
-
-
-def test_solution_restricted_to_original_variables():
-    p = MilpProblem()
-    xs = [p.add_variable(0.0, 1.0) for _ in range(3)]
-    p.add_sos(xs)
-    p.set_objective({xs[1]: 1.0})
-    sol = solve(p.freeze())
-    assert len(sol.values) == 3
 
 
 def _stubbed_options(monkeypatch, seed=0):
@@ -297,7 +170,6 @@ def test_write_lp_stable():
     x = p.add_variable(0.0, 1.0, name="x")
     y = p.add_variable(binary=True, name="flag")
     p.add_constraint({x: 1.0, y: -2.0}, "<=", 0.5, name="link")
-    p.add_sos([x], name="pick")
     p.set_objective({x: 1.0, y: 3.0})
     buf1, buf2 = io.StringIO(), io.StringIO()
     write_lp(p, buf1)
@@ -305,7 +177,6 @@ def test_write_lp_stable():
     text = buf1.getvalue()
     assert text == buf2.getvalue()
     assert "Maximize" in text and "link:" in text and "Binaries" in text
-    assert "SOS" in text
 
 
 def test_solve_requires_freeze():
