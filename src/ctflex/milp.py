@@ -1,8 +1,10 @@
 """MILP container solved by HiGHS through scipy.optimize.milp.
 
 The builder collects continuous and binary variables, linear constraints
-and a linear objective, then freezes; HiGHS solves the frozen problem as
-it stands.
+and a linear objective, then freezes.  The backend splits the frozen
+problem into the connected components of its variable-row graph and hands
+each one to HiGHS as a problem of its own; a problem whose rows all link
+up, such as any model with storage, reaches HiGHS as it stands.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MilpProblem",
@@ -181,8 +184,35 @@ class SolveOptions:
     seed: int = 0
 
 
+def _components(a) -> list:
+    """(columns, rows) of each connected component of the variable-row
+    graph of the constraint matrix ``a``, each in its original order.  Empty
+    rows and variables in no row join the first component: they need no
+    solve of their own, and an empty row whose bounds exclude 0 still makes
+    the problem infeasible."""
+    n = a.shape[1]
+    graph = sparse.bmat([[None, a.T], [a, None]], format="csr")
+    _, labels = connected_components(graph, directed=False)
+    linked = np.diff(graph.indptr) > 0
+    labels[~linked] = labels[linked][0] if linked.any() else 0
+    return [(np.flatnonzero(labels[:n] == k), np.flatnonzero(labels[n:] == k))
+            for k in np.unique(labels)]
+
+
 class ScipyHighsBackend:
-    """HiGHS through scipy.optimize.milp."""
+    """HiGHS through scipy.optimize.milp, one call per independent part.
+
+    Rows that share no variable, directly or through other rows, make
+    independent problems; on a feeder without storage these are the
+    periods.  Each connected component is solved on its own and the parts'
+    values are written back into one full-length vector.  The first
+    infeasible or unbounded part decides the status and ends the solve;
+    otherwise any part at a limit makes the whole result ``limit``.
+    ``time_limit`` is one budget for the whole problem: each part gets what
+    is left of it.  ``mip_gap`` holds per part, so it bounds the whole
+    problem's relative gap whenever the parts' objectives share a sign, as
+    the builder's (a positive weight times S0 >= 0) do.
+    """
 
     _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
 
@@ -193,29 +223,27 @@ class ScipyHighsBackend:
         for v, coef in problem._objective.items():
             c[v] = sign * coef
         integrality = np.array([1 if b else 0 for b in problem._binary])
-        bounds = Bounds(np.array(problem._lb), np.array(problem._ub))
+        lb, ub = np.array(problem._lb), np.array(problem._ub)
 
-        constraints = []
-        if problem._constraints:
-            rows, cols, data, lo, hi = [], [], [], [], []
-            for r, con in enumerate(problem._constraints):
-                for var, coef in con.terms:
-                    rows.append(r)
-                    cols.append(var)
-                    data.append(coef)
-                if con.sense == "<=":
-                    lo.append(-np.inf)
-                    hi.append(con.rhs)
-                elif con.sense == ">=":
-                    lo.append(con.rhs)
-                    hi.append(np.inf)
-                else:
-                    lo.append(con.rhs)
-                    hi.append(con.rhs)
-            a = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(problem._constraints), n)
-            )
-            constraints = [LinearConstraint(a, np.array(lo), np.array(hi))]
+        rows, cols, data, lo, hi = [], [], [], [], []
+        for r, con in enumerate(problem._constraints):
+            for var, coef in con.terms:
+                rows.append(r)
+                cols.append(var)
+                data.append(coef)
+            if con.sense == "<=":
+                lo.append(-np.inf)
+                hi.append(con.rhs)
+            elif con.sense == ">=":
+                lo.append(con.rhs)
+                hi.append(np.inf)
+            else:
+                lo.append(con.rhs)
+                hi.append(con.rhs)
+        a = sparse.csr_matrix(
+            (data, (rows, cols)), shape=(len(problem._constraints), n)
+        )
+        lo, hi = np.array(lo), np.array(hi)
 
         opts = {
             "presolve": True,
@@ -236,24 +264,40 @@ class ScipyHighsBackend:
             "dual_feasibility_tolerance": 1e-9,
             "mip_feasibility_tolerance": 1e-9,
         }
+        status, values = "optimal", np.zeros(n)
         start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = _scipy_milp(c, integrality=integrality, bounds=bounds,
-                              constraints=constraints, options=opts)
-            if res.status in (2, 3):
-                # the bundled HiGHS presolve can misreport infeasibility on
-                # McCormick-style rows; trust such verdicts only when the
-                # presolve-free solve agrees
-                res = _scipy_milp(c, integrality=integrality, bounds=bounds,
-                                  constraints=constraints,
-                                  options={**opts, "presolve": False})
+        for cols, rows in _components(a):
+            part_opts = {**opts, "time_limit": max(
+                options.time_limit - (time.perf_counter() - start), 0.0)}
+            bounds = Bounds(lb[cols], ub[cols])
+            constraints = [LinearConstraint(a[rows][:, cols], lo[rows],
+                                            hi[rows])] if rows.size else []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = _scipy_milp(c[cols], integrality=integrality[cols],
+                                  bounds=bounds, constraints=constraints,
+                                  options=part_opts)
+                if res.status in (2, 3):
+                    # the bundled HiGHS presolve can misreport infeasibility
+                    # on McCormick-style rows; trust such verdicts only when
+                    # the presolve-free solve agrees
+                    res = _scipy_milp(c[cols], integrality=integrality[cols],
+                                      bounds=bounds, constraints=constraints,
+                                      options={**part_opts, "presolve": False})
+            part = self._STATUS.get(res.status)
+            if part is None:
+                raise BackendError(f"HiGHS failure: {res.message}")
+            if part in ("infeasible", "unbounded"):
+                status, values = part, None
+                break
+            if part == "limit":
+                status = "limit"
+            if res.x is None:
+                values = None
+            elif values is not None:
+                values[cols] = res.x
         wall = time.perf_counter() - start
 
-        status = self._STATUS.get(res.status)
-        if status is None:
-            raise BackendError(f"HiGHS failure: {res.message}")
-        values = np.asarray(res.x, dtype=float) if res.x is not None else None
         objective = problem.objective_value(values) if values is not None else None
         return MilpSolution(status, objective, values, wall)
 

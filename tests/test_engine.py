@@ -4,6 +4,7 @@ DT baseline, serialization round-trips, and Monte Carlo validation of the
 chance margins."""
 
 import concurrent.futures
+import copy
 import csv
 import dataclasses
 import io
@@ -12,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from ctflex import engine
-from ctflex.blocks import ChanceMargins
+from ctflex import engine, milp
+from ctflex.blocks import ChanceMargins, continuous_time_check
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
 )
@@ -447,6 +448,60 @@ def test_dense_grid_matches_query_point_on_solved_gaps(gap_tube):
     buf = io.StringIO()
     engine.dense_grid_csv(gap_tube, buf, n_theta=16, n_t=9)
     assert buf.getvalue() == query_point_rows(gap_tube, 16, 9)
+
+
+@pytest.fixture
+def part_counts(monkeypatch):
+    """Number of parts the backend splits each solved problem into."""
+    counts = []
+    components = milp._components
+
+    def counted(a):
+        parts = components(a)
+        counts.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(milp, "_components", counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_periods_solved_apart_match_linked_problem(mode, part_counts):
+    # without storage no row spans two periods; a redundant row over every
+    # period's S0 makes the same subproblem one part again
+    model = twelve_node(ess=False)
+    config = engine.AssessmentConfig(directions=3, workers=1, mode=mode)
+    margins = engine.compute_margins(model)
+    rng = np.random.default_rng(3)
+    statuses = []
+    for theta in engine.all_directions(3):
+        asm = engine.build_subproblem(model, float(theta), config, margins)
+        split = engine.solve_assembled(asm, config)
+        linked = copy.deepcopy(asm.problem)
+        linked._frozen = False
+        linked.add_constraint({v: 1.0 for m in asm.periods
+                               for v in asm.layouts[m].s0}, "<=", 1e6)
+        whole = engine.solve_assembled(
+            dataclasses.replace(asm, problem=linked.freeze()), config)
+        statuses.append(split.status)
+        assert split.status == whole.status
+        if split.status != "optimal":
+            continue
+        assert split.objective == pytest.approx(
+            whole.objective, rel=config.mip_gap)
+        assert asm.problem.check_solution(split.values) == []
+        report = continuous_time_check(asm, split.values, rng=rng)
+        assert report["violations"] == []
+        assert report["max_equality_residual"] <= 1e-8
+    assert part_counts == [4, 1] * 6
+    assert "optimal" in statuses and "infeasible" in statuses
+
+
+def test_storage_keeps_subproblem_whole(part_counts):
+    config = engine.AssessmentConfig(directions=3, workers=1, mode="dt")
+    asm = engine.build_subproblem(twelve_node(), 0.0, config)
+    assert engine.solve_assembled(asm, config).status == "optimal"
+    assert part_counts == [1]
 
 
 def test_assess_parallel_matches_serial():

@@ -4,14 +4,18 @@ LP text dump."""
 
 import io
 import itertools
+import math
+import time
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
-from ctflex import milp
+from ctflex import engine, milp
+from ctflex.instances import twelve_node
 from ctflex.milp import (
     FrozenProblemError, MilpProblem, SolveOptions, solve, write_lp,
 )
@@ -151,6 +155,200 @@ def test_installed_highs_accepts_every_option(monkeypatch):
     rejected = [name for name in calls[0] for msg in messages
                 if f"Unrecognized options detected: {{'{name}': " in msg]
     assert rejected == [], messages
+
+
+def _spied_milp(monkeypatch, answer=None):
+    """Record every call the backend makes to scipy's milp; ``answer(call
+    number, c, **kw)`` replaces the real solve when given."""
+    calls = []
+
+    def spy(c, **kw):
+        calls.append(SimpleNamespace(c=np.asarray(c), **kw))
+        if answer is None:
+            return scipy_milp(c, **kw)
+        return answer(len(calls), c, **kw)
+
+    monkeypatch.setattr(milp, "_scipy_milp", spy)
+    return calls
+
+
+def _dense_rows(call):
+    (con,) = call.constraints
+    return con.A.toarray(), con.lb, con.ub
+
+
+def test_disjoint_knapsacks_solved_apart(monkeypatch):
+    # two knapsacks whose columns and rows interleave: A owns the even
+    # columns and rows 0 and 2, B the odd columns and rows 1 and 3
+    values_a, weights_a = [4.0, 5.0, 6.0], [2.0, 3.0, 4.0]
+    values_b, weights_b = [3.0, 7.0, 2.0, 6.0], [1.0, 4.0, 2.0, 3.0]
+    p = MilpProblem()
+    xs, ys = [], []
+    for k in range(4):
+        if k < 3:
+            xs.append(p.add_variable(binary=True))
+        ys.append(p.add_variable(binary=True))
+    p.add_constraint(dict(zip(xs, weights_a)), "<=", 5.0)
+    p.add_constraint(dict(zip(ys, weights_b)), "<=", 6.0)
+    p.add_constraint({xs[0]: 1.0, xs[2]: 1.0}, "<=", 1.0)
+    p.add_constraint({ys[1]: 1.0, ys[3]: 1.0}, "<=", 1.0)
+    p.set_objective({**dict(zip(xs, values_a)), **dict(zip(ys, values_b))})
+    p.freeze()
+    best = max(p.objective_value(pick)
+               for pick in itertools.product((0.0, 1.0), repeat=7)
+               if p.check_solution(pick) == [])
+
+    calls = _spied_milp(monkeypatch)
+    sol = solve(p)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(best)
+    assert p.check_solution(sol.values) == []
+
+    assert len(calls) == 2
+    first, second = calls
+    assert first.c.tolist() == [-v for v in values_a]
+    assert second.c.tolist() == [-v for v in values_b]
+    a, lo, hi = _dense_rows(first)
+    assert a.tolist() == [weights_a, [1.0, 0.0, 1.0]]
+    assert lo.tolist() == [-np.inf, -np.inf] and hi.tolist() == [5.0, 1.0]
+    a, lo, hi = _dense_rows(second)
+    assert a.tolist() == [weights_b, [0.0, 1.0, 0.0, 1.0]]
+    assert hi.tolist() == [6.0, 1.0]
+
+
+def _three_parts():
+    """x <= 1, y >= 2 on y in [0, 1] (infeasible), z <= 1: three parts."""
+    p = MilpProblem()
+    x, y, z = (p.add_variable(0.0, 1.0) for _ in range(3))
+    p.add_constraint({x: 1.0}, "<=", 1.0)
+    p.add_constraint({y: 1.0}, ">=", 2.0)
+    p.add_constraint({z: 1.0}, "<=", 1.0)
+    p.set_objective({x: 1.0, y: 1.0, z: 1.0})
+    return p.freeze()
+
+
+def test_infeasible_part_decides_and_stops(monkeypatch):
+    calls = _spied_milp(monkeypatch)
+    sol = solve(_three_parts())
+    assert (sol.status, sol.objective, sol.values) == ("infeasible", None, None)
+    # the second part pays the presolve-off retry; the third is never solved
+    assert [(call.c.tolist(), call.options["presolve"]) for call in calls] == [
+        ([-1.0], True), ([-1.0], True), ([-1.0], False)]
+    assert _dense_rows(calls[1])[1].tolist() == [2.0]
+
+
+def _two_parts():
+    p = MilpProblem()
+    x, y = p.add_variable(0.0, 2.0), p.add_variable(0.0, 3.0)
+    p.add_constraint({x: 1.0}, "<=", 1.0)
+    p.add_constraint({y: 1.0}, "<=", 2.0)
+    p.set_objective({x: 1.0, y: 1.0})
+    return p.freeze()
+
+
+@pytest.mark.parametrize("incumbent", [True, False])
+def test_limit_in_one_part_limits_the_whole(monkeypatch, incumbent):
+    def limit_first(n, c, **kw):
+        res = scipy_milp(c, **kw)
+        if n == 1:
+            res.status = 1
+            res.x = res.x if incumbent else None
+        return res
+
+    calls = _spied_milp(monkeypatch, limit_first)
+    sol = solve(_two_parts())
+    assert sol.status == "limit"
+    assert len(calls) == 2
+    if incumbent:
+        assert sol.values.tolist() == pytest.approx([1.0, 2.0])
+        assert sol.objective == pytest.approx(3.0)
+    else:
+        assert sol.values is None and sol.objective is None
+
+
+def test_later_part_gets_what_is_left_of_the_time_limit(monkeypatch):
+    def slow_first(n, c, **kw):
+        if n == 1:
+            time.sleep(0.05)
+        return scipy_milp(c, **kw)
+
+    calls = _spied_milp(monkeypatch, slow_first)
+    sol = solve(_two_parts(), SolveOptions(time_limit=10.0))
+    assert sol.status == "optimal"
+    first, second = (call.options["time_limit"] for call in calls)
+    assert 10.0 - 0.05 < first <= 10.0
+    assert second <= 10.0 - 0.05
+    assert sol.wall_time >= 0.05
+
+
+def test_empty_row_keeps_problem_infeasible(monkeypatch):
+    p = MilpProblem()
+    x, y = p.add_variable(0.0, 1.0), p.add_variable(0.0, 1.0)
+    p.add_constraint({x: 1.0}, "<=", 1.0)
+    p.add_constraint({}, ">=", 1.0)
+    p.add_constraint({y: 1.0}, "<=", 1.0)
+    p.set_objective({x: 1.0, y: 1.0})
+    calls = _spied_milp(monkeypatch)
+    assert solve(p.freeze()).status == "infeasible"
+    # the empty row rides with the first part, whose retry agrees
+    assert [call.options["presolve"] for call in calls] == [True, False]
+    assert _dense_rows(calls[0])[1].tolist() == [-np.inf, 1.0]
+
+
+def test_variable_in_no_row_costs_no_call(monkeypatch):
+    p = MilpProblem()
+    free = p.add_variable(0.0, 2.0)
+    x, y = p.add_variable(0.0, 5.0), p.add_variable(0.0, 5.0)
+    p.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0)
+    p.set_objective({free: 1.0, x: 1.0, y: 2.0})
+    calls = _spied_milp(monkeypatch)
+    sol = solve(p.freeze())
+    assert sol.status == "optimal"
+    assert sol.values.tolist() == pytest.approx([2.0, 0.0, 3.0])
+    assert len(calls) == 1 and len(calls[0].c) == 3
+
+
+def _parent_arrays(problem):
+    """The whole-problem arrays, built row by row from the problem: the
+    reference that the HiGHS input of a one-part problem must equal."""
+    n = problem.n_variables
+    sign = -1.0 if problem._sense == "max" else 1.0
+    c = np.zeros(n)
+    for v, coef in problem._objective.items():
+        c[v] = sign * coef
+    rows, cols, data, lo, hi = [], [], [], [], []
+    for r, con in enumerate(problem._constraints):
+        for var, coef in con.terms:
+            rows.append(r)
+            cols.append(var)
+            data.append(coef)
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(np.inf if con.sense == ">=" else con.rhs)
+    a = sparse.csr_matrix((data, (rows, cols)),
+                          shape=(len(problem._constraints), n))
+    return (c, np.array([1 if b else 0 for b in problem._binary]),
+            np.array(problem._lb), np.array(problem._ub), a,
+            np.array(lo), np.array(hi))
+
+
+def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
+    # storage links the periods, so the whole subproblem is one part
+    config = engine.AssessmentConfig()
+    assembled = engine.build_subproblem(twelve_node(), math.pi / 2, config)
+    calls = _spied_milp(monkeypatch, lambda n, c, **kw: SimpleNamespace(
+        status=0, x=np.zeros(len(c)), message="stub"))
+    engine.solve_assembled(assembled, config)
+    assert len(calls) == 1
+    (call,) = calls
+    (con,) = call.constraints
+    c, integrality, lb, ub, a, lo, hi = _parent_arrays(assembled.problem)
+    for got, want in ((call.c, c), (call.integrality, integrality),
+                      (call.bounds.lb, lb), (call.bounds.ub, ub),
+                      (con.lb, lo), (con.ub, hi)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(con.A, name), getattr(a, name))
+    assert con.A.shape == a.shape and con.A.has_sorted_indices
 
 
 def test_check_solution_reports_violations():
