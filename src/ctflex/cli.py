@@ -41,6 +41,12 @@ _BUILTIN = {
 }
 
 
+# the flags that only shape an assessment, at their defaults; pqbox --tube
+# reads a tube assessed earlier and refuses them set otherwise
+_ASSESS_DEFAULTS = {"directions": 12, "alpha": None, "gap": 1e-6,
+                    "time_limit": 300.0, "workers": None, "seed": 0}
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
         super().__init__(message)
@@ -148,7 +154,7 @@ def _config_from_args(args) -> engine.AssessmentConfig:
             mip_gap=args.gap,
             time_limit=args.time_limit,
             workers=args.workers,
-            mode=getattr(args, "mode", "ct"),
+            mode=getattr(args, "mode", None) or "ct",
             seed=args.seed,
         )
     except ValueError as exc:
@@ -252,19 +258,31 @@ def cmd_pqbox(args) -> int:
             raise CliError(f"{flag} {value} must be positive and finite")
     if args.edge_samples < 0:
         raise CliError(f"--edge-samples {args.edge_samples} must be >= 0")
-    stages = {}
-    os.makedirs(args.out, exist_ok=True)
     if args.tube:
         if not args.summary:
             raise CliError("--tube needs --summary for the horizon block")
+        unused = [f"--{name.replace('_', '-')}"
+                  for name, default in _ASSESS_DEFAULTS.items()
+                  if getattr(args, name) != default]
+        if unused:
+            raise CliError(f"{', '.join(unused)} would shape an assessment, "
+                           "but --tube reads one assessed earlier")
+    elif args.summary:
+        raise CliError("--summary is read only with --tube")
+    stages = {}
+    os.makedirs(args.out, exist_ok=True)
+    if args.tube:
         tube = _stored_tube(args.tube, args.summary)
-        model = None
+        if args.mode not in (None, tube.mode):
+            raise CliError(f"--mode {args.mode} contradicts {args.summary}, "
+                           f"which holds a {tube.mode} tube")
     else:
         model = _load(args.model, args.alpha)
         config = _config_from_args(args)
         t0 = time.perf_counter()
         tube = engine.assess(model, config)
         stages["assess"] = time.perf_counter() - t0
+    args.mode = tube.mode            # the manifest records the mode used
     t0_q = args.time
     if not tube.t1 - 1e-9 <= t0_q <= tube.t2 + 1e-9:
         raise CliError(f"--time {t0_q} outside horizon [{tube.t1}, {tube.t2}]")
@@ -433,7 +451,8 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True,
                 with_theta_set: bool = True):
     p.add_argument("model", help="model file path or builtin:NAME "
                    f"({', '.join(sorted(_BUILTIN))})")
-    p.add_argument("--directions", type=int, default=12, metavar="K",
+    p.add_argument("--directions", type=int,
+                   default=_ASSESS_DEFAULTS["directions"], metavar="K",
                    help="direction samples over the half plane (default 12)")
     if with_mode:
         p.add_argument("--mode", choices=tuple(engine.N_COEF_BY_MODE),
@@ -442,13 +461,15 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True,
         p.add_argument("--theta-set", default=None,
                        help="directions for the M metric, each one sampled, "
                        "e.g. '0,pi/3,2pi/3,...'")
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=float, default=_ASSESS_DEFAULTS["alpha"],
                    help="override the model's confidence parameter")
-    p.add_argument("--gap", type=float, default=1e-6, help="MIP relative gap")
-    p.add_argument("--time-limit", type=float, default=300.0,
+    p.add_argument("--gap", type=float, default=_ASSESS_DEFAULTS["gap"],
+                   help="MIP relative gap")
+    p.add_argument("--time-limit", type=float,
+                   default=_ASSESS_DEFAULTS["time_limit"],
                    help="per-subproblem solver limit in seconds")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=_ASSESS_DEFAULTS["workers"])
+    p.add_argument("--seed", type=int, default=_ASSESS_DEFAULTS["seed"])
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -482,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary JSON matching --tube")
     p.add_argument("--boundary-csv", action="store_true",
                    help="emit a dense boundary (theta, radius) CSV")
-    p.set_defaults(func=cmd_pqbox)
+    # unset, --mode is ct for an assessment and the summary's with --tube
+    p.set_defaults(func=cmd_pqbox, mode=None)
 
     p = sub.add_parser("metrics", help="sweep parameters and tabulate M")
     _add_common(p, with_mode=False)

@@ -31,7 +31,7 @@ from .blocks import (
     scalar_response_system,
     N_COEF,
 )
-from .milp import MilpSolution, SolveOptions, solve as milp_solve
+from .milp import MilpSolution, SolveOptions, load_solver, solve as milp_solve
 from .netmodel import NetworkModel
 
 __all__ = [
@@ -254,7 +254,9 @@ def assess(model: NetworkModel,
     start = time.perf_counter()
     results: dict = {}
     if workers > 1:
-        # separate processes: the bundled backend holds the GIL while solving
+        # separate processes: the bundled backend holds the GIL while solving;
+        # the solver is loaded first so the forked workers inherit it
+        load_solver()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(solve_slice, model, float(th), config, margins,

@@ -14,9 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp as _scipy_milp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MilpProblem",
@@ -24,6 +21,7 @@ __all__ = [
     "SolveOptions",
     "BackendError",
     "FrozenProblemError",
+    "load_solver",
     "solve",
     "sos_fallback",
     "write_lp",
@@ -184,15 +182,34 @@ class SolveOptions:
     seed: int = 0
 
 
+def load_solver():
+    """Import the scipy modules a solve needs and return ``scipy``.
+
+    Importing them costs more than a P-Q box query on a stored tube, so
+    nothing imports them until a problem is solved.
+    ``engine.assess`` calls this before it forks a worker pool, so the
+    workers inherit the modules instead of each importing them again.
+    """
+    import scipy.optimize
+    import scipy.sparse.csgraph
+    return scipy
+
+
+def _scipy_milp(c, **kwargs):
+    """``scipy.optimize.milp``, looked up when called."""
+    return load_solver().optimize.milp(c, **kwargs)
+
+
 def _components(a) -> list:
     """(columns, rows) of each connected component of the variable-row
     graph of the constraint matrix ``a``, each in its original order.  Empty
     rows and variables in no row join the first component: they need no
     solve of their own, and an empty row whose bounds exclude 0 still makes
     the problem infeasible."""
+    sparse = load_solver().sparse
     n = a.shape[1]
     graph = sparse.bmat([[None, a.T], [a, None]], format="csr")
-    _, labels = connected_components(graph, directed=False)
+    _, labels = sparse.csgraph.connected_components(graph, directed=False)
     linked = np.diff(graph.indptr) > 0
     labels[~linked] = labels[linked][0] if linked.any() else 0
     return [(np.flatnonzero(labels[:n] == k), np.flatnonzero(labels[n:] == k))
@@ -217,6 +234,7 @@ class ScipyHighsBackend:
     _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
 
     def solve(self, problem: MilpProblem, options: SolveOptions) -> MilpSolution:
+        scipy = load_solver()
         n = problem.n_variables
         sign = -1.0 if problem._sense == "max" else 1.0
         c = np.zeros(n)
@@ -240,7 +258,7 @@ class ScipyHighsBackend:
             else:
                 lo.append(con.rhs)
                 hi.append(con.rhs)
-        a = sparse.csr_matrix(
+        a = scipy.sparse.csr_matrix(
             (data, (rows, cols)), shape=(len(problem._constraints), n)
         )
         lo, hi = np.array(lo), np.array(hi)
@@ -269,9 +287,9 @@ class ScipyHighsBackend:
         for cols, rows in _components(a):
             part_opts = {**opts, "time_limit": max(
                 options.time_limit - (time.perf_counter() - start), 0.0)}
-            bounds = Bounds(lb[cols], ub[cols])
-            constraints = [LinearConstraint(a[rows][:, cols], lo[rows],
-                                            hi[rows])] if rows.size else []
+            bounds = scipy.optimize.Bounds(lb[cols], ub[cols])
+            constraints = [scipy.optimize.LinearConstraint(
+                a[rows][:, cols], lo[rows], hi[rows])] if rows.size else []
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = _scipy_milp(c[cols], integrality=integrality[cols],

@@ -137,7 +137,8 @@ def no_assess(monkeypatch):
 
 @pytest.mark.parametrize("flags", [["--delta", "-1"], ["--eps", "0"],
                                    ["--delta", "inf"], ["--eps", "nan"],
-                                   ["--edge-samples", "-5"]])
+                                   ["--edge-samples", "-5"],
+                                   ["--summary", "summary.json"]])
 def test_pqbox_bad_step_is_input_error(flags, tmp_path, capsys, no_assess):
     rc = run(["pqbox", "builtin:ess-symmetric", "--directions", "2",
               "--workers", "1", "--time", "900", *flags,
@@ -161,17 +162,60 @@ def test_pqbox_no_feasible_direction(tmp_path, capsys):
     assert "no feasible direction" in capsys.readouterr().err
 
 
-def test_pqbox_from_tube_files(tmp_path):
-    out = str(tmp_path / "assess_out")
+@pytest.fixture(scope="module")
+def sym_tube_files(tmp_path_factory):
+    """The tube CSV and summary JSON of an ess-symmetric assessment."""
+    out = str(tmp_path_factory.mktemp("sym") / "assess_out")
     assert run(["assess", "builtin:ess-symmetric", "--directions", "6",
                 "--workers", "1", "--out", out]) == 0
-    box_out = str(tmp_path / "boxed")
-    rc = run(["pqbox", "builtin:ess-symmetric",
-              "--tube", os.path.join(out, "tube.csv"),
-              "--summary", os.path.join(out, "summary.json"),
-              "--time", "900", "--out", box_out])
-    assert rc == 0
-    assert os.path.exists(os.path.join(box_out, "box.json"))
+    return os.path.join(out, "tube.csv"), os.path.join(out, "summary.json")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "0.1"], ["--directions", "6"], ["--gap", "0.01"],
+    ["--time-limit", "10"], ["--workers", "1"], ["--seed", "3"],
+    ["--mode", "dt"]])
+def test_pqbox_tube_rejects_assessment_flags(flags, sym_tube_files,
+                                             tmp_path, capsys):
+    tube, summary = sym_tube_files
+    out = str(tmp_path / "b")
+    rc = run(["pqbox", "builtin:ess-symmetric", "--tube", tube,
+              "--summary", summary, "--time", "900", *flags, "--out", out])
+    assert rc == 2
+    assert f"error: {flags[0]} " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "box.json"))
+
+
+def test_pqbox_from_tube_files(sym_tube_files, tmp_path):
+    # a --mode that matches the summary and flags left at their defaults
+    # change nothing
+    tube, summary = sym_tube_files
+    boxes = []
+    for flags in ([], ["--mode", "ct", "--directions", "12", "--seed", "0"]):
+        out = tmp_path / f"b{len(boxes)}"
+        assert run(["pqbox", "builtin:ess-symmetric", "--tube", tube,
+                    "--summary", summary, "--time", "900", *flags,
+                    "--out", str(out)]) == 0
+        boxes.append((out / "box.json").read_text())
+    assert boxes[0] == boxes[1]
+
+
+def test_stored_tube_query_and_validate_never_load_the_solver(
+        sym_tube_files, tmp_path, fresh_python):
+    tube, summary = sym_tube_files
+    model = os.path.join(os.path.dirname(__file__), os.pardir, "instances",
+                         "twelve_node.json")
+    out = fresh_python(f"""
+import json, sys
+from ctflex import cli
+codes = [cli.main(["pqbox", "builtin:ess-symmetric", "--tube", {tube!r},
+                   "--summary", {summary!r}, "--time", "900",
+                   "--out", {str(tmp_path / "box")!r}]),
+         cli.main(["validate", {model!r}])]
+print(json.dumps([codes, [name for name in ("scipy.optimize", "scipy.sparse")
+                          if name in sys.modules]]))
+""")
+    assert json.loads(out.splitlines()[-1]) == [[0, 0], []]
 
 
 def test_metrics_sweep(tmp_path):

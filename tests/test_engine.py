@@ -8,6 +8,7 @@ import copy
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -544,3 +545,25 @@ def test_explicit_workers_capped_at_direction_count(monkeypatch, toy_tube,
     for a, b in zip(toy_tube.slices, tube.slices):
         assert a.status == b.status
         assert a.objective == b.objective
+
+
+def test_pool_workers_inherit_the_loaded_solver(fresh_python):
+    # the solver is loaded before the pool forks, or each worker of each
+    # pool imports it again
+    out = fresh_python("""
+import json, sys
+from ctflex import engine
+from ctflex.instances import three_node
+
+loaded = []
+
+def pool(*args, **kwargs):
+    loaded.append([name in sys.modules
+                   for name in ("scipy.optimize", "scipy.sparse.csgraph")])
+    return real(*args, **kwargs)
+
+real, engine.ProcessPoolExecutor = engine.ProcessPoolExecutor, pool
+engine.assess(three_node(), engine.AssessmentConfig(directions=2, workers=2))
+print(json.dumps(loaded))
+""")
+    assert json.loads(out) == [[True, True]]
