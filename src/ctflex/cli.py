@@ -170,11 +170,10 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(out_dir: str, args, stages: dict, warnings: list):
-    inputs = {}
-    if os.path.exists(args.model):
-        inputs[args.model] = _sha256(args.model)
-    else:
-        inputs[args.model] = "builtin"
+    paths = (args.model, getattr(args, "tube", None),
+             getattr(args, "summary", None))
+    inputs = {path: _sha256(path) if os.path.exists(path) else "builtin"
+              for path in paths if path}
     manifest = {
         "tool": "ctflex",
         "version": __version__,
@@ -276,6 +275,13 @@ def cmd_pqbox(args) -> int:
         if args.mode not in (None, tube.mode):
             raise CliError(f"--mode {args.mode} contradicts {args.summary}, "
                            f"which holds a {tube.mode} tube")
+        declared = {key: getattr(tube, key) for key in
+                    ("t1", "period", "n_periods")}
+        horizon = _load(args.model).horizon
+        got = {key: getattr(horizon, key) for key in declared}
+        if got != declared:
+            raise CliError(f"{args.model} has horizon {got}, but "
+                           f"{args.summary} declares {declared}")
     else:
         model = _load(args.model, args.alpha)
         config = _config_from_args(args)

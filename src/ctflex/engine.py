@@ -293,11 +293,11 @@ def assess(model: NetworkModel,
 def _bracket(tube: FlexTube, theta: float):
     """Neighbouring sampled directions around theta (with wraparound)."""
     thetas = tube.directions
+    k = match_direction(thetas, theta)
+    if k is not None:
+        return k, k, 0.0
     two_pi = 2 * math.pi
     theta = theta % two_pi
-    for k, th in enumerate(thetas):
-        if abs(th - theta) <= 1e-12:
-            return k, k, 0.0
     hi = int(np.searchsorted(thetas, theta))
     lo = hi - 1
     if hi == len(thetas):

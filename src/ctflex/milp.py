@@ -1,10 +1,12 @@
 """MILP container solved by HiGHS through scipy.optimize.milp.
 
 The builder collects continuous and binary variables, linear constraints
-and a linear objective, then freezes.  The backend splits the frozen
-problem into the connected components of its variable-row graph and hands
-each one to HiGHS as a problem of its own; a problem whose rows all link
-up, such as any model with storage, reaches HiGHS as it stands.
+and a linear objective, then freezes.  It keeps the rows as HiGHS takes
+them, as matrix triplets and a range [lo, hi] per row.  The backend splits
+the frozen problem into the connected components of its variable-row
+graph and hands each one to HiGHS as a problem of its own; a problem whose
+rows all link up, such as any model with storage, reaches HiGHS as it
+stands.
 """
 
 from __future__ import annotations
@@ -39,14 +41,6 @@ class BackendError(RuntimeError):
 
 
 @dataclass
-class _Constraint:
-    terms: tuple          # ((var, coef), ...)
-    sense: str
-    rhs: float
-    name: str
-
-
-@dataclass
 class MilpSolution:
     """Solver answer; ``values`` is present for optimal and incumbent-bearing
     limit statuses, indexed like the problem's variables."""
@@ -66,7 +60,14 @@ class MilpProblem:
         self._ub: list[float] = []
         self._binary: list[bool] = []
         self._var_names: list[str] = []
-        self._constraints: list[_Constraint] = []
+        # constraint matrix as (row, column, value) triplets in row order,
+        # each row's columns ascending; row r holds lo[r] <= a_r x <= hi[r]
+        self._rows: list[int] = []
+        self._cols: list[int] = []
+        self._vals: list[float] = []
+        self._row_lo: list[float] = []
+        self._row_hi: list[float] = []
+        self._row_names: list[str] = []
         self._objective: dict[int, float] = {}
         self._sense = "max"
         self._frozen = False
@@ -107,10 +108,15 @@ class MilpProblem:
         self._check_mutable()
         if sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
-        idx = len(self._constraints)
-        self._constraints.append(
-            _Constraint(self._as_terms(coeffs), sense, float(rhs), name or f"c{idx}")
-        )
+        idx = len(self._row_names)
+        for var, coef in self._as_terms(coeffs):
+            self._rows.append(idx)
+            self._cols.append(var)
+            self._vals.append(coef)
+        rhs = float(rhs)
+        self._row_lo.append(-np.inf if sense == "<=" else rhs)
+        self._row_hi.append(np.inf if sense == ">=" else rhs)
+        self._row_names.append(name or f"c{idx}")
         return idx
 
     def set_objective(self, coeffs, sense: str = "max"):
@@ -136,7 +142,7 @@ class MilpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._row_names)
 
     def objective_value(self, values) -> float:
         return float(sum(c * values[v] for v, c in self._objective.items()))
@@ -146,21 +152,22 @@ class MilpProblem:
         constraint and integrality requirement at ``values`` and returns the
         violations beyond ``tol`` (empty list if feasible)."""
         values = np.asarray(values, dtype=float)
+        # each row's terms are summed in column order
+        lhs = np.bincount(np.array(self._rows, dtype=np.intp),
+                          weights=np.array(self._vals) * values[self._cols],
+                          minlength=self.n_constraints)
         out = []
-        for v in range(self.n_variables):
-            if values[v] < self._lb[v] - tol or values[v] > self._ub[v] + tol:
-                out.append(f"variable {self._var_names[v]}: value {values[v]} "
-                           f"outside [{self._lb[v]}, {self._ub[v]}]")
-            if self._binary[v] and abs(values[v] - round(values[v])) > tol:
-                out.append(f"variable {self._var_names[v]}: not integral ({values[v]})")
-        for con in self._constraints:
-            lhs = sum(coef * values[var] for var, coef in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + tol:
-                out.append(f"constraint {con.name}: {lhs} > {con.rhs}")
-            elif con.sense == ">=" and lhs < con.rhs - tol:
-                out.append(f"constraint {con.name}: {lhs} < {con.rhs}")
-            elif con.sense == "==" and abs(lhs - con.rhs) > tol:
-                out.append(f"constraint {con.name}: {lhs} != {con.rhs}")
+        for kind, names, x, lo, hi in (
+                ("variable", self._var_names, values, self._lb, self._ub),
+                ("constraint", self._row_names, lhs, self._row_lo, self._row_hi)):
+            lo, hi = np.array(lo), np.array(hi)
+            for i in np.flatnonzero((x < lo - tol) | (x > hi + tol)).tolist():
+                out.append(f"{kind} {names[i]}: value {x[i]} "
+                           f"outside [{lo[i]}, {hi[i]}]")
+        fractional = np.array(self._binary, dtype=bool) & \
+            (np.abs(values - np.round(values)) > tol)
+        for v in np.flatnonzero(fractional).tolist():
+            out.append(f"variable {self._var_names[v]}: not integral ({values[v]})")
         return out
 
 
@@ -243,25 +250,10 @@ class ScipyHighsBackend:
         integrality = np.array([1 if b else 0 for b in problem._binary])
         lb, ub = np.array(problem._lb), np.array(problem._ub)
 
-        rows, cols, data, lo, hi = [], [], [], [], []
-        for r, con in enumerate(problem._constraints):
-            for var, coef in con.terms:
-                rows.append(r)
-                cols.append(var)
-                data.append(coef)
-            if con.sense == "<=":
-                lo.append(-np.inf)
-                hi.append(con.rhs)
-            elif con.sense == ">=":
-                lo.append(con.rhs)
-                hi.append(np.inf)
-            else:
-                lo.append(con.rhs)
-                hi.append(con.rhs)
         a = scipy.sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(problem._constraints), n)
-        )
-        lo, hi = np.array(lo), np.array(hi)
+            (problem._vals, (problem._rows, problem._cols)),
+            shape=(problem.n_constraints, n))
+        lo, hi = np.array(problem._row_lo), np.array(problem._row_hi)
 
         opts = {
             "presolve": True,
@@ -332,34 +324,37 @@ def _lp_num(x: float) -> str:
     return repr(float(x))
 
 
+def _lp_terms(pairs, names) -> str:
+    return " ".join(f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {names[v]}"
+                    for v, c in pairs)
+
+
 def write_lp(problem: MilpProblem, fp):
     """Dump the problem in LP text format with stable row/column order."""
     w = fp.write
+    names = problem._var_names
     w("\\ " + problem.name + "\n")
     w("Maximize\n" if problem._sense == "max" else "Minimize\n")
-    terms = sorted(problem._objective.items())
-    body = " ".join(
-        f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {problem._var_names[v]}"
-        for v, c in terms
-    )
+    body = _lp_terms(sorted(problem._objective.items()), names)
     w(" obj: " + (body or "0") + "\n")
     w("Subject To\n")
-    for con in problem._constraints:
-        lhs = " ".join(
-            f"{'+' if c >= 0 else '-'} {_lp_num(abs(c))} {problem._var_names[v]}"
-            for v, c in con.terms
-        )
-        op = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]
-        w(f" {con.name}: {lhs or '0'} {op} {_lp_num(con.rhs)}\n")
+    pairs = list(zip(problem._cols, problem._vals))
+    # row r's triplets are pairs[start[r]:start[r + 1]]
+    start = np.searchsorted(problem._rows,
+                            np.arange(problem.n_constraints + 1)).tolist()
+    for r, name in enumerate(problem._row_names):
+        lhs = _lp_terms(pairs[start[r]:start[r + 1]], names)
+        lo, hi = problem._row_lo[r], problem._row_hi[r]
+        op, rhs = (("<=", hi) if lo == -np.inf
+                   else (">=", lo) if hi == np.inf else ("=", lo))
+        w(f" {name}: {lhs or '0'} {op} {_lp_num(rhs)}\n")
     w("Bounds\n")
-    for v in range(problem.n_variables):
-        lb, ub = problem._lb[v], problem._ub[v]
-        name = problem._var_names[v]
+    for name, lb, ub in zip(names, problem._lb, problem._ub):
         lo = "-inf" if not np.isfinite(lb) else _lp_num(lb)
         hi = "+inf" if not np.isfinite(ub) else _lp_num(ub)
         w(f" {lo} <= {name} <= {hi}\n")
-    binaries = [problem._var_names[v] for v in range(problem.n_variables)
-                if problem._binary[v]]
+    binaries = [name for name, binary in zip(names, problem._binary)
+                if binary]
     if binaries:
         w("Binaries\n")
         for name in binaries:

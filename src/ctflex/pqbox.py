@@ -21,21 +21,13 @@ import numpy as np
 from .engine import FlexTube
 
 __all__ = [
-    "RegionOracle", "FunctionOracle", "PqBox",
-    "cross_section", "initial_point", "expand_box",
+    "FunctionOracle", "PqBox", "cross_section", "initial_point", "expand_box",
 ]
 
 _ANGLE_TOL = 1e-9
 
 
-class RegionOracle:
-    """Deterministic membership test over (P, Q) at a fixed time."""
-
-    def contains(self, p: float, q: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-
-class FunctionOracle(RegionOracle):
+class FunctionOracle:
     """Wrap a plain membership callable (analytic test regions)."""
 
     def __init__(self, fn):
@@ -45,7 +37,7 @@ class FunctionOracle(RegionOracle):
         return bool(self._fn(p, q))
 
 
-class TubeSectionOracle(RegionOracle):
+class TubeSectionOracle:
     """Membership in the tube cross-section at time t0.
 
     A point belongs to the section when its direction falls between two
@@ -230,10 +222,13 @@ _SIGNS = (1.0, -1.0, 1.0, -1.0)
 _SIDE_NAMES = ("P1", "P2", "Q1", "Q2")
 
 
-def expand_box(oracle: RegionOracle, start, delta: float, eps: float,
+def expand_box(oracle, start, delta: float, eps: float,
                t0: float = 0.0, edge_samples: int = 0,
                max_rounds: int = 1_000_000) -> PqBox:
     """Grow the largest locally-maximal axis-aligned box around ``start``.
+
+    ``oracle`` is any object whose ``contains(p, q)`` tests membership in
+    the region at a fixed time.
 
     Every round advances all unfrozen sides simultaneously by their own
     steps (initialized to ``delta``) and tests the four corners (plus

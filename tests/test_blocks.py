@@ -29,6 +29,16 @@ RNG = np.random.default_rng(99)
 PV_BREAKS = (0.9025, 0.9604, 1.0404, 1.1025)
 
 
+def rows_by_name(problem):
+    """Each row of ``problem`` by name: (terms, lo, hi), where terms are
+    the row's ((var, coef), ...) pairs in column order and lo <= row <= hi."""
+    terms = [[] for _ in range(problem.n_constraints)]
+    for r, var, coef in zip(problem._rows, problem._cols, problem._vals):
+        terms[r].append((var, coef))
+    return {name: (tuple(t), lo, hi) for name, t, lo, hi in zip(
+        problem._row_names, terms, problem._row_lo, problem._row_hi)}
+
+
 # -- capacity polygon ----------------------------------------------------------
 
 
@@ -74,8 +84,9 @@ def test_axis_direction_rows_have_no_rounding_residue(theta):
     assembled = engine.build_subproblem(
         model, theta, config, engine.compute_margins(model),
         engine.fit_profiles(model, degree=3))
-    tiny = [(con.name, c) for con in assembled.problem._constraints
-            for _, c in con.terms if 0.0 < abs(c) < 1e-12]
+    tiny = [(name, c)
+            for name, (terms, _, _) in rows_by_name(assembled.problem).items()
+            for _, c in terms if 0.0 < abs(c) < 1e-12]
     assert tiny == []
 
 
@@ -213,9 +224,13 @@ def test_pv_forecast_cap_binds():
 def balance_rhs(asm, kind):
     """Right-hand sides of node 1's active ("p") or reactive ("q") balance
     rows in period 0, one per coefficient; a load enters as -P and -phi P."""
-    rhs = {con.name: con.rhs for con in asm.problem._constraints}
-    return np.array([rhs[f"net_m0_{kind}bal1_{k}"]
-                     for k in range(asm.n_coef)])
+    rows = rows_by_name(asm.problem)
+    rhs = []
+    for k in range(asm.n_coef):
+        _, lo, hi = rows[f"net_m0_{kind}bal1_{k}"]
+        assert lo == hi
+        rhs.append(lo)
+    return np.array(rhs)
 
 
 def test_load_q_follows_power_factor():
@@ -456,8 +471,8 @@ def test_dt_build_has_no_ess_mode_flag(build):
     ct = engine.build_subproblem(
         model, 0.0, engine.AssessmentConfig(workers=1))
     assert ess_mode_flags(dt.problem) == []
-    assert not any(con.name.endswith(("_dis0", "_chg0"))
-                   for con in dt.problem._constraints)
+    assert not any(name.endswith(("_dis0", "_chg0"))
+                   for name in rows_by_name(dt.problem))
     assert len(ess_mode_flags(ct.problem)) == \
         len(model.ess_devices) * model.horizon.n_periods
 
@@ -507,7 +522,7 @@ def test_selections_are_binary_one_hot(mode):
     config = engine.AssessmentConfig(mode=mode, workers=1)
     asm = engine.build_subproblem(twelve_node(), math.pi, config)
     p = asm.problem
-    rows = {con.name: con for con in p._constraints}
+    rows = rows_by_name(p)
     groups = 0
     for m in asm.periods:
         lay = asm.layouts[m]
@@ -517,9 +532,8 @@ def test_selections_are_binary_one_hot(mode):
                 groups += 1
                 for v in lam:
                     assert p._binary[v] and (p._lb[v], p._ub[v]) == (0.0, 1.0)
-                row = rows[f"{prefix}{i}_m{m}_onehot"]
-                assert (row.terms, row.sense, row.rhs) == \
-                    (tuple((v, 1.0) for v in lam), "==", 1.0)
+                assert rows[f"{prefix}{i}_m{m}_onehot"] == \
+                    (tuple((v, 1.0) for v in lam), 1.0, 1.0)
     assert groups == 2 * len(asm.periods)
     assert not [n for n in p._var_names if "_sos" in n]
     assert not [name for name in rows if "_sos" in name]

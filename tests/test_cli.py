@@ -1,6 +1,7 @@
 """CLI contract tests: command outputs, exit codes, the direction-set
 parser, and byte-determinism across reruns."""
 
+import hashlib
 import json
 import math
 import os
@@ -198,6 +199,37 @@ def test_pqbox_from_tube_files(sym_tube_files, tmp_path):
                     "--out", str(out)]) == 0
         boxes.append((out / "box.json").read_text())
     assert boxes[0] == boxes[1]
+
+
+CT12_TUBE, CT12_SUMMARY = (
+    os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
+                 f"ct12_{name}") for name in ("tube.csv", "summary.json"))
+
+
+@pytest.mark.parametrize("model, message", [
+    ("builtin:two-node", "builtin:two-node has horizon {'t1': 0.0, "
+     "'period': 900.0, 'n_periods': 2}, but"),
+    ("nonexistent.json", "model file not found: nonexistent.json"),
+])
+def test_pqbox_tube_needs_its_model(model, message, tmp_path, capsys):
+    out = tmp_path / "b"
+    rc = run(["pqbox", model, "--tube", CT12_TUBE, "--summary", CT12_SUMMARY,
+              "--time", "1800", "--out", str(out)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "box.json").exists()
+
+
+def test_pqbox_tube_manifest_hashes_its_inputs(tmp_path):
+    out = tmp_path / "b"
+    assert run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                "--summary", CT12_SUMMARY, "--time", "1800",
+                "--edge-samples", "8", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        "builtin:twelve-node": "builtin",
+        **{path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+           for path in (CT12_TUBE, CT12_SUMMARY)}}
 
 
 def test_stored_tube_query_and_validate_never_load_the_solver(

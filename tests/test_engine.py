@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from ctflex import engine, milp
+from ctflex import engine, milp, pqbox
 from ctflex.blocks import ChanceMargins, continuous_time_check
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
@@ -200,6 +200,20 @@ def test_query_point_interpolates_on_segment(sym_tube):
     mid = engine.query_point(sym_tube, float(mid_theta), t0)
     assert mid[0] == pytest.approx(0.5 * (a[0] + b[0]), abs=1e-9)
     assert mid[1] == pytest.approx(0.5 * (a[1] + b[1]), abs=1e-9)
+
+
+def test_query_point_matches_directions_as_metric_and_section_do():
+    # a direction within 1e-9 of a sampled one is that sampled direction,
+    # even when its other neighbour is a gap
+    slices = tuple(
+        engine.Slice(k * math.pi / 2, "infeasible", None, None) if k == 1
+        else engine.Slice(k * math.pi / 2, "optimal", np.ones((1, 4)), 900.0)
+        for k in range(4))
+    tube = engine.FlexTube(slices, 0.0, 900.0, 1)
+    theta = 5e-10
+    assert engine.match_direction(tube.directions, theta) == 0
+    assert pqbox.cross_section(tube, 450.0).boundary_radius(theta) == 1.0
+    assert engine.query_point(tube, theta, 450.0) == (1.0, 0.0)
 
 
 # -- metrics ------------------------------------------------------------------------

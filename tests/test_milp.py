@@ -308,24 +308,43 @@ def test_variable_in_no_row_costs_no_call(monkeypatch):
     assert len(calls) == 1 and len(calls[0].c) == 3
 
 
-def _parent_arrays(problem):
-    """The whole-problem arrays, built row by row from the problem: the
-    reference that the HiGHS input of a one-part problem must equal."""
+def _recorded_rows(monkeypatch) -> list:
+    """Record every ``add_constraint`` call as (terms, sense, rhs), with
+    the terms summed per variable and sorted as the builder promises."""
+    calls = []
+    add_constraint = MilpProblem.add_constraint
+
+    def record(self, coeffs, sense, rhs, name=None):
+        items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        acc = {}
+        for var, coef in items:
+            if coef != 0.0:
+                acc[int(var)] = acc.get(int(var), 0.0) + float(coef)
+        calls.append((tuple(sorted(acc.items())), sense, float(rhs)))
+        return add_constraint(self, items, sense, rhs, name)
+
+    monkeypatch.setattr(MilpProblem, "add_constraint", record)
+    return calls
+
+
+def _parent_arrays(problem, recorded):
+    """The whole-problem arrays, with the rows converted call by call from
+    ``recorded``: the reference that the HiGHS input of a one-part problem
+    must equal."""
     n = problem.n_variables
     sign = -1.0 if problem._sense == "max" else 1.0
     c = np.zeros(n)
     for v, coef in problem._objective.items():
         c[v] = sign * coef
     rows, cols, data, lo, hi = [], [], [], [], []
-    for r, con in enumerate(problem._constraints):
-        for var, coef in con.terms:
+    for r, (terms, sense, rhs) in enumerate(recorded):
+        for var, coef in terms:
             rows.append(r)
             cols.append(var)
             data.append(coef)
-        lo.append(-np.inf if con.sense == "<=" else con.rhs)
-        hi.append(np.inf if con.sense == ">=" else con.rhs)
-    a = sparse.csr_matrix((data, (rows, cols)),
-                          shape=(len(problem._constraints), n))
+        lo.append(-np.inf if sense == "<=" else rhs)
+        hi.append(np.inf if sense == ">=" else rhs)
+    a = sparse.csr_matrix((data, (rows, cols)), shape=(len(recorded), n))
     return (c, np.array([1 if b else 0 for b in problem._binary]),
             np.array(problem._lb), np.array(problem._ub), a,
             np.array(lo), np.array(hi))
@@ -334,14 +353,17 @@ def _parent_arrays(problem):
 def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
     # storage links the periods, so the whole subproblem is one part
     config = engine.AssessmentConfig()
+    recorded = _recorded_rows(monkeypatch)
     assembled = engine.build_subproblem(twelve_node(), math.pi / 2, config)
+    assert len(recorded) == assembled.problem.n_constraints
     calls = _spied_milp(monkeypatch, lambda n, c, **kw: SimpleNamespace(
         status=0, x=np.zeros(len(c)), message="stub"))
     engine.solve_assembled(assembled, config)
     assert len(calls) == 1
     (call,) = calls
     (con,) = call.constraints
-    c, integrality, lb, ub, a, lo, hi = _parent_arrays(assembled.problem)
+    c, integrality, lb, ub, a, lo, hi = _parent_arrays(assembled.problem,
+                                                       recorded)
     for got, want in ((call.c, c), (call.integrality, integrality),
                       (call.bounds.lb, lb), (call.bounds.ub, ub),
                       (con.lb, lo), (con.ub, hi)):
@@ -351,30 +373,61 @@ def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
     assert con.A.shape == a.shape and con.A.has_sorted_indices
 
 
-def test_check_solution_reports_violations():
+@pytest.mark.parametrize("sense, side", [
+    pytest.param("<=", 1.0, id="le"),
+    pytest.param(">=", -1.0, id="ge"),
+    pytest.param("==", 1.0, id="eq-above"),
+    pytest.param("==", -1.0, id="eq-below"),
+])
+def test_check_solution_reports_violations(sense, side):
+    # ``side`` is the direction in which the row's sum breaks the row
     p = MilpProblem()
     x = p.add_variable(0.0, 1.0, binary=True)
     y = p.add_variable(0.0, 2.0)
-    p.add_constraint({x: 1.0, y: 1.0}, "<=", 1.5, name="capacity")
-    report = p.check_solution([0.4, 2.5])
-    assert any("not integral" in r for r in report)
-    assert any("capacity" in r for r in report)
-    assert any("outside" in r for r in report)
+    p.add_constraint({x: 1.0, y: 1.0}, sense, 1.5, name="capacity")
+    report = p.check_solution([0.4, 1.0 + 1.5 * side])
+    assert len(report) == 3
+    # each kind of violation is reported on its own line, by name
+    assert any(r.startswith("variable x0: not integral") for r in report)
+    assert any(r.startswith("variable x1: value ")
+               and r.endswith("outside [0.0, 2.0]") for r in report)
+    assert any(r.startswith("constraint capacity: ") for r in report)
     assert p.check_solution([1.0, 0.5]) == []
+    # the row alone, off by twice the tolerance and then by half of it
+    (row,) = p.check_solution([1.0, 0.5 + 2e-7 * side])
+    assert row.startswith("constraint capacity: ")
+    assert p.check_solution([1.0, 0.5 + 5e-8 * side]) == []
 
 
 def test_write_lp_stable():
     p = MilpProblem(name="demo")
     x = p.add_variable(0.0, 1.0, name="x")
     y = p.add_variable(binary=True, name="flag")
+    z = p.add_variable(-np.inf, 2.5, name="z")
     p.add_constraint({x: 1.0, y: -2.0}, "<=", 0.5, name="link")
+    p.add_constraint({z: 1.0, x: 3.0}, ">=", -1.0, name="floor")
+    p.add_constraint([(z, 0.25), (y, 1.0)], "==", 1.0, name="pin")
     p.set_objective({x: 1.0, y: 3.0})
     buf1, buf2 = io.StringIO(), io.StringIO()
     write_lp(p, buf1)
     write_lp(p, buf2)
     text = buf1.getvalue()
     assert text == buf2.getvalue()
-    assert "Maximize" in text and "link:" in text and "Binaries" in text
+    assert text == (
+        "\\ demo\n"
+        "Maximize\n"
+        " obj: + 1.0 x + 3.0 flag\n"
+        "Subject To\n"
+        " link: + 1.0 x - 2.0 flag <= 0.5\n"
+        " floor: + 3.0 x + 1.0 z >= -1.0\n"
+        " pin: + 1.0 flag + 0.25 z = 1.0\n"
+        "Bounds\n"
+        " 0.0 <= x <= 1.0\n"
+        " 0.0 <= flag <= 1.0\n"
+        " -inf <= z <= 2.5\n"
+        "Binaries\n"
+        " flag\n"
+        "End\n")
 
 
 def test_solve_requires_freeze():
