@@ -23,6 +23,7 @@ __all__ = [
     "CtTrajectory",
     "basis_matrix",
     "fit",
+    "locate",
 ]
 
 
@@ -39,6 +40,27 @@ def basis_matrix(degree: int, s) -> np.ndarray:
     i = np.arange(degree + 1)
     comb = np.array([_binom(degree, k) for k in i])
     return comb * s[:, None] ** i * (1.0 - s[:, None]) ** (degree - i)
+
+
+def locate(t: np.ndarray, t1: float, period: float,
+           n_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map times to (period index, local coordinate s in [0, 1]) on the
+    grid of ``n_periods`` periods of length ``period`` from ``t1``.  An
+    exact interior boundary point belongs to the left period."""
+    rel = (t - t1) / period
+    eps = 1e-12 * max(1.0, n_periods)
+    if np.any(rel < -eps) or np.any(rel > n_periods + eps):
+        raise ValueError(
+            f"time outside horizon [{t1}, {t1 + n_periods * period}]"
+        )
+    rel = np.clip(rel, 0.0, n_periods)
+    idx = np.floor(rel).astype(int)
+    s = rel - idx
+    on_boundary = (s == 0.0) & (idx > 0)
+    idx = np.where(on_boundary, idx - 1, idx)
+    s = np.where(on_boundary, 1.0, s)
+    idx = np.minimum(idx, n_periods - 1)
+    return idx, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,28 +98,10 @@ class CtTrajectory:
     def t2(self) -> float:
         return self.t1 + self.n_periods * self.period
 
-    def _locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map times to (period index, local coordinate s in [0, 1])."""
-        rel = (t - self.t1) / self.period
-        eps = 1e-12 * max(1.0, self.n_periods)
-        if np.any(rel < -eps) or np.any(rel > self.n_periods + eps):
-            raise ValueError(
-                f"time outside horizon [{self.t1}, {self.t2}]"
-            )
-        rel = np.clip(rel, 0.0, self.n_periods)
-        idx = np.floor(rel).astype(int)
-        s = rel - idx
-        # exact boundary points belong to the left period
-        on_boundary = (s == 0.0) & (idx > 0)
-        idx = np.where(on_boundary, idx - 1, idx)
-        s = np.where(on_boundary, 1.0, s)
-        idx = np.minimum(idx, self.n_periods - 1)
-        return idx, s
-
     def evaluate(self, t):
         """Evaluate the trajectory at scalar or array times within the horizon."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx, s = self._locate(t_arr)
+        idx, s = locate(t_arr, self.t1, self.period, self.n_periods)
         basis = basis_matrix(self.degree, s)
         vals = np.einsum("ij,ij->i", self.coeffs[idx], basis)
         return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals

@@ -138,6 +138,9 @@ def _stored_tube(tube_path: str, summary_path: str) -> engine.FlexTube:
     if missing:
         raise CliError(f"{summary_path}: horizon block lacks a number for "
                        f"{', '.join(missing)}")
+    if not isinstance(horizon["n_periods"], int) or horizon["n_periods"] < 1:
+        raise CliError(f"{summary_path}: horizon n_periods "
+                       f"{horizon['n_periods']!r} is not an integer >= 1")
     mode = summary.get("mode", "ct")
     if mode not in engine.N_COEF_BY_MODE:
         raise CliError(f"{summary_path}: unknown mode {mode!r}")

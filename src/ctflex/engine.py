@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chance
-from .bernstein import CtTrajectory
+from .bernstein import CtTrajectory, basis_matrix, locate
 from .blocks import (
     AssembledProblem,
     BlockBuilder,
@@ -108,6 +108,8 @@ class FlexTube:
             raise ValueError("slice directions must be strictly increasing")
         if thetas[0] < 0 or thetas[-1] >= 2 * math.pi:
             raise ValueError("slice directions must lie in [0, 2pi)")
+        if not self.period > 0:
+            raise ValueError(f"period {self.period} must be positive")
 
     @property
     def directions(self) -> np.ndarray:
@@ -123,9 +125,21 @@ class FlexTube:
             return None
         return CtTrajectory(self.t1, self.period, s.coeffs)
 
-    def radius(self, k: int, t: float) -> float | None:
-        traj = self.trajectory(k)
-        return None if traj is None else float(traj.evaluate(t))
+    def radii(self, t: float) -> np.ndarray:
+        """Every slice's radius at time t, NaN in a gap: the values of
+        ``trajectory(k).evaluate(t)``, with t located on the period grid
+        once and the feasible slices' rows evaluated together."""
+        out = np.full(len(self.slices), np.nan)
+        feasible = [k for k, s in enumerate(self.slices) if s.feasible]
+        if feasible:
+            idx, s = locate(np.array([float(t)]), self.t1, self.period,
+                            self.n_periods)
+            rows = np.array([self.slices[k].coeffs[idx[0]]
+                             for k in feasible], dtype=float)
+            basis = basis_matrix(rows.shape[1] - 1, s)
+            out[feasible] = np.einsum("ij,ij->i", rows,
+                                      np.broadcast_to(basis, rows.shape))
+        return out
 
     @property
     def gaps(self) -> list:
@@ -324,11 +338,12 @@ def query_point(tube: FlexTube, theta: float, t: float):
     if not tube.t1 - 1e-9 <= t <= tube.t2 + 1e-9:
         raise ValueError(f"time {t} outside horizon [{tube.t1}, {tube.t2}]")
     lo, hi, frac = _bracket(tube, theta)
+    radii = tube.radii(t)
 
     def point(k):
-        r = tube.radius(k, t)
-        if r is None:
+        if not tube.slices[k].feasible:
             return None
+        r = float(radii[k])
         th = tube.slices[k].theta
         return np.array([r * math.cos(th), r * math.sin(th)])
 
@@ -343,9 +358,12 @@ def query_point(tube: FlexTube, theta: float, t: float):
 
 
 def match_direction(thetas: np.ndarray, theta: float) -> int | None:
-    """Index of the sampled direction within 1e-9 of theta (taken modulo
-    2 pi), or None when theta was not sampled."""
-    match = np.where(np.abs(thetas - (theta % (2 * math.pi))) <= 1e-9)[0]
+    """Index of the first sampled direction within 1e-9 of theta around
+    the circle, so that just below 2 pi matches direction 0, or None when
+    theta was not sampled."""
+    two_pi = 2 * math.pi
+    dist = np.abs(thetas - theta % two_pi)
+    match = np.where(np.minimum(dist, two_pi - dist) <= 1e-9)[0]
     return int(match[0]) if len(match) else None
 
 
@@ -472,11 +490,14 @@ def monte_carlo_validate(assembled: AssembledProblem, values,
 # -- serialization --------------------------------------------------------------
 
 
+_TUBE_COLUMNS = ("theta", "period", "coef_index", "value", "status")
+
+
 def tube_to_csv(tube: FlexTube, fp):
     """One row per (direction, period, coefficient); DT tubes emit their
     single per-period coefficient.  Byte-stable for fixed inputs."""
     w = csv.writer(fp)
-    w.writerow(["theta", "period", "coef_index", "value", "status"])
+    w.writerow(_TUBE_COLUMNS)
     for s in tube.slices:
         if not s.feasible:
             w.writerow([repr(s.theta), "", "", "", s.status])
@@ -490,23 +511,41 @@ def tube_to_csv(tube: FlexTube, fp):
 def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
     """Rebuild a tube from its CSV plus the horizon block of the summary.
 
-    Raises ValueError unless every optimal slice has exactly the periods
-    and coefficients that the horizon and the mode declare.
+    Raises ValueError unless the horizon's ``n_periods`` is an integer
+    >= 1, the header names every column that ``tube_to_csv`` writes, and
+    every optimal slice has exactly the periods and coefficients that the
+    horizon and the mode declare.
     """
+    n_periods = horizon["n_periods"]
+    if isinstance(n_periods, bool) or not isinstance(n_periods, int) \
+            or n_periods < 1:
+        raise ValueError(f"n_periods {n_periods!r} is not an integer >= 1")
     per_theta: dict = {}
     status: dict = {}
     with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
+        reader = csv.reader(fp)
+        header = next(reader, [])
+        for name in _TUBE_COLUMNS:
+            if name not in header:
+                raise ValueError(f"{path}: no {name!r} column")
+        cols = [header.index(name) for name in _TUBE_COLUMNS]
+        i_theta, i_period, i_coef, i_value, i_status = cols
+        width = max(cols) + 1
         for row in reader:
-            th = float(row["theta"])
-            status[th] = row["status"]
-            if row["status"] != "optimal":
+            if not row:             # a blank line holds no cell
+                continue
+            if len(row) < width:
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"{len(row)} fields, short of the "
+                                 f"{width} its columns need")
+            th = float(row[i_theta])
+            st = status[th] = row[i_status]
+            if st != "optimal":
                 per_theta.setdefault(th, None)
                 continue
-            per_theta.setdefault(th, {})[(int(row["period"]),
-                                          int(row["coef_index"]))] = \
-                float(row["value"])
-    n_periods = int(horizon["n_periods"])
+            per_theta.setdefault(th, {})[(int(row[i_period]),
+                                          int(row[i_coef]))] = \
+                float(row[i_value])
     n_coef = N_COEF_BY_MODE[mode]
     slices = []
     for th in sorted(per_theta):

@@ -8,6 +8,12 @@ outward, and whenever a corner leaves the region, retracts the offending
 side and divides its step by ten until every side's step falls below the
 tolerance.  Corner-only membership tests mirror the published procedure;
 an optional edge-sampling mode guards non-convex cross-sections.
+
+Membership contract: ``expand_box`` takes any object whose ``contains(p,
+q)`` answers membership in a fixed region, the same way each time it is
+asked.  It never re-tests a point of the box it last accepted: a corner or
+edge sample whose coordinates come only from sides that have not moved is
+taken as a member without a call.
 """
 
 from __future__ import annotations
@@ -42,12 +48,15 @@ class TubeSectionOracle:
 
     A point belongs to the section when its direction falls between two
     feasible sampled directions and its radius does not exceed the chord
-    between their boundary points along its ray.  The origin is a member
-    whenever any direction is feasible.
+    between their boundary points along its ray.  A direction within the
+    angle tolerance of a sampled one, measured around the circle, is that
+    sampled direction.  The origin is a member whenever any direction is
+    feasible.
 
     ``thetas``, ``radii`` (NaN in gaps) and ``feasible`` are arrays for
-    callers; membership tests run on plain-float copies made once here, so
-    each call is a bisection and a few ``math`` operations.
+    callers.  ``boundary_radius(theta)`` and ``contains(p, q)`` are
+    closures built once here over plain-float copies, so each membership
+    test is a bisection and a few ``math`` operations.
     """
 
     def __init__(self, tube: FlexTube, t0: float, tol: float = 1e-9):
@@ -56,70 +65,85 @@ class TubeSectionOracle:
         self.t0 = float(t0)
         self.tol = tol
         self.thetas = tube.directions
-        self.radii = np.array([
-            tube.radius(k, t0) if tube.slices[k].feasible else np.nan
-            for k in range(len(tube.slices))
-        ])
+        self.radii = tube.radii(t0)
         self.feasible = ~np.isnan(self.radii)
-        self._thetas = self.thetas.tolist()
-        self._radii = [float(r) if ok else None
-                       for r, ok in zip(self.radii, self.feasible)]
-        self._any_feasible = bool(np.any(self.feasible))
+        thetas = self.thetas.tolist()
+        radii = [float(r) if ok else None
+                 for r, ok in zip(self.radii, self.feasible)]
+        any_feasible = bool(np.any(self.feasible))
+        n = len(thetas)
+        two_pi = 2 * math.pi
+        # a match across 2 pi needs theta within the tolerance of 0 or
+        # 2 pi; the gates allow twice that for rounding
+        near_zero, near_two_pi = 2 * _ANGLE_TOL, two_pi - 2 * _ANGLE_TOL
         # chord between sampled directions lo and lo + 1 (wrapping past
         # 2 pi): (theta_lo, theta_hi, r_lo, r_hi, r_lo r_hi sin(span)),
         # or None when either end is a gap
-        two_pi = 2 * math.pi
-        n = len(self._thetas)
-        self._sectors = []
+        sectors = []
         for lo in range(n):
             hi = (lo + 1) % n
-            r_lo, r_hi = self._radii[lo], self._radii[hi]
+            r_lo, r_hi = radii[lo], radii[hi]
             if r_lo is None or r_hi is None:
-                self._sectors.append(None)
+                sectors.append(None)
                 continue
-            th_lo = self._thetas[lo]
-            th_hi = self._thetas[hi] if hi > lo else self._thetas[hi] + two_pi
-            self._sectors.append((th_lo, th_hi, r_lo, r_hi,
-                                  r_lo * r_hi * math.sin(th_hi - th_lo)))
+            th_lo = thetas[lo]
+            th_hi = thetas[hi] if hi > lo else thetas[hi] + two_pi
+            sectors.append((th_lo, th_hi, r_lo, r_hi,
+                            r_lo * r_hi * math.sin(th_hi - th_lo)))
+        sin, hypot, atan2 = math.sin, math.hypot, math.atan2
 
-    def boundary_radius(self, theta: float) -> float | None:
-        """Radius of the section boundary along direction theta, or None
-        inside a gap."""
-        thetas = self._thetas
-        theta = float(theta) % (2 * math.pi)
-        hi = bisect_left(thetas, theta)
-        # the first sampled direction within the angle tolerance wins;
-        # rounded differences are monotone, so matches are contiguous
-        # around the insertion point
-        k = hi
-        while k > 0 and abs(thetas[k - 1] - theta) <= _ANGLE_TOL:
-            k -= 1
-        if k < hi or (hi < len(thetas)
-                      and abs(thetas[hi] - theta) <= _ANGLE_TOL):
-            return self._radii[k]
-        # below the first or above the last direction, hi - 1 picks the
-        # sector that wraps past 2 pi
-        sector = self._sectors[hi - 1]
-        if sector is None:
-            return None
-        th_lo, th_hi, r_lo, r_hi, num = sector
-        th = theta if theta >= th_lo else theta + 2 * math.pi
-        if r_lo == 0.0 and r_hi == 0.0:
-            return 0.0
-        # ray-chord crossing in polar form
-        denom = r_lo * math.sin(th - th_lo) + r_hi * math.sin(th_hi - th)
-        if denom <= 0.0:
-            return 0.0
-        return num / denom
+        def boundary_radius(theta):
+            """Radius of the section boundary along direction theta, or
+            None inside a gap."""
+            theta %= two_pi
+            # the first sampled direction within the angle tolerance wins;
+            # direction 0 is the first that can match across 2 pi
+            if theta > near_two_pi \
+                    and two_pi - abs(thetas[0] - theta) <= _ANGLE_TOL:
+                return radii[0]
+            # rounded differences are monotone, so matches are contiguous
+            # around the insertion point
+            hi = bisect_left(thetas, theta)
+            k = hi
+            while k > 0 and abs(thetas[k - 1] - theta) <= _ANGLE_TOL:
+                k -= 1
+            if k < hi or (hi < n and abs(thetas[hi] - theta) <= _ANGLE_TOL):
+                return radii[k]
+            if theta < near_zero:
+                # from just above 0, the last directions can match below 2 pi
+                k = n
+                while k > 0 and \
+                        two_pi - abs(thetas[k - 1] - theta) <= _ANGLE_TOL:
+                    k -= 1
+                if k < n:
+                    return radii[k]
+            # below the first or above the last direction, hi - 1 picks the
+            # sector that wraps past 2 pi
+            sector = sectors[hi - 1]
+            if sector is None:
+                return None
+            th_lo, th_hi, r_lo, r_hi, num = sector
+            th = theta if theta >= th_lo else theta + two_pi
+            if r_lo == 0.0 and r_hi == 0.0:
+                return 0.0
+            # ray-chord crossing in polar form
+            denom = r_lo * sin(th - th_lo) + r_hi * sin(th_hi - th)
+            if denom <= 0.0:
+                return 0.0
+            return num / denom
 
-    def contains(self, p: float, q: float) -> bool:
-        r = math.hypot(p, q)
-        if r <= self.tol:
-            return self._any_feasible
-        bound = self.boundary_radius(math.atan2(q, p))
-        if bound is None:
-            return False
-        return r <= bound + self.tol * max(1.0, bound)
+        def contains(p, q):
+            """Whether the point (p, q) lies in the section."""
+            r = hypot(p, q)
+            if r <= tol:
+                return any_feasible
+            bound = boundary_radius(atan2(q, p))
+            if bound is None:
+                return False
+            return r <= bound + tol * (bound if bound > 1.0 else 1.0)
+
+        self.boundary_radius = boundary_radius
+        self.contains = contains
 
 
 def cross_section(tube: FlexTube, t0: float) -> TubeSectionOracle:
@@ -228,7 +252,7 @@ def expand_box(oracle, start, delta: float, eps: float,
     """Grow the largest locally-maximal axis-aligned box around ``start``.
 
     ``oracle`` is any object whose ``contains(p, q)`` tests membership in
-    the region at a fixed time.
+    the region at a fixed time (see the module's membership contract).
 
     Every round advances all unfrozen sides simultaneously by their own
     steps (initialized to ``delta``) and tests the four corners (plus
@@ -253,21 +277,28 @@ def expand_box(oracle, start, delta: float, eps: float,
              if edge_samples > 0 else [])
     contains = oracle.contains
 
-    def edges_ok(vals) -> bool:
+    def box_ok(vals) -> bool:
+        # a point whose coordinates all come from sides that have not
+        # moved off the accepted box ``sides`` is a point of that box, a
+        # member tested when the box was accepted, so it is skipped
         p_hi, p_lo, q_hi, q_lo = vals
+        new_p_hi, new_p_lo = p_hi != sides[0], p_lo != sides[1]
+        new_q_hi, new_q_lo = q_hi != sides[2], q_lo != sides[3]
+        if ((new_p_hi or new_q_hi) and not contains(p_hi, q_hi)
+                or (new_p_hi or new_q_lo) and not contains(p_hi, q_lo)
+                or (new_p_lo or new_q_hi) and not contains(p_lo, q_hi)
+                or (new_p_lo or new_q_lo) and not contains(p_lo, q_lo)):
+            return False
+        new_p, new_q = new_p_hi or new_p_lo, new_q_hi or new_q_lo
         for frac in fracs:
             p_mid = p_lo + frac * (p_hi - p_lo)
             q_mid = q_lo + frac * (q_hi - q_lo)
-            if not (contains(p_mid, q_hi) and contains(p_mid, q_lo)
-                    and contains(p_hi, q_mid) and contains(p_lo, q_mid)):
+            if ((new_p or new_q_hi) and not contains(p_mid, q_hi)
+                    or (new_p or new_q_lo) and not contains(p_mid, q_lo)
+                    or (new_q or new_p_hi) and not contains(p_hi, q_mid)
+                    or (new_q or new_p_lo) and not contains(p_lo, q_mid)):
                 return False
         return True
-
-    def box_ok(vals) -> bool:
-        p_hi, p_lo, q_hi, q_lo = vals
-        return (contains(p_hi, q_hi) and contains(p_hi, q_lo)
-                and contains(p_lo, q_hi) and contains(p_lo, q_lo)
-                and edges_ok(vals))
 
     def shrink(i):
         steps[i] /= 10.0

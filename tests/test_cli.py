@@ -232,6 +232,48 @@ def test_pqbox_tube_manifest_hashes_its_inputs(tmp_path):
            for path in (CT12_TUBE, CT12_SUMMARY)}}
 
 
+# P-Q boxes on the stored 12-node tube, pinned bit for bit so that a
+# shortcut in the section oracle or in expand_box cannot move them:
+# (time, edge samples, repr of (P1, P2, Q1, Q2), iterations)
+CT12_BOXES = [
+    (0, 0, ("0.7547238097598089", "1.0009923132430774e-17",
+            "0.8436034651919437", "-0.7236185544933955"), 34),
+    (900, 0, ("0.6579384019843656", "1.289125106237082e-17",
+              "0.8611742913291778", "-0.6800938277317582"), 61),
+    (1234.5, 0, ("0.840558323126131", "-0.013031911986451612",
+                 "0.3743817010458516", "0.003623805031303148"), 120),
+    (1800, 0, ("0.8961551763860893", "-0.058919293252656914",
+               "0.41653585881625527", "0.10229962813541793"), 132),
+    (3600, 0, ("0.7700731975601324", "1.246859613018115e-17",
+               "0.9056925768694086", "-0.7381835709998122"), 31),
+    (0, 8, ("0.6837856222145553", "1.0009923132430774e-17",
+            "0.8662744323455813", "-0.6066071111197813"), 28),
+    (900, 8, ("0.6579384019843656", "1.289125106237082e-17",
+              "0.8611742913291778", "-0.6800938277317582"), 61),
+    (1234.5, 8, ("0.7916886531769372", "-0.013031911986451612",
+                 "0.3743817010458516", "0.003623805031303148"), 117),
+    (1800, 8, ("0.8481468633654061", "-0.058919293252656914",
+               "0.41653585881625527", "0.10229962813541793"), 129),
+    (3600, 8, ("0.7700731975601324", "1.246859613018115e-17",
+               "0.9056925768694086", "-0.7381835709998122"), 31),
+]
+
+
+@pytest.mark.parametrize("t0, edge_samples, sides, iterations", CT12_BOXES)
+def test_pqbox_stored_tube_boxes_are_pinned(t0, edge_samples, sides,
+                                            iterations, tmp_path):
+    out = tmp_path / "b"
+    assert run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                "--summary", CT12_SUMMARY, "--time", str(t0),
+                "--edge-samples", str(edge_samples), "--out", str(out)]) == 0
+    box = json.loads((out / "box.json").read_text())
+    assert tuple(repr(box[side]) for side in ("P1", "P2", "Q1", "Q2")) \
+        == sides
+    assert box["iterations"] == iterations
+    assert box["t0"] == t0 and sorted(box["frozen_reasons"]) \
+        == ["P1", "P2", "Q1", "Q2"]
+
+
 def test_stored_tube_query_and_validate_never_load_the_solver(
         sym_tube_files, tmp_path, fresh_python):
     tube, summary = sym_tube_files
@@ -359,9 +401,22 @@ CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     (CT_TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 3},
                               "mode": "ct"}),
      "tube.csv: theta 0.0 does not fill exactly the 3 x 4 period"),
+    (TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 4.7}}),
+     "summary.json: horizon n_periods 4.7 is not an integer >= 1"),
+    (TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 0}}),
+     "summary.json: horizon n_periods 0 is not an integer >= 1"),
+    (CT_TUBE_CSV, json.dumps({"horizon": {**HORIZON, "n_periods": 2,
+                                          "period": 0.0}}),
+     "period 0.0 must be positive"),
+    ("theta,period,coef_index,value\n0.0,0,0,1.0\n",
+     json.dumps({"horizon": HORIZON}), "tube.csv: no 'status' column"),
+    ("theta,period,coef_index,value,status\n0.0,0,0\n",
+     json.dumps({"horizon": HORIZON}),
+     "tube.csv: line 2 has 3 fields, short of the 5 its columns need"),
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
-        "too-many-periods"])
+        "too-many-periods", "fractional-n-periods", "zero-n-periods",
+        "zero-period", "no-status-column", "short-row"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []

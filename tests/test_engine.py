@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -203,17 +204,19 @@ def test_query_point_interpolates_on_segment(sym_tube):
 
 
 def test_query_point_matches_directions_as_metric_and_section_do():
-    # a direction within 1e-9 of a sampled one is that sampled direction,
-    # even when its other neighbour is a gap
+    # a direction within 1e-9 of a sampled one around the circle is that
+    # sampled direction, even when its other neighbour is a gap
     slices = tuple(
-        engine.Slice(k * math.pi / 2, "infeasible", None, None) if k == 1
+        engine.Slice(k * math.pi / 2, "infeasible", None, None) if k % 2
         else engine.Slice(k * math.pi / 2, "optimal", np.ones((1, 4)), 900.0)
         for k in range(4))
     tube = engine.FlexTube(slices, 0.0, 900.0, 1)
-    theta = 5e-10
-    assert engine.match_direction(tube.directions, theta) == 0
-    assert pqbox.cross_section(tube, 450.0).boundary_radius(theta) == 1.0
-    assert engine.query_point(tube, theta, 450.0) == (1.0, 0.0)
+    section = pqbox.cross_section(tube, 450.0)
+    for theta in (5e-10, -5e-10, 2 * math.pi - 5e-10):
+        assert engine.match_direction(tube.directions, theta) == 0
+        assert engine.match_direction(engine.all_directions(12), theta) == 0
+        assert section.boundary_radius(theta) == 1.0
+        assert engine.query_point(tube, theta, 450.0) == (1.0, 0.0)
 
 
 # -- metrics ------------------------------------------------------------------------
@@ -408,6 +411,10 @@ def test_tube_csv_roundtrip(toy_tube, gap_tube, dt_tube, tmp_path):
                 assert np.array_equal(a.coeffs, b.coeffs)
             else:
                 assert a.coeffs is None
+    for n_periods in (4.7, 0, True):
+        with pytest.raises(ValueError, match="is not an integer >= 1"):
+            engine.tube_from_csv(str(path), {**horizon,
+                                             "n_periods": n_periods})
 
 
 def test_dense_grid_emission(sym_tube):
@@ -433,6 +440,35 @@ def synthetic_tube(mode, gap):
                                        rng.uniform(0.1, 2.0, (3, n_coef)),
                                        1.0))
     return engine.FlexTube(tuple(slices), 0.0, 900.0, 3, mode=mode)
+
+
+def stored_ct12_tube():
+    """The 12-node CT tube kept with the benchmark: 24 gap-free slices."""
+    data = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "data")
+    with open(os.path.join(data, "ct12_summary.json")) as fp:
+        horizon = json.load(fp)["horizon"]
+    return engine.tube_from_csv(os.path.join(data, "ct12_tube.csv"), horizon)
+
+
+@pytest.mark.parametrize("make", [lambda: synthetic_tube("ct", gap=5),
+                                  lambda: synthetic_tube("dt", gap=2),
+                                  stored_ct12_tube],
+                         ids=["ct-gap", "dt-gap", "stored-ct12"])
+def test_radii_equal_each_trajectory_bit_for_bit(make):
+    tube = make()
+    rng = np.random.default_rng(23)
+    times = [tube.t1 + m * tube.period for m in range(tube.n_periods + 1)]
+    times += rng.uniform(tube.t1, tube.t2, 200).tolist()
+    for t in times:
+        radii = tube.radii(t)
+        assert radii.shape == (len(tube.slices),)
+        for k, s in enumerate(tube.slices):
+            if s.feasible:
+                assert repr(float(radii[k])) \
+                    == repr(tube.trajectory(k).evaluate(t)), (t, k)
+            else:
+                assert math.isnan(radii[k])
 
 
 def query_point_rows(tube, n_theta, n_t):

@@ -141,11 +141,13 @@ def test_section_gap_direction_excluded():
 
 def reference_boundary_radius(section, theta):
     """The section boundary written with whole-array numpy operations, as a
-    reference for the oracle's scalar path."""
+    reference for the oracle's scalar path.  Directions match by their
+    distance around the circle."""
     thetas, radii, feasible = section.thetas, section.radii, section.feasible
     two_pi = 2 * math.pi
     theta = theta % two_pi
-    exact = np.where(np.abs(thetas - theta) <= _ANGLE_TOL)[0]
+    dist = np.abs(thetas - theta)
+    exact = np.where(np.minimum(dist, two_pi - dist) <= _ANGLE_TOL)[0]
     if len(exact):
         k = int(exact[0])
         return float(radii[k]) if feasible[k] else None
@@ -190,29 +192,42 @@ def gap_and_zero_tube():
     return engine.FlexTube(tuple(slices), 0.0, 900.0, 2)
 
 
+def wrap_tube():
+    """Five directions over two periods, the last 4e-10 below 2 pi, so that
+    a direction just above 0 matches it around the circle; theta = 3 is a
+    gap."""
+    rng = np.random.default_rng(5)
+    slices = tuple(
+        engine.Slice(theta, "infeasible", None, None) if theta == 3.0
+        else engine.Slice(theta, "optimal", rng.uniform(0.2, 1.5, (2, 4)), 1.0)
+        for theta in (0.5, 2.0, 3.0, 4.5, 2 * math.pi - 4e-10))
+    return engine.FlexTube(slices, 0.0, 900.0, 2)
+
+
 def test_section_oracle_bit_identical_to_reference():
-    tube = gap_and_zero_tube()
     rng = np.random.default_rng(11)
-    angles = [-0.3, -math.pi / 4, -1e-10, -2 * math.pi - 0.1,
-              math.nextafter(2 * math.pi, 0.0), 2 * math.pi - 1e-10,
-              7.0, 2 * math.pi]
-    for th in tube.directions:
-        angles += [th, th - 0.5 * _ANGLE_TOL, th + 0.5 * _ANGLE_TOL,
-                   th - 2 * _ANGLE_TOL, th + 2 * _ANGLE_TOL]
-    angles += rng.uniform(-7.0, 7.0, 200).tolist()
-    for t0 in (0.0, 450.0, 900.0, 1234.5, 1800.0):
-        section = cross_section(tube, t0)
-        for th in angles:
-            got = section.boundary_radius(th)
-            assert repr(got) == repr(reference_boundary_radius(section, th))
-            for scale in (0.0, 0.5, 1.0, 1.0 + 1e-10, 1.5):
-                r = scale * (got or 1.0)
-                p, q = r * math.cos(th), r * math.sin(th)
-                assert section.contains(p, q) \
-                    == reference_contains(section, p, q), (t0, th, scale)
-        for p, q in ((0.0, 0.0), (1e-10, -1e-10), (-0.0, 0.0)):
-            assert section.contains(p, q) is True
-            assert reference_contains(section, p, q) is True
+    for tube in (gap_and_zero_tube(), wrap_tube()):
+        angles = [-0.3, -math.pi / 4, -1e-10, -2 * math.pi - 0.1, 1e-10,
+                  math.nextafter(2 * math.pi, 0.0), 2 * math.pi - 1e-10,
+                  7.0, 2 * math.pi]
+        for th in tube.directions:
+            angles += [th, th - 0.5 * _ANGLE_TOL, th + 0.5 * _ANGLE_TOL,
+                       th - 2 * _ANGLE_TOL, th + 2 * _ANGLE_TOL]
+        angles += rng.uniform(-7.0, 7.0, 200).tolist()
+        for t0 in (0.0, 450.0, 900.0, 1234.5, 1800.0):
+            section = cross_section(tube, t0)
+            for th in angles:
+                got = section.boundary_radius(th)
+                assert repr(got) \
+                    == repr(reference_boundary_radius(section, th)), (t0, th)
+                for scale in (0.0, 0.5, 1.0, 1.0 + 1e-10, 1.5):
+                    r = scale * (got or 1.0)
+                    p, q = r * math.cos(th), r * math.sin(th)
+                    assert section.contains(p, q) \
+                        == reference_contains(section, p, q), (t0, th, scale)
+            for p, q in ((0.0, 0.0), (1e-10, -1e-10), (-0.0, 0.0)):
+                assert section.contains(p, q) is True
+                assert reference_contains(section, p, q) is True
 
 
 def test_section_origin_without_feasible_direction():
