@@ -60,8 +60,8 @@ class AssessmentConfig:
     def __post_init__(self):
         if self.directions < 2:
             raise ValueError("need at least 2 sampled directions")
-        # HiGHS ignores a negative or NaN value with a warning that the
-        # backend silences, so the solve would run at HiGHS's default
+        # HiGHS rejects a negative value only once a solve starts, and
+        # takes a NaN without complaint
         if not self.mip_gap >= 0:
             raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
         if not self.time_limit >= 0:
@@ -512,15 +512,15 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
     """Rebuild a tube from its CSV plus the horizon block of the summary.
 
     Raises ValueError unless the horizon's ``n_periods`` is an integer
-    >= 1, the header names every column that ``tube_to_csv`` writes, and
-    every optimal slice has exactly the periods and coefficients that the
-    horizon and the mode declare.
+    >= 1, the header names every column that ``tube_to_csv`` writes, every
+    direction's rows share one status, and every optimal slice has exactly
+    the periods and coefficients that the horizon and the mode declare.
     """
     n_periods = horizon["n_periods"]
     if isinstance(n_periods, bool) or not isinstance(n_periods, int) \
             or n_periods < 1:
         raise ValueError(f"n_periods {n_periods!r} is not an integer >= 1")
-    per_theta: dict = {}
+    cells: dict = {}                # theta -> {(period, coef): value}
     status: dict = {}
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
@@ -539,27 +539,27 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
                                  f"{len(row)} fields, short of the "
                                  f"{width} its columns need")
             th = float(row[i_theta])
-            st = status[th] = row[i_status]
-            if st != "optimal":
-                per_theta.setdefault(th, None)
-                continue
-            per_theta.setdefault(th, {})[(int(row[i_period]),
+            st = row[i_status]
+            if status.setdefault(th, st) != st:
+                raise ValueError(f"{path}: theta {th!r} has both "
+                                 f"{status[th]!r} and {st!r} rows")
+            if st == "optimal":
+                cells.setdefault(th, {})[(int(row[i_period]),
                                           int(row[i_coef]))] = \
-                float(row[i_value])
+                    float(row[i_value])
     n_coef = N_COEF_BY_MODE[mode]
     slices = []
-    for th in sorted(per_theta):
-        cells = per_theta[th]
-        if cells is None:
+    for th in sorted(status):
+        if status[th] != "optimal":
             slices.append(Slice(th, status[th], None, None))
             continue
-        if set(cells) != set(np.ndindex(n_periods, n_coef)):
+        if set(cells[th]) != set(np.ndindex(n_periods, n_coef)):
             raise ValueError(
                 f"{path}: theta {th!r} does not fill exactly the "
                 f"{n_periods} x {n_coef} period x coefficient grid ({mode}) "
                 "that the summary declares")
         coeffs = np.zeros((n_periods, n_coef))
-        for (m, k), v in cells.items():
+        for (m, k), v in cells[th].items():
             coeffs[m, k] = v
         slices.append(Slice(th, "optimal", coeffs, _objective(
             coeffs, float(horizon["period"]), n_coef)))

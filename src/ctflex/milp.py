@@ -1,4 +1,4 @@
-"""MILP container solved by HiGHS through scipy.optimize.milp.
+"""MILP container solved by the HiGHS that ships with scipy.
 
 The builder collects continuous and binary variables, linear constraints
 and a linear objective, then freezes.  It keeps the rows as HiGHS takes
@@ -6,13 +6,15 @@ them, as matrix triplets and a range [lo, hi] per row.  The backend splits
 the frozen problem into the connected components of its variable-row
 graph and hands each one to HiGHS as a problem of its own; a problem whose
 rows all link up, such as any model with storage, reaches HiGHS as it
-stands.
+stands.  The backend talks to HiGHS through scipy's own binding,
+``scipy.optimize._highspy._core``, the one ``scipy.optimize.milp`` calls:
+``milp`` can hand HiGHS only the options scipy's options struct knows,
+and ``mip_allow_restart`` is not among them.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +199,57 @@ def load_solver():
     ``engine.assess`` calls this before it forks a worker pool, so the
     workers inherit the modules instead of each importing them again.
     """
-    import scipy.optimize
+    import scipy.optimize._highspy._core
     import scipy.sparse.csgraph
     return scipy
 
 
-def _scipy_milp(c, **kwargs):
-    """``scipy.optimize.milp``, looked up when called."""
-    return load_solver().optimize.milp(c, **kwargs)
+def _highs(options: dict):
+    """A HiGHS instance with each of ``options`` set by name; raises
+    BackendError naming the first option HiGHS rejects."""
+    core = load_solver().optimize._highspy._core
+    highs = core._Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+            raise BackendError(f"HiGHS rejects option {name} = {value!r}")
+    return highs
+
+
+def _run_highs(c, integrality, lb, ub, a, lo, hi, options) -> tuple:
+    """(status, values) of min c x s.t. lo <= a x <= hi, lb <= x <= ub,
+    x_j integer where integrality[j] is 1, with ``a`` in CSC form.
+
+    The statuses are read as ``scipy.optimize.milp`` reads them: a MIP
+    stopped at a time or iteration limit keeps its incumbent if it has
+    one, an LP stopped there has no values.
+    """
+    core = load_solver().optimize._highspy._core
+    model = core.HighsModelStatus
+    highs = _highs(options)
+    lp = core.HighsLp()
+    lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = a.shape[1], a.shape[0]
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = lo, hi
+    lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise BackendError("HiGHS rejects the model")
+    highs.run()
+    code = highs.getModelStatus()
+    status = {model.kOptimal: "optimal", model.kTimeLimit: "limit",
+              model.kIterationLimit: "limit", model.kInfeasible: "infeasible",
+              model.kUnbounded: "unbounded"}.get(code)
+    if status is None:
+        raise BackendError(f"HiGHS failure: {highs.modelStatusToString(code)}")
+    incumbent = status == "optimal" or (
+        status == "limit" and integrality.any()
+        and highs.getInfo().objective_function_value != core.kHighsInf)
+    return status, (np.array(highs.getSolution().col_value) if incumbent
+                    else None)
 
 
 def _components(a) -> list:
@@ -224,7 +269,7 @@ def _components(a) -> list:
 
 
 class ScipyHighsBackend:
-    """HiGHS through scipy.optimize.milp, one call per independent part.
+    """HiGHS through scipy's binding, one call per independent part.
 
     Rows that share no variable, directly or through other rows, make
     independent problems; on a feeder without storage these are the
@@ -235,10 +280,28 @@ class ScipyHighsBackend:
     ``time_limit`` is one budget for the whole problem: each part gets what
     is left of it.  ``mip_gap`` holds per part, so it bounds the whole
     problem's relative gap whenever the parts' objectives share a sign, as
-    the builder's (a positive weight times S0 >= 0) do.
+    the builder's (a positive weight times S0 >= 0) do.  Every HiGHS call
+    gets ``OPTIONS`` and the solve's gap, time and seed; an option HiGHS
+    rejects raises BackendError.
     """
 
-    _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+    OPTIONS = {
+        "log_to_console": False,
+        # RENS finds the optimum at the root, while RINS and the root
+        # reduced-cost sub-MIP nest several levels of sub-MIPs without
+        # improving it (mip_heuristic_effort does not reach them)
+        "mip_heuristic_run_rins": False,
+        "mip_heuristic_run_root_reduced_cost": False,
+        # a restart re-presolves the root once it has fixed enough binaries;
+        # on the hard directions that repeats the root several times and
+        # nests sub-MIPs deeper without a better bound
+        "mip_allow_restart": False,
+        # tighter than the HiGHS defaults so coefficient-wise bounds and
+        # binary-exact product reconstructions survive trajectory sampling
+        "primal_feasibility_tolerance": 1e-9,
+        "dual_feasibility_tolerance": 1e-9,
+        "mip_feasibility_tolerance": 1e-9,
+    }
 
     def solve(self, problem: MilpProblem, options: SolveOptions) -> MilpSolution:
         scipy = load_solver()
@@ -255,57 +318,31 @@ class ScipyHighsBackend:
             shape=(problem.n_constraints, n))
         lo, hi = np.array(problem._row_lo), np.array(problem._row_hi)
 
-        opts = {
-            "presolve": True,
-            "mip_rel_gap": options.mip_gap,
-            "time_limit": options.time_limit,
-            # not a scipy option: passed to HiGHS verbatim (the warning
-            # saying so is silenced below); 0 is the HiGHS default
-            "random_seed": options.seed,
-            # also HiGHS options: RENS finds the optimum at the root, while
-            # RINS and the root reduced-cost sub-MIP nest several levels of
-            # sub-MIPs without improving it (mip_heuristic_effort does not
-            # reach them)
-            "mip_heuristic_run_rins": False,
-            "mip_heuristic_run_root_reduced_cost": False,
-            # tighter than the HiGHS defaults so coefficient-wise bounds and
-            # binary-exact product reconstructions survive trajectory sampling
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-            "mip_feasibility_tolerance": 1e-9,
-        }
+        opts = {**self.OPTIONS, "presolve": "on",
+                "mip_rel_gap": options.mip_gap, "random_seed": options.seed}
         status, values = "optimal", np.zeros(n)
         start = time.perf_counter()
         for cols, rows in _components(a):
             part_opts = {**opts, "time_limit": max(
                 options.time_limit - (time.perf_counter() - start), 0.0)}
-            bounds = scipy.optimize.Bounds(lb[cols], ub[cols])
-            constraints = [scipy.optimize.LinearConstraint(
-                a[rows][:, cols], lo[rows], hi[rows])] if rows.size else []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = _scipy_milp(c[cols], integrality=integrality[cols],
-                                  bounds=bounds, constraints=constraints,
-                                  options=part_opts)
-                if res.status in (2, 3):
-                    # the bundled HiGHS presolve can misreport infeasibility
-                    # on McCormick-style rows; trust such verdicts only when
-                    # the presolve-free solve agrees
-                    res = _scipy_milp(c[cols], integrality=integrality[cols],
-                                      bounds=bounds, constraints=constraints,
-                                      options={**part_opts, "presolve": False})
-            part = self._STATUS.get(res.status)
-            if part is None:
-                raise BackendError(f"HiGHS failure: {res.message}")
-            if part in ("infeasible", "unbounded"):
-                status, values = part, None
+            part = (c[cols], integrality[cols], lb[cols], ub[cols],
+                    a[rows][:, cols].tocsc(), lo[rows], hi[rows])
+            part_status, x = _run_highs(*part, part_opts)
+            if part_status in ("infeasible", "unbounded"):
+                # the bundled HiGHS presolve can misreport infeasibility
+                # on McCormick-style rows; trust such verdicts only when
+                # the presolve-free solve agrees
+                part_status, x = _run_highs(
+                    *part, {**part_opts, "presolve": "off"})
+            if part_status in ("infeasible", "unbounded"):
+                status, values = part_status, None
                 break
-            if part == "limit":
+            if part_status == "limit":
                 status = "limit"
-            if res.x is None:
+            if x is None:
                 values = None
             elif values is not None:
-                values[cols] = res.x
+                values[cols] = x
         wall = time.perf_counter() - start
 
         objective = problem.objective_value(values) if values is not None else None

@@ -413,10 +413,17 @@ CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     ("theta,period,coef_index,value,status\n0.0,0,0\n",
      json.dumps({"horizon": HORIZON}),
      "tube.csv: line 2 has 3 fields, short of the 5 its columns need"),
+    (TUBE_CSV.replace("\n", "\n0.0,,,,infeasible\n", 1),
+     json.dumps({"horizon": HORIZON, "mode": "dt"}),
+     "tube.csv: theta 0.0 has both 'infeasible' and 'optimal' rows"),
+    (TUBE_CSV + "0.0,,,,infeasible\n",
+     json.dumps({"horizon": HORIZON, "mode": "dt"}),
+     "tube.csv: theta 0.0 has both 'optimal' and 'infeasible' rows"),
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
         "too-many-periods", "fractional-n-periods", "zero-n-periods",
-        "zero-period", "no-status-column", "short-row"])
+        "zero-period", "no-status-column", "short-row", "gap-row-first",
+        "gap-row-last"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []

@@ -417,6 +417,20 @@ def test_tube_csv_roundtrip(toy_tube, gap_tube, dt_tube, tmp_path):
                                              "n_periods": n_periods})
 
 
+@pytest.mark.parametrize("rows", [
+    ["0.0,,,,infeasible", "0.0,0,0,1.0,optimal"],
+    ["0.0,0,0,1.0,optimal", "0.0,,,,infeasible"],
+], ids=["gap-row-first", "gap-row-last"])
+def test_tube_csv_direction_with_gap_and_optimal_rows_rejected(rows,
+                                                               tmp_path):
+    path = tmp_path / "tube.csv"
+    path.write_text("\n".join(["theta,period,coef_index,value,status",
+                               *rows, ""]))
+    horizon = {"t1": 0.0, "period": 900.0, "n_periods": 1}
+    with pytest.raises(ValueError, match=r"tube.csv: theta 0.0 has both "):
+        engine.tube_from_csv(str(path), horizon, "dt")
+
+
 def test_dense_grid_emission(sym_tube):
     buf = io.StringIO()
     engine.dense_grid_csv(sym_tube, buf, n_theta=8, n_t=3)
@@ -609,11 +623,12 @@ loaded = []
 
 def pool(*args, **kwargs):
     loaded.append([name in sys.modules
-                   for name in ("scipy.optimize", "scipy.sparse.csgraph")])
+                   for name in ("scipy.optimize", "scipy.sparse.csgraph",
+                                "scipy.optimize._highspy._core")])
     return real(*args, **kwargs)
 
 real, engine.ProcessPoolExecutor = engine.ProcessPoolExecutor, pool
 engine.assess(three_node(), engine.AssessmentConfig(directions=2, workers=2))
 print(json.dumps(loaded))
 """)
-    assert json.loads(out) == [[True, True]]
+    assert json.loads(out) == [[True, True, True]]

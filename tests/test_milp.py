@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+from scipy.optimize._highspy import _core as highs_core
 
 from ctflex import engine, milp
 from ctflex.instances import twelve_node
@@ -110,71 +111,99 @@ def test_unknown_handles_rejected():
         p.add_constraint({3: 1.0}, "<=", 1.0)
 
 
+# the real HiGHS call, kept before any test replaces it
+_run_highs = milp._run_highs
+
+
 def _stubbed_options(monkeypatch, seed=0):
-    """Options the backend hands scipy on the first solve and on the
+    """Options the backend hands HiGHS on the first solve and on the
     presolve-off retry of a stubbed infeasible verdict."""
     calls = []
 
-    def fake_milp(c, **kw):
-        calls.append(kw["options"])
-        return SimpleNamespace(status=2, x=None, message="stub")
+    def fake_highs(*arrays):
+        calls.append(arrays[-1])
+        return "infeasible", None
 
-    monkeypatch.setattr(milp, "_scipy_milp", fake_milp)
+    monkeypatch.setattr(milp, "_run_highs", fake_highs)
     p = MilpProblem()
     x = p.add_variable(0.0, 1.0)
     p.set_objective({x: 1.0})
     sol = solve(p.freeze(), SolveOptions(seed=seed))
     # an infeasible verdict is re-checked with presolve off
     assert sol.status == "infeasible"
-    assert [o["presolve"] for o in calls] == [True, False]
+    assert [o["presolve"] for o in calls] == ["on", "off"]
     return calls
+
+
+def _read_back(options: dict, name: str):
+    """The value of option ``name`` in a HiGHS instance set up with
+    ``options``."""
+    status, value = milp._highs(options).getOptionValue(name)
+    assert status == highs_core.HighsStatus.kOk
+    return value
 
 
 def test_seed_reaches_highs_on_both_solves(monkeypatch):
     calls = _stubbed_options(monkeypatch, seed=7)
     assert [o["random_seed"] for o in calls] == [7, 7]
+    assert [_read_back(o, "random_seed") for o in calls] == [7, 7]
     for name in ("mip_heuristic_run_rins",
                  "mip_heuristic_run_root_reduced_cost"):
         assert [o[name] for o in calls] == [False, False]
+    assert [_read_back(o, "mip_allow_restart") for o in calls] == \
+        [False, False]
 
 
 def test_installed_highs_accepts_every_option(monkeypatch):
     calls = _stubbed_options(monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for opts in calls:
-            res = scipy_milp([-1.0, -1.0], integrality=[1, 0],
-                             bounds=Bounds(0.0, 1.0),
-                             constraints=LinearConstraint([[1.0, 1.0]],
-                                                          -np.inf, 1.5),
-                             options=opts)
-            assert res.status == 0
-    messages = [str(w.message) for w in caught]
-    # scipy lists the options it hands HiGHS verbatim as a set, which is
-    # expected; HiGHS names each key it rejects as a one-entry dict
-    rejected = [name for name in calls[0] for msg in messages
-                if f"Unrecognized options detected: {{'{name}': " in msg]
-    assert rejected == [], messages
+    for opts in calls:
+        # _highs raises BackendError on any option HiGHS does not take
+        for name, value in opts.items():
+            assert _read_back(opts, name) == value, name
+        status, x = _run_highs(
+            np.array([-1.0, -1.0]), np.array([1, 0]), np.zeros(2),
+            np.ones(2), sparse.csc_matrix([[1.0, 1.0]]),
+            np.array([-np.inf]), np.array([1.5]), opts)
+        assert status == "optimal" and x.tolist() == [1.0, 0.5]
 
 
-def _spied_milp(monkeypatch, answer=None):
-    """Record every call the backend makes to scipy's milp; ``answer(call
-    number, c, **kw)`` replaces the real solve when given."""
+@pytest.mark.parametrize("name, value", [
+    ("mip_allow_restrat", False),               # misspelled
+    ("mip_feasibility_tolerance", -1.0),        # out of range
+    ("mip_heuristic_run_rins", 0.5),            # of the wrong type
+])
+def test_rejected_option_raises(monkeypatch, name, value):
+    monkeypatch.setitem(milp.ScipyHighsBackend.OPTIONS, name, value)
+    p = MilpProblem()
+    x = p.add_variable(0.0, 1.0)
+    p.add_constraint({x: 1.0}, "<=", 1.0)
+    p.set_objective({x: 1.0})
+    with pytest.raises(milp.BackendError, match=f"option {name} = "):
+        solve(p.freeze())
+
+
+def _spied_highs(monkeypatch, answer=None):
+    """Record every HiGHS call the backend makes, with the arrays and
+    options it passes and the (status, values) it gets back;
+    ``answer(call number, *arrays, options)`` replaces the real solve when
+    given."""
     calls = []
 
-    def spy(c, **kw):
-        calls.append(SimpleNamespace(c=np.asarray(c), **kw))
-        if answer is None:
-            return scipy_milp(c, **kw)
-        return answer(len(calls), c, **kw)
+    def spy(c, integrality, lb, ub, a, lo, hi, options):
+        calls.append(SimpleNamespace(c=c, integrality=integrality, lb=lb,
+                                     ub=ub, a=a, lo=lo, hi=hi,
+                                     options=options))
+        args = (c, integrality, lb, ub, a, lo, hi, options)
+        calls[-1].result = (_run_highs(*args) if answer is None
+                            else answer(len(calls), *args))
+        return calls[-1].result
 
-    monkeypatch.setattr(milp, "_scipy_milp", spy)
+    monkeypatch.setattr(milp, "_run_highs", spy)
     return calls
 
 
 def _dense_rows(call):
-    (con,) = call.constraints
-    return con.A.toarray(), con.lb, con.ub
+    return call.a.toarray(), call.lo, call.hi
 
 
 def test_disjoint_knapsacks_solved_apart(monkeypatch):
@@ -198,7 +227,7 @@ def test_disjoint_knapsacks_solved_apart(monkeypatch):
                for pick in itertools.product((0.0, 1.0), repeat=7)
                if p.check_solution(pick) == [])
 
-    calls = _spied_milp(monkeypatch)
+    calls = _spied_highs(monkeypatch)
     sol = solve(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(best)
@@ -228,12 +257,12 @@ def _three_parts():
 
 
 def test_infeasible_part_decides_and_stops(monkeypatch):
-    calls = _spied_milp(monkeypatch)
+    calls = _spied_highs(monkeypatch)
     sol = solve(_three_parts())
     assert (sol.status, sol.objective, sol.values) == ("infeasible", None, None)
     # the second part pays the presolve-off retry; the third is never solved
     assert [(call.c.tolist(), call.options["presolve"]) for call in calls] == [
-        ([-1.0], True), ([-1.0], True), ([-1.0], False)]
+        ([-1.0], "on"), ([-1.0], "on"), ([-1.0], "off")]
     assert _dense_rows(calls[1])[1].tolist() == [2.0]
 
 
@@ -248,14 +277,13 @@ def _two_parts():
 
 @pytest.mark.parametrize("incumbent", [True, False])
 def test_limit_in_one_part_limits_the_whole(monkeypatch, incumbent):
-    def limit_first(n, c, **kw):
-        res = scipy_milp(c, **kw)
+    def limit_first(n, *args):
+        status, x = _run_highs(*args)
         if n == 1:
-            res.status = 1
-            res.x = res.x if incumbent else None
-        return res
+            return "limit", x if incumbent else None
+        return status, x
 
-    calls = _spied_milp(monkeypatch, limit_first)
+    calls = _spied_highs(monkeypatch, limit_first)
     sol = solve(_two_parts())
     assert sol.status == "limit"
     assert len(calls) == 2
@@ -267,12 +295,12 @@ def test_limit_in_one_part_limits_the_whole(monkeypatch, incumbent):
 
 
 def test_later_part_gets_what_is_left_of_the_time_limit(monkeypatch):
-    def slow_first(n, c, **kw):
+    def slow_first(n, *args):
         if n == 1:
             time.sleep(0.05)
-        return scipy_milp(c, **kw)
+        return _run_highs(*args)
 
-    calls = _spied_milp(monkeypatch, slow_first)
+    calls = _spied_highs(monkeypatch, slow_first)
     sol = solve(_two_parts(), SolveOptions(time_limit=10.0))
     assert sol.status == "optimal"
     first, second = (call.options["time_limit"] for call in calls)
@@ -288,10 +316,10 @@ def test_empty_row_keeps_problem_infeasible(monkeypatch):
     p.add_constraint({}, ">=", 1.0)
     p.add_constraint({y: 1.0}, "<=", 1.0)
     p.set_objective({x: 1.0, y: 1.0})
-    calls = _spied_milp(monkeypatch)
+    calls = _spied_highs(monkeypatch)
     assert solve(p.freeze()).status == "infeasible"
     # the empty row rides with the first part, whose retry agrees
-    assert [call.options["presolve"] for call in calls] == [True, False]
+    assert [call.options["presolve"] for call in calls] == ["on", "off"]
     assert _dense_rows(calls[0])[1].tolist() == [-np.inf, 1.0]
 
 
@@ -301,7 +329,7 @@ def test_variable_in_no_row_costs_no_call(monkeypatch):
     x, y = p.add_variable(0.0, 5.0), p.add_variable(0.0, 5.0)
     p.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0)
     p.set_objective({free: 1.0, x: 1.0, y: 2.0})
-    calls = _spied_milp(monkeypatch)
+    calls = _spied_highs(monkeypatch)
     sol = solve(p.freeze())
     assert sol.status == "optimal"
     assert sol.values.tolist() == pytest.approx([2.0, 0.0, 3.0])
@@ -329,8 +357,8 @@ def _recorded_rows(monkeypatch) -> list:
 
 def _parent_arrays(problem, recorded):
     """The whole-problem arrays, with the rows converted call by call from
-    ``recorded``: the reference that the HiGHS input of a one-part problem
-    must equal."""
+    ``recorded`` and the matrix in the CSC form HiGHS takes: the reference
+    that the HiGHS input of a one-part problem must equal."""
     n = problem.n_variables
     sign = -1.0 if problem._sense == "max" else 1.0
     c = np.zeros(n)
@@ -344,7 +372,7 @@ def _parent_arrays(problem, recorded):
             data.append(coef)
         lo.append(-np.inf if sense == "<=" else rhs)
         hi.append(np.inf if sense == ">=" else rhs)
-    a = sparse.csr_matrix((data, (rows, cols)), shape=(len(recorded), n))
+    a = sparse.csc_matrix((data, (rows, cols)), shape=(len(recorded), n))
     return (c, np.array([1 if b else 0 for b in problem._binary]),
             np.array(problem._lb), np.array(problem._ub), a,
             np.array(lo), np.array(hi))
@@ -356,21 +384,81 @@ def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
     recorded = _recorded_rows(monkeypatch)
     assembled = engine.build_subproblem(twelve_node(), math.pi / 2, config)
     assert len(recorded) == assembled.problem.n_constraints
-    calls = _spied_milp(monkeypatch, lambda n, c, **kw: SimpleNamespace(
-        status=0, x=np.zeros(len(c)), message="stub"))
+    calls = _spied_highs(monkeypatch, lambda n, c, *args: (
+        "optimal", np.zeros(len(c))))
     engine.solve_assembled(assembled, config)
     assert len(calls) == 1
     (call,) = calls
-    (con,) = call.constraints
     c, integrality, lb, ub, a, lo, hi = _parent_arrays(assembled.problem,
                                                        recorded)
     for got, want in ((call.c, c), (call.integrality, integrality),
-                      (call.bounds.lb, lb), (call.bounds.ub, ub),
-                      (con.lb, lo), (con.ub, hi)):
+                      (call.lb, lb), (call.ub, ub),
+                      (call.lo, lo), (call.hi, hi)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(con.A, name), getattr(a, name))
-    assert con.A.shape == a.shape and con.A.has_sorted_indices
+        assert np.array_equal(getattr(call.a, name), getattr(a, name))
+    assert call.a.format == "csc"
+    assert call.a.shape == a.shape and call.a.has_sorted_indices
+
+
+# a CT direction with restarts (the hardest of the 24 at K = 12), and a DT
+# storage cell of the sweep in one optimal and one infeasible direction
+EQUIVALENCE_CASES = {
+    "ct12-pi/2": (twelve_node, "ct", math.pi / 2),
+    "dt12-sop-ess-pi/3": (
+        lambda: twelve_node(sop=True, ess=True, alpha=0.01), "dt", math.pi / 3),
+    "dt12-sop-ess-2pi/3": (
+        lambda: twelve_node(sop=True, ess=True, alpha=0.01), "dt",
+        2 * math.pi / 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EQUIVALENCE_CASES))
+def restart_solves(request):
+    """One direction solved with ``mip_allow_restart`` left at the HiGHS
+    default, with every HiGHS call that solve made, and then solved as the
+    backend solves it."""
+    make, mode, theta = EQUIVALENCE_CASES[request.param]
+    config = engine.AssessmentConfig(mode=mode)
+    assembled = engine.build_subproblem(make(), theta, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(milp.ScipyHighsBackend.OPTIONS, "mip_allow_restart")
+        calls = _spied_highs(mp)
+        default = engine.solve_assembled(assembled, config)
+    return SimpleNamespace(config=config, calls=calls, default=default,
+                           restart_off=engine.solve_assembled(assembled,
+                                                              config))
+
+
+def test_highs_call_matches_scipy_milp(restart_solves):
+    # given only options scipy's milp can pass on, HiGHS sees the model
+    # that milp would hand it: each call returns the same values, bit for bit
+    assert restart_solves.calls
+    for call in restart_solves.calls:
+        options = {**call.options, "presolve": call.options["presolve"] == "on"}
+        with warnings.catch_warnings():
+            # milp warns that it passes the HiGHS options on verbatim
+            warnings.simplefilter("ignore")
+            res = scipy_milp(call.c, integrality=call.integrality,
+                             bounds=Bounds(call.lb, call.ub),
+                             constraints=LinearConstraint(call.a, call.lo,
+                                                          call.hi),
+                             options=options)
+        status, x = call.result
+        assert status == ("optimal", "limit", "infeasible",
+                          "unbounded")[res.status]
+        if x is None:
+            assert res.x is None
+        else:
+            assert x.dtype == res.x.dtype and x.tobytes() == res.x.tobytes()
+
+
+def test_restarts_off_keep_status_and_objective(restart_solves):
+    default, off = restart_solves.default, restart_solves.restart_off
+    assert off.status == default.status
+    if default.status == "optimal":
+        assert off.objective == pytest.approx(
+            default.objective, rel=restart_solves.config.mip_gap)
 
 
 @pytest.mark.parametrize("sense, side", [
