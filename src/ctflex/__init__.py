@@ -14,7 +14,6 @@ from .engine import (
     metric_M,
     penetration_metrics,
     query_point,
-    sample_directions,
 )
 from .pqbox import PqBox, cross_section, expand_box, initial_point
 
@@ -23,7 +22,7 @@ __all__ = [
     "NetworkModel", "load_model", "serialize", "validate",
     "MilpProblem", "MilpSolution", "SolveOptions", "solve",
     "AssessmentConfig", "FlexTube", "Slice", "assess",
-    "metric_M", "penetration_metrics", "query_point", "sample_directions",
+    "metric_M", "penetration_metrics", "query_point",
     "PqBox", "cross_section", "expand_box", "initial_point",
     "__version__",
 ]

@@ -2,14 +2,16 @@
 
 A continuous-time signal over [t1, t1 + M*T] is stored as one coefficient
 vector per period in the Bernstein basis of fixed degree n (cubic by
-default).  The basis has three properties this package leans on:
+default).  The transcription leans on three properties of the basis:
 
 * convex hull: the curve lies between the min and max coefficient, so a
   bound on every coefficient is a sufficient condition for the bound to
   hold for all t in the period;
 * exact integration: the integral over one period is T/(n+1) times the
-  coefficient sum;
-* closed-form derivative/antiderivative with degree shift by one.
+  coefficient sum, which is the objective of every direction;
+* closed-form running integral: the degree n+1 antiderivative has
+  coefficients a_0 = initial and a_{j+1} = a_j + T/(n+1) c_j, which is how
+  the storage rows carry the state of energy.
 """
 
 from __future__ import annotations
@@ -105,36 +107,6 @@ class CtTrajectory:
         basis = basis_matrix(self.degree, s)
         vals = np.einsum("ij,ij->i", self.coeffs[idx], basis)
         return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
-
-    def integrate_period(self, m: int) -> float:
-        """Exact integral over period m: T/(n+1) times the coefficient sum."""
-        if not 0 <= m < self.n_periods:
-            raise IndexError(f"period index {m} outside 0..{self.n_periods - 1}")
-        return self.period * float(np.sum(self.coeffs[m])) / (self.degree + 1)
-
-    def integral(self) -> float:
-        """Integral over the full horizon."""
-        return self.period * float(np.sum(self.coeffs)) / (self.degree + 1)
-
-    def derivative(self) -> "CtTrajectory":
-        """Degree n-1 trajectory of the time derivative (per period)."""
-        n = self.degree
-        if n < 1:
-            raise ValueError("cannot differentiate a degree-0 trajectory")
-        d = n * np.diff(self.coeffs, axis=1) / self.period
-        return CtTrajectory(self.t1, self.period, d)
-
-    def antiderivative(self, initial: float = 0.0) -> "CtTrajectory":
-        """Degree n+1 running integral, continuous across period boundaries."""
-        n = self.degree
-        out = np.zeros((self.n_periods, n + 2))
-        running = float(initial)
-        step = self.period / (n + 1)
-        for m in range(self.n_periods):
-            out[m, 0] = running
-            out[m, 1:] = running + step * np.cumsum(self.coeffs[m])
-            running = out[m, -1]
-        return CtTrajectory(self.t1, self.period, out)
 
 
 def fit(times, values, period: float, t1: float, n_periods: int,

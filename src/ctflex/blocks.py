@@ -27,7 +27,7 @@ from .milp import MilpProblem
 from .netmodel import NetworkModel
 
 __all__ = [
-    "BuildError", "PolygonApproximation", "circle_polygon",
+    "BuildError", "circle_polygon",
     "ChanceMargins", "PeriodLayout", "BlockBuilder",
     "AssembledProblem", "FittedProfiles", "fit_profiles",
     "scalar_response_system", "ResponseSystem",
@@ -44,23 +44,6 @@ class BuildError(RuntimeError):
 # -- capacity polygons --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolygonApproximation:
-    """Inscribed regular polygon of the disk p^2 + q^2 <= radius^2.
-
-    Half-planes cos(psi_k) p + sin(psi_k) q <= radius cos(pi/n); vertices
-    lie on the circle, so the polygon is an inner approximation and any
-    accepted point is inside the true disk.
-    """
-
-    radius: float
-    n_sides: int
-    halfplanes: tuple  # ((cos, sin, rhs), ...)
-
-    def contains(self, p: float, q: float, tol: float = 1e-12) -> bool:
-        return all(c * p + s * q <= r + tol for c, s, r in self.halfplanes)
-
-
 def _cos_sin(angle: float) -> tuple:
     """cos and sin of an angle, with rounding residue such as the 6e-17 of
     cos(pi/2) snapped to an exact 0.0 so it never becomes a matrix entry."""
@@ -68,15 +51,19 @@ def _cos_sin(angle: float) -> tuple:
                  for v in (math.cos(angle), math.sin(angle)))
 
 
-def circle_polygon(s_max: float, n_sides: int = 12) -> PolygonApproximation:
-    """Inner polygonal approximation of a capacity disk of radius s_max."""
+def circle_polygon(s_max: float, n_sides: int = 12) -> tuple:
+    """Inscribed regular polygon of the capacity disk p^2 + q^2 <= s_max^2
+    as half-planes ((cos psi_k, sin psi_k, s_max cos(pi/n)), ...).
+
+    Its vertices lie on the circle, so the polygon is an inner
+    approximation and any accepted point is inside the true disk.
+    """
     if n_sides < 4 or n_sides % 2:
         raise ValueError(f"polygon needs an even side count >= 4, got {n_sides}")
     rhs = s_max * math.cos(math.pi / n_sides)
-    planes = tuple(
+    return tuple(
         (*_cos_sin(2 * math.pi * k / n_sides), rhs) for k in range(n_sides)
     )
-    return PolygonApproximation(float(s_max), n_sides, planes)
 
 
 # -- chance margins -----------------------------------------------------------
@@ -90,10 +77,6 @@ class ChanceMargins:
     u_node: dict = field(default_factory=dict)   # node -> voltage margin
     pv_cap: dict = field(default_factory=dict)   # pv index -> forecast margin
     svc: dict = field(default_factory=dict)      # svc index -> output margin
-
-    @classmethod
-    def zero(cls) -> "ChanceMargins":
-        return cls()
 
     def for_node(self, node: int) -> float:
         return self.u_node.get(node, 0.0)
@@ -191,7 +174,7 @@ class BlockBuilder:
                  fitted: FittedProfiles | None = None,
                  name: str = "slice"):
         self.model = model
-        self.margins = margins or ChanceMargins.zero()
+        self.margins = margins or ChanceMargins()
         self.fitted = fitted if fitted is not None else fit_profiles(model)
         # the fitted degree fixes the transcription: cubic CT or one-value DT
         self.n_coef = self.fitted.degree + 1
@@ -276,7 +259,7 @@ class BlockBuilder:
 
         poly = circle_polygon(pv.s_max)
         for k in range(self.n_coef):
-            for h, (c, s, rhs) in enumerate(poly.halfplanes):
+            for h, (c, s, rhs) in enumerate(poly):
                 self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
                           f"pv{pi}_m{m}_poly{k}_{h}")
 
@@ -333,7 +316,7 @@ class BlockBuilder:
             layout.q_sop[(si, t)] = q_ids
             term_p.append(p_ids)
             for k in range(self.n_coef):
-                for h, (c, s, rhs) in enumerate(poly.halfplanes):
+                for h, (c, s, rhs) in enumerate(poly):
                     self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
                               f"sop{si}t{t}_m{m}_poly{k}_{h}")
         abs_ids = []

@@ -12,14 +12,12 @@ attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 __all__ = [
-    "UncertainRow", "SingularSystemError",
-    "norm_quantile", "gaussian_margin", "propagate", "monte_carlo_check",
+    "SingularSystemError", "norm_quantile", "gaussian_margin", "propagate",
 ]
 
 
@@ -29,17 +27,6 @@ class SingularSystemError(ValueError):
 
 # standard normal inverse CDF (Wichura's AS241, accurate to ~1e-16)
 norm_quantile = NormalDist().inv_cdf
-
-
-@dataclass(frozen=True)
-class UncertainRow:
-    """One inequality ``lhs + g @ u <= rhs`` with its u-dependence explicit:
-    g is the effective uncertainty row after dependent-variable
-    elimination."""
-
-    g: np.ndarray
-    rhs: float
-    name: str = ""
 
 
 def gaussian_margin(alpha: float, g: np.ndarray, sigma2: np.ndarray) -> float:
@@ -64,22 +51,3 @@ def propagate(b: np.ndarray, f: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dependent system is singular: {exc}") from exc
 
-
-def monte_carlo_check(nominal_lhs, rows: list[UncertainRow], sigma2,
-                      n_samples: int = 100_000, seed: int = 0,
-                      tol: float = 1e-9) -> np.ndarray:
-    """Empirical violation rate of each original row under sampled offsets.
-
-    ``nominal_lhs[i]`` is the value of row i's deterministic part at the
-    candidate solution; under a sampled u the row's value moves by
-    g_i @ u, and a violation is a value beyond rhs + tol.
-    """
-    nominal_lhs = np.asarray(nominal_lhs, dtype=float)
-    sigma = np.sqrt(np.asarray(sigma2, dtype=float))
-    g = np.stack([r.g for r in rows])
-    rhs = np.array([r.rhs for r in rows])
-    rng = np.random.default_rng(seed)
-    u = rng.normal(0.0, 1.0, size=(n_samples, len(sigma))) * sigma
-    shift = u @ g.T
-    violated = nominal_lhs[None, :] + shift > rhs[None, :] + tol
-    return violated.mean(axis=0)

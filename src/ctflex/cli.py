@@ -88,14 +88,14 @@ def parse_theta_set(text: str) -> tuple:
             continue
         m = re.fullmatch(r"(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?",
                          token)
-        if m:
-            num = float(m.group(1)) if m.group(1) else 1.0
-            den = float(m.group(2)) if m.group(2) else 1.0
-            out.append(num * math.pi / den)
-            continue
         try:
-            out.append(float(token))
-        except ValueError:
+            if m:
+                num = float(m.group(1)) if m.group(1) else 1.0
+                den = float(m.group(2)) if m.group(2) else 1.0
+                out.append(num * math.pi / den)
+            else:
+                out.append(float(token))
+        except (ValueError, ZeroDivisionError):
             raise CliError(f"cannot parse direction {token!r}") from None
     if not out:
         raise CliError("empty direction set")

@@ -36,10 +36,10 @@ from .netmodel import NetworkModel
 
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
-    "sample_directions", "all_directions", "compute_margins",
+    "all_directions", "compute_margins",
     "build_subproblem", "solve_slice", "assemble_tube", "assess",
     "query_point", "match_direction", "metric_M", "penetration_metrics",
-    "monte_carlo_validate", "tube_to_csv", "tube_from_csv", "dense_grid_csv",
+    "tube_to_csv", "tube_from_csv", "dense_grid_csv",
 ]
 
 DEFAULT_THETA_SET = tuple(k * math.pi / 3.0 for k in range(6))
@@ -146,16 +146,9 @@ class FlexTube:
         return [s.theta for s in self.slices if not s.feasible]
 
 
-def sample_directions(count: int) -> np.ndarray:
-    """Uniform directions theta_k = (k-1) pi / K over the upper half plane;
-    the antipode theta_k + pi of each is solved as the paired subproblem."""
-    if count < 2:
-        raise ValueError("need at least 2 directions")
-    return np.arange(count) * math.pi / count
-
-
 def all_directions(count: int) -> np.ndarray:
-    """The 2K solve directions: upper-half samples plus their antipodes."""
+    """The 2K solve directions theta_k = k pi / K: the K uniform samples of
+    the upper half plane, then their antipodes theta_k + pi."""
     return np.arange(2 * count) * math.pi / count
 
 
@@ -170,7 +163,7 @@ def compute_margins(model: NetworkModel) -> ChanceMargins:
     z = chance.norm_quantile(1.0 - model.alpha)
     system = scalar_response_system(model)
     if z <= 0.0 or not np.any(system.sigma2 > 0.0):
-        return ChanceMargins.zero()
+        return ChanceMargins()
 
     response = chance.propagate(system.b, system.f)
 
@@ -295,7 +288,6 @@ def assess(model: NetworkModel,
         "wall_time": time.perf_counter() - start,
         "slice_wall_times": {s.theta: s.wall_time for s in slices},
         "warnings": warnings,
-        "margins_u_max": max(margins.u_node.values(), default=0.0),
     }
     return assemble_tube(slices, model, mode=config.mode,
                          diagnostics=diagnostics)
@@ -403,90 +395,6 @@ def penetration_metrics(model: NetworkModel,
     return k1, k2
 
 
-# -- Monte Carlo validation ----------------------------------------------------
-
-
-def monte_carlo_validate(assembled: AssembledProblem, values,
-                         n_samples: int = 100_000, seed: int = 0,
-                         tight_tol: float = 1e-6) -> dict:
-    """Empirical violation rates of the original (untightened) voltage and
-    forecast-cap rows under sampled offsets.
-
-    The dependent variables are re-solved per period at the solved device
-    selections (capacitor step, OLTC tap, regulator ratio); scheduled PV
-    reactive output is held.  Rows whose tightened surrogate is active at
-    the solution are flagged tight; their rate is the quantity the
-    chance reformulation promises to keep at or below alpha.
-    """
-    model = assembled.model
-    values = np.asarray(values, dtype=float)
-    reports = []
-    for m in assembled.periods:
-        layout = assembled.layouts[m]
-        cap_steps = {}
-        for ci, cap in enumerate(model.cap_banks):
-            lam = values[np.asarray(layout.lam_cap[ci])]
-            cap_steps[ci] = cap.steps[int(np.argmax(lam))]
-        oltc_a2 = {}
-        reg_ratio2 = {}
-        for bi, br in enumerate(model.branches):
-            if br.kind == "oltc":
-                lam = values[np.asarray(layout.lam_oltc[bi])]
-                oltc_a2[bi] = br.taps[int(np.argmax(lam))] ** 2
-            elif br.kind == "regulator":
-                u_reg = values[np.asarray(layout.u_reg[bi])]
-                u_child = values[np.asarray(layout.u[br.to_node])]
-                reg_ratio2[bi] = float(np.mean(u_reg) / np.mean(u_child))
-        system = scalar_response_system(
-            model, cap_steps=cap_steps, oltc_a2=oltc_a2,
-            reg_ratio2=reg_ratio2)
-        n_src = system.f.shape[1]
-        if n_src == 0:
-            continue
-        y_response = chance.propagate(system.b, system.f)
-
-        rows, lhs, owners = [], [], []
-
-        def add_row(name, lhs_val, g, rhs, margin):
-            rows.append(chance.UncertainRow(np.asarray(g, dtype=float),
-                                            float(rhs), name))
-            lhs.append(float(lhs_val))
-            owners.append((name, float(margin),
-                           float(rhs - margin - lhs_val)))
-
-        for node, ids in layout.u.items():
-            sens = y_response[system.u_index[node]]
-            margin = assembled.margins.for_node(node)
-            for k, vid in enumerate(ids):
-                val = values[vid]
-                add_row(f"m{m}_u{node}_up{k}", val, sens, model.u_max, margin)
-                add_row(f"m{m}_u{node}_lo{k}", -val, -sens, -model.u_min,
-                        margin)
-        for pi in range(len(model.pv_units)):
-            g = np.zeros(n_src)
-            g[pi] = -1.0
-            margin = assembled.margins.for_pv(pi)
-            fc = assembled.fitted.pv[pi][m]
-            for k, vid in enumerate(layout.p_pv[pi]):
-                add_row(f"m{m}_pv{pi}_cap{k}", values[vid], g, fc[k], margin)
-
-        rates = chance.monte_carlo_check(lhs, rows, system.sigma2,
-                                         n_samples=n_samples, seed=seed)
-        for (name, margin, slack), rate in zip(owners, rates):
-            reports.append({
-                "row": name, "rate": float(rate), "margin": margin,
-                "slack": float(slack), "tight": slack <= tight_tol,
-            })
-    tight = [r for r in reports if r["tight"] and r["margin"] > 0.0]
-    return {
-        "rows": reports,
-        "n_tight": len(tight),
-        "max_rate": max((r["rate"] for r in reports), default=0.0),
-        "max_rate_tight": max((r["rate"] for r in tight), default=0.0),
-        "alpha": model.alpha,
-    }
-
-
 # -- serialization --------------------------------------------------------------
 
 
@@ -513,8 +421,9 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
 
     Raises ValueError unless the horizon's ``n_periods`` is an integer
     >= 1, the header names every column that ``tube_to_csv`` writes, every
-    direction's rows share one status, and every optimal slice has exactly
-    the periods and coefficients that the horizon and the mode declare.
+    cell read is a number, every direction's rows share one status, and
+    every optimal slice has exactly the periods and coefficients that the
+    horizon and the mode declare.
     """
     n_periods = horizon["n_periods"]
     if isinstance(n_periods, bool) or not isinstance(n_periods, int) \
@@ -538,15 +447,19 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
                 raise ValueError(f"{path}: line {reader.line_num} has "
                                  f"{len(row)} fields, short of the "
                                  f"{width} its columns need")
-            th = float(row[i_theta])
             st = row[i_status]
+            try:
+                th = float(row[i_theta])
+                if st == "optimal":
+                    cells.setdefault(th, {})[(int(row[i_period]),
+                                              int(row[i_coef]))] = \
+                        float(row[i_value])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") \
+                    from None
             if status.setdefault(th, st) != st:
                 raise ValueError(f"{path}: theta {th!r} has both "
                                  f"{status[th]!r} and {st!r} rows")
-            if st == "optimal":
-                cells.setdefault(th, {})[(int(row[i_period]),
-                                          int(row[i_coef]))] = \
-                    float(row[i_value])
     n_coef = N_COEF_BY_MODE[mode]
     slices = []
     for th in sorted(status):

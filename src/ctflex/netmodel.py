@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -259,7 +260,7 @@ def _tree_violations(model: NetworkModel) -> list[str]:
 
 
 def _profile_violations(owner: str, profile: Profile, horizon: Horizon,
-                        nonnegative: bool) -> list[str]:
+                        n_periods: int, nonnegative: bool) -> list[str]:
     out = []
     if len(profile.times) < 2:
         out.append(f"{owner}: profile needs at least 2 samples")
@@ -271,10 +272,10 @@ def _profile_violations(owner: str, profile: Profile, horizon: Horizon,
     if np.any(np.diff(t) <= 0):
         out.append(f"{owner}: profile times not strictly increasing")
     # the cubic fit needs >= 4 samples in every period
-    for m in range(horizon.n_periods):
+    for m in range(n_periods):
         lo = horizon.t1 + m * horizon.period
         hi = lo + horizon.period
-        last = m == horizon.n_periods - 1
+        last = m == n_periods - 1
         below = (t <= hi + 1e-9) if last else (t < hi - 1e-9)
         count = int(np.sum((t >= lo - 1e-9) & below))
         if count < 4:
@@ -294,9 +295,12 @@ def validate(model: NetworkModel) -> list[str]:
         out.append("model: need at least 2 nodes (TDI plus one)")
         return out
 
-    ratio = (model.horizon.t2 - model.horizon.t1) / model.horizon.period
-    if model.horizon.period <= 0 or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        out.append(f"horizon: (t2-t1)/period = {ratio} is not a positive integer")
+    hz = model.horizon
+    ratio = (hz.t2 - hz.t1) / hz.period if hz.period > 0 else math.nan
+    n_periods = round(ratio) if math.isfinite(ratio) else 0
+    if n_periods < 1 or abs(ratio - n_periods) > 1e-9:
+        out.append(f"horizon: (t2-t1)/period = {hz.t2 - hz.t1}/{hz.period} "
+                   "is not a positive integer")
 
     out.extend(_tree_violations(model))
 
@@ -329,14 +333,16 @@ def validate(model: NetworkModel) -> list[str]:
                            f"got {pv.u_breaks}")
         if pv.sigma2 < 0:
             out.append(f"{owner}: negative variance")
-        out.extend(_profile_violations(owner, pv.forecast, model.horizon, True))
+        out.extend(_profile_violations(owner, pv.forecast, hz, n_periods,
+                                       True))
 
     for k, ld in enumerate(model.loads):
         owner = f"load {k} (node {ld.node})"
         check_node(owner, ld.node)
         if ld.sigma2 < 0:
             out.append(f"{owner}: negative variance")
-        out.extend(_profile_violations(owner, ld.profile, model.horizon, False))
+        out.extend(_profile_violations(owner, ld.profile, hz, n_periods,
+                                       False))
 
     for k, ess in enumerate(model.ess_devices):
         owner = f"ess {k} (node {ess.node})"

@@ -3,8 +3,9 @@
 The normal quantile is compared against scipy's ndtri and pinned bit for
 bit at the margins' alpha values; dependent-variable elimination against a
 dense inverse on random small systems;
-margins against closed forms and monotonicity; and the Monte Carlo checker
-against its own statistical guarantees.
+margins against closed forms and monotonicity; and criterion 3's Monte
+Carlo oracle (``oracles.monte_carlo_check``) against its own statistical
+guarantees.
 """
 
 import math
@@ -14,9 +15,9 @@ import pytest
 from scipy.special import ndtri
 
 from ctflex.chance import (
-    SingularSystemError, UncertainRow, gaussian_margin, monte_carlo_check,
-    norm_quantile, propagate,
+    SingularSystemError, gaussian_margin, norm_quantile, propagate,
 )
+from oracles import monte_carlo_check
 
 RNG = np.random.default_rng(321)
 
@@ -94,33 +95,28 @@ def test_propagate_singular_rejected():
         propagate(np.zeros((2, 3)), np.zeros((2, 1)))
 
 
-def _mc_row(g, rhs):
-    return UncertainRow(np.asarray(g, float), float(rhs))
-
-
 def test_monte_carlo_tight_row_rate_near_alpha():
     # solution exactly on the tightened boundary of a single-source row
     alpha, sigma2 = 0.1, 1.0
     margin = gaussian_margin(alpha, np.array([1.0]), np.array([sigma2]))
-    rows = [_mc_row([-1.0], 0.0)]  # value - u <= 0, nominal value = -margin
-    rates = monte_carlo_check([-margin], rows, [sigma2], n_samples=100_000,
-                              seed=3)
+    # value - u <= 0, nominal value = -margin
+    rates = monte_carlo_check([-margin], [[-1.0]], [0.0], [sigma2],
+                              n_samples=100_000, seed=3)
     assert rates[0] <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / 100_000)
     assert rates[0] >= alpha - 3 * math.sqrt(alpha * (1 - alpha) / 100_000)
 
 
 def test_monte_carlo_zero_variance_zero_rate():
-    rows = [_mc_row([1.0], 1.0)]
-    rates = monte_carlo_check([0.999999], rows, [0.0], n_samples=1000)
+    rates = monte_carlo_check([0.999999], [[1.0]], [1.0], [0.0],
+                              n_samples=1000)
     assert rates[0] == 0.0
 
 
 def test_monte_carlo_six_sigma_slack_zero_rate():
-    rows = [_mc_row([2.0], 0.0)]
     sigma2 = 0.25
     slack = 6.0 * math.sqrt(sigma2) * 2.0
-    rates = monte_carlo_check([-slack], rows, [sigma2], n_samples=100_000,
-                              seed=5)
+    rates = monte_carlo_check([-slack], [[2.0]], [0.0], [sigma2],
+                              n_samples=100_000, seed=5)
     assert rates[0] == 0.0
 
 
@@ -129,12 +125,9 @@ def test_monte_carlo_safety_bound_many_rows():
     alpha = 0.1
     n_src = 6
     sigma2 = RNG.uniform(0.1, 2.0, n_src)
-    rows, lhs = [], []
-    for _ in range(40):
-        g = RNG.normal(size=n_src)
-        margin = gaussian_margin(alpha, g, sigma2)
-        rows.append(_mc_row(g, 0.0))
-        lhs.append(-margin)
-    rates = monte_carlo_check(lhs, rows, sigma2, n_samples=100_000, seed=11)
+    g = RNG.normal(size=(40, n_src))
+    lhs = [-gaussian_margin(alpha, row, sigma2) for row in g]
+    rates = monte_carlo_check(lhs, g, np.zeros(40), sigma2,
+                              n_samples=100_000, seed=11)
     bound = alpha + 3 * math.sqrt(alpha * (1 - alpha) / 100_000)
     assert np.all(rates <= bound)

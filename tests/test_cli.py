@@ -9,7 +9,7 @@ import os
 import pytest
 
 from ctflex import engine
-from ctflex.cli import main, parse_theta_set
+from ctflex.cli import CliError, main, parse_theta_set
 from ctflex.instances import two_node
 from ctflex.netmodel import serialize
 
@@ -30,6 +30,8 @@ def test_theta_set_parser():
     want = [k * math.pi / 3 for k in range(6)]
     assert list(got) == pytest.approx(want)
     assert parse_theta_set("1.5708")[0] == pytest.approx(1.5708)
+    with pytest.raises(CliError, match="cannot parse direction 'pi/0'"):
+        parse_theta_set("0,pi/0")
     with pytest.raises(SystemExit):
         raise SystemExit(0)
 
@@ -413,6 +415,8 @@ CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     ("theta,period,coef_index,value,status\n0.0,0,0\n",
      json.dumps({"horizon": HORIZON}),
      "tube.csv: line 2 has 3 fields, short of the 5 its columns need"),
+    (TUBE_CSV.replace("0.0,", "abc,", 1), json.dumps({"horizon": HORIZON}),
+     "tube.csv: line 2: could not convert string to float: 'abc'"),
     (TUBE_CSV.replace("\n", "\n0.0,,,,infeasible\n", 1),
      json.dumps({"horizon": HORIZON, "mode": "dt"}),
      "tube.csv: theta 0.0 has both 'infeasible' and 'optimal' rows"),
@@ -422,8 +426,8 @@ CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
         "too-many-periods", "fractional-n-periods", "zero-n-periods",
-        "zero-period", "no-status-column", "short-row", "gap-row-first",
-        "gap-row-last"])
+        "zero-period", "no-status-column", "short-row", "non-numeric-cell",
+        "gap-row-first", "gap-row-last"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []

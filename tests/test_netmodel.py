@@ -60,10 +60,11 @@ def test_sop_identical_terminals_rejected(tmp_path):
 
 
 def test_noninteger_horizon_rejected(tmp_path):
-    path = write_minimal(tmp_path,
-                         horizon={"t1": 0.0, "t2": 1800.0, "period": 700.0})
-    with pytest.raises(ValidationError, match="positive integer"):
-        load_model(path)
+    for period in (700.0, 0.0):
+        path = write_minimal(tmp_path, horizon={"t1": 0.0, "t2": 1800.0,
+                                                "period": period})
+        with pytest.raises(ValidationError, match="positive integer"):
+            load_model(path)
 
 
 def test_missing_file():
