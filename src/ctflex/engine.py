@@ -106,7 +106,8 @@ class FlexTube:
             raise ValueError("tube needs at least one slice")
         if any(b - a <= 0 for a, b in zip(thetas, thetas[1:])):
             raise ValueError("slice directions must be strictly increasing")
-        if thetas[0] < 0 or thetas[-1] >= 2 * math.pi:
+        # a NaN direction passes the ordering test, never this one
+        if not all(0 <= th < 2 * math.pi for th in thetas):
             raise ValueError("slice directions must lie in [0, 2pi)")
         if not self.period > 0:
             raise ValueError(f"period {self.period} must be positive")
@@ -421,8 +422,9 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
 
     Raises ValueError unless the horizon's ``n_periods`` is an integer
     >= 1, the header names every column that ``tube_to_csv`` writes, every
-    cell read is a number, every direction's rows share one status, and
-    every optimal slice has exactly the periods and coefficients that the
+    cell read is a number, every coefficient is finite, every direction's
+    rows share one status, every direction lies in [0, 2pi), and every
+    optimal slice has exactly the periods and coefficients that the
     horizon and the mode declare.
     """
     n_periods = horizon["n_periods"]
@@ -453,7 +455,7 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
                 if st == "optimal":
                     cells.setdefault(th, {})[(int(row[i_period]),
                                               int(row[i_coef]))] = \
-                        float(row[i_value])
+                        (float(row[i_value]), reader.line_num)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") \
                     from None
@@ -472,8 +474,13 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
                 f"{n_periods} x {n_coef} period x coefficient grid ({mode}) "
                 "that the summary declares")
         coeffs = np.zeros((n_periods, n_coef))
-        for (m, k), v in cells[th].items():
+        for (m, k), (v, _) in cells[th].items():
             coeffs[m, k] = v
+        if not np.isfinite(coeffs).all():
+            v, line = next(cell for cell in cells[th].values()
+                           if not math.isfinite(cell[0]))
+            raise ValueError(f"{path}: line {line}: coefficient {v!r} is "
+                             "not finite")
         slices.append(Slice(th, "optimal", coeffs, _objective(
             coeffs, float(horizon["period"]), n_coef)))
     return FlexTube(tuple(slices), float(horizon["t1"]),

@@ -4,16 +4,26 @@ The builder collects continuous and binary variables, linear constraints
 and a linear objective, then freezes.  It keeps the rows as HiGHS takes
 them, as matrix triplets and a range [lo, hi] per row.  The backend splits
 the frozen problem into the connected components of its variable-row
-graph and hands each one to HiGHS as a problem of its own; a problem whose
-rows all link up, such as any model with storage, reaches HiGHS as it
-stands.  The backend talks to HiGHS through scipy's own binding,
-``scipy.optimize._highspy._core``, the one ``scipy.optimize.milp`` calls:
+graph and hands each one to HiGHS as a problem of its own, with its matrix
+in CSC arrays built from the triplets by numpy; a problem whose rows all
+link up, such as any model with storage, reaches HiGHS as it stands.  The
+backend talks to HiGHS through scipy's own binding, the extension module
+``scipy.optimize._highspy._core`` that ``scipy.optimize.milp`` calls:
 ``milp`` can hand HiGHS only the options scipy's options struct knows,
-and ``mip_allow_restart`` is not among them.
+and ``mip_allow_restart`` is not among them.  A solve loads that one
+extension file and nothing else of scipy: the optimize and sparse
+subpackages stay unloaded.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import logging
+import os
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -32,6 +42,8 @@ __all__ = [
 ]
 
 _SENSES = ("<=", ">=", "==")
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_log = logging.getLogger(__name__)
 
 
 class FrozenProblemError(RuntimeError):
@@ -192,22 +204,46 @@ class SolveOptions:
 
 
 def load_solver():
-    """Import the scipy modules a solve needs and return ``scipy``.
+    """Load scipy's HiGHS extension, ``scipy.optimize._highspy._core``,
+    and return it.
 
-    Importing them costs more than a P-Q box query on a stored tube, so
-    nothing imports them until a problem is solved.
+    Only the extension file is loaded, not scipy's optimize and sparse
+    subpackages: in an interpreter that has imported the CLI, importing
+    those took 0.48-0.64 s and 42 MB of RSS, the file alone takes under
+    0.01 s and 3 MB, on a 2-CPU host.  The module is put in
+    ``sys.modules`` under its own name before it runs, so a later
+    ``import scipy.optimize`` reuses it: a second copy would register
+    pybind11's ``_Highs`` class again, which fails.
     ``engine.assess`` calls this before it forks a worker pool, so the
-    workers inherit the modules instead of each importing them again.
+    workers inherit the module instead of each loading it again.  Raises
+    BackendError when the extension is not where scipy >= 1.15 keeps it.
     """
-    import scipy.optimize._highspy._core
-    import scipy.sparse.csgraph
-    return scipy
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise BackendError("scipy is not installed")
+    where = [os.path.join(path, "optimize", "_highspy")
+             for path in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, where)
+    if spec is None:
+        raise BackendError("scipy's HiGHS extension _core is not in "
+                           + os.pathsep.join(where))
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return core
 
 
 def _highs(options: dict):
     """A HiGHS instance with each of ``options`` set by name; raises
     BackendError naming the first option HiGHS rejects."""
-    core = load_solver().optimize._highspy._core
+    core = load_solver()
     highs = core._Highs()
     for name, value in options.items():
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
@@ -215,30 +251,65 @@ def _highs(options: dict):
     return highs
 
 
-def _run_highs(c, integrality, lb, ub, a, lo, hi, options) -> tuple:
+@functools.cache
+def _c_fflush():
+    """C's ``fflush``; called with None it flushes every C output stream."""
+    import ctypes
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    return fflush
+
+
+def _run_logged(highs):
+    """``highs.run()`` with file descriptor 1 pointed at a temporary file.
+
+    The bundled HiGHS prints some messages with C's ``printf`` whatever
+    its log options say.  Each line it prints during the run is logged as
+    a warning on ``ctflex.milp`` instead, so the process's standard output
+    carries only what the program itself writes.  Python's and C's
+    buffers are flushed before the switch, so no earlier output is taken
+    for HiGHS's, and C's again before it is undone, so none of HiGHS's
+    output is left behind for the real standard output.
+    """
+    sys.stdout.flush()
+    _c_fflush()(None)
+    saved = os.dup(1)
+    with tempfile.TemporaryFile() as out:
+        os.dup2(out.fileno(), 1)
+        try:
+            highs.run()
+        finally:
+            _c_fflush()(None)
+            os.dup2(saved, 1)
+            os.close(saved)
+        out.seek(0)
+        for line in out.read().decode(errors="replace").splitlines():
+            _log.warning("HiGHS: %s", line)
+
+
+def _run_highs(c, integrality, lb, ub, a, shape, lo, hi, options) -> tuple:
     """(status, values) of min c x s.t. lo <= a x <= hi, lb <= x <= ub,
-    x_j integer where integrality[j] is 1, with ``a`` in CSC form.
+    x_j integer where integrality[j] is 1, with ``a`` the CSC arrays
+    ``(indptr, indices, data)`` of a (rows, columns) ``shape`` matrix.
 
     The statuses are read as ``scipy.optimize.milp`` reads them: a MIP
     stopped at a time or iteration limit keeps its incumbent if it has
     one, an LP stopped there has no values.
     """
-    core = load_solver().optimize._highspy._core
+    core = load_solver()
     model = core.HighsModelStatus
     highs = _highs(options)
     lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = a.shape[1], a.shape[0]
+    lp.num_row_, lp.num_col_ = shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
     lp.row_lower_, lp.row_upper_ = lo, hi
     lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
     if highs.passModel(lp) == core.HighsStatus.kError:
         raise BackendError("HiGHS rejects the model")
-    highs.run()
+    _run_logged(highs)
     code = highs.getModelStatus()
     status = {model.kOptimal: "optimal", model.kTimeLimit: "limit",
               model.kIterationLimit: "limit", model.kInfeasible: "infeasible",
@@ -252,20 +323,56 @@ def _run_highs(c, integrality, lb, ub, a, lo, hi, options) -> tuple:
                     else None)
 
 
-def _components(a) -> list:
-    """(columns, rows) of each connected component of the variable-row
-    graph of the constraint matrix ``a``, each in its original order.  Empty
-    rows and variables in no row join the first component: they need no
-    solve of their own, and an empty row whose bounds exclude 0 still makes
-    the problem infeasible."""
-    sparse = load_solver().sparse
-    n = a.shape[1]
-    graph = sparse.bmat([[None, a.T], [a, None]], format="csr")
-    _, labels = sparse.csgraph.connected_components(graph, directed=False)
-    linked = np.diff(graph.indptr) > 0
-    labels[~linked] = labels[linked][0] if linked.any() else 0
-    return [(np.flatnonzero(labels[:n] == k), np.flatnonzero(labels[n:] == k))
-            for k in np.unique(labels)]
+def _components(shape, rows, cols, vals) -> list:
+    """(columns, rows, (indptr, indices, data)) of each connected component
+    of the variable-row graph of the (rows, columns) ``shape`` matrix with
+    triplets ``rows``, ``cols``, ``vals`` in row order.  A component's
+    columns and rows keep their original order, its matrix is in CSC form
+    with sorted row indices, and the components come in the order of their
+    smallest column.  Empty rows and variables in no row join the first
+    component: they need no solve of their own, and an empty row whose
+    bounds exclude 0 still makes the problem infeasible."""
+    n_rows, n_cols = shape
+    # label each column with the smallest column of its component: each
+    # round pulls every column, and the old label of every column, down to
+    # the smallest label in any of its rows, then follows labels to roots
+    label = np.arange(n_cols)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sizes = np.diff(starts, append=len(rows))
+    while len(rows):
+        low = np.repeat(np.minimum.reduceat(label[cols], starts), sizes)
+        new = label.copy()
+        np.minimum.at(new, cols, low)
+        np.minimum.at(new, label[cols], low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    linked = np.zeros(n_cols, dtype=bool)
+    linked[cols] = True
+    first = np.argmax(linked) if len(cols) else 0
+    label[~linked] = first
+    row_label = np.full(n_rows, first)
+    row_label[rows] = label[cols]
+
+    col_pos = np.empty(n_cols, dtype=np.intp)   # index within its part
+    row_pos = np.empty(n_rows, dtype=np.intp)
+    parts = []
+    for k in np.unique(np.concatenate([label, row_label])):
+        part_cols = np.flatnonzero(label == k)
+        part_rows = np.flatnonzero(row_label == k)
+        col_pos[part_cols] = np.arange(len(part_cols))
+        row_pos[part_rows] = np.arange(len(part_rows))
+        # the part's triplets column by column, each column's rows in order
+        trips = np.flatnonzero(label[cols] == k)
+        trips = trips[np.argsort(cols[trips], kind="stable")]
+        indptr = np.zeros(len(part_cols) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col_pos[cols[trips]],
+                              minlength=len(part_cols)), out=indptr[1:])
+        parts.append((part_cols, part_rows, (
+            indptr, row_pos[rows[trips]].astype(np.int32), vals[trips])))
+    return parts
 
 
 class ScipyHighsBackend:
@@ -304,7 +411,6 @@ class ScipyHighsBackend:
     }
 
     def solve(self, problem: MilpProblem, options: SolveOptions) -> MilpSolution:
-        scipy = load_solver()
         n = problem.n_variables
         sign = -1.0 if problem._sense == "max" else 1.0
         c = np.zeros(n)
@@ -312,21 +418,20 @@ class ScipyHighsBackend:
             c[v] = sign * coef
         integrality = np.array([1 if b else 0 for b in problem._binary])
         lb, ub = np.array(problem._lb), np.array(problem._ub)
-
-        a = scipy.sparse.csr_matrix(
-            (problem._vals, (problem._rows, problem._cols)),
-            shape=(problem.n_constraints, n))
         lo, hi = np.array(problem._row_lo), np.array(problem._row_hi)
+        triplets = (np.array(problem._rows, dtype=np.intp),
+                    np.array(problem._cols, dtype=np.intp),
+                    np.array(problem._vals, dtype=float))
 
         opts = {**self.OPTIONS, "presolve": "on",
                 "mip_rel_gap": options.mip_gap, "random_seed": options.seed}
         status, values = "optimal", np.zeros(n)
         start = time.perf_counter()
-        for cols, rows in _components(a):
+        for cols, rows, a in _components((len(lo), n), *triplets):
             part_opts = {**opts, "time_limit": max(
                 options.time_limit - (time.perf_counter() - start), 0.0)}
-            part = (c[cols], integrality[cols], lb[cols], ub[cols],
-                    a[rows][:, cols].tocsc(), lo[rows], hi[rows])
+            part = (c[cols], integrality[cols], lb[cols], ub[cols], a,
+                    (len(rows), len(cols)), lo[rows], hi[rows])
             part_status, x = _run_highs(*part, part_opts)
             if part_status in ("infeasible", "unbounded"):
                 # the bundled HiGHS presolve can misreport infeasibility

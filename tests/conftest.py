@@ -17,6 +17,8 @@ def fresh_python():
     src = os.path.dirname(os.path.dirname(ctflex.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # C's stdout stays buffered, as it is by default when not a terminal
+    env.pop("PYTHONUNBUFFERED", None)
 
     def run(code: str) -> str:
         result = subprocess.run([sys.executable, "-c", code], env=env,

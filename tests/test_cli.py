@@ -382,6 +382,12 @@ HORIZON = {"t1": 0.0, "period": 900.0, "n_periods": 1}
 # one CT slice over two periods
 CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     f"0.0,{m},{k},1.0,optimal\n" for m in range(2) for k in range(4))
+# one DT and one CT slice over three-node's four periods
+HORIZON4 = {**HORIZON, "n_periods": 4}
+DT4_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
+    f"0.0,{m},0,1.0,optimal\n" for m in range(4))
+CT4_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
+    f"0.0,{m},{k},1.0,optimal\n" for m in range(4) for k in range(4))
 
 
 @pytest.mark.parametrize("tube_text, summary_text, message", [
@@ -423,11 +429,22 @@ CT_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     (TUBE_CSV + "0.0,,,,infeasible\n",
      json.dumps({"horizon": HORIZON, "mode": "dt"}),
      "tube.csv: theta 0.0 has both 'optimal' and 'infeasible' rows"),
+    # the last three match three-node's horizon, so only the values fail
+    (DT4_TUBE_CSV + "3.0,,,,infeasible\nnan,,,,infeasible\n",
+     json.dumps({"horizon": HORIZON4, "mode": "dt"}),
+     "slice directions must lie in [0, 2pi)"),
+    (DT4_TUBE_CSV.replace("0.0,2,0,1.0", "0.0,2,0,nan"),
+     json.dumps({"horizon": HORIZON4, "mode": "dt"}),
+     "tube.csv: line 4: coefficient nan is not finite"),
+    (CT4_TUBE_CSV.replace("0.0,1,2,1.0", "0.0,1,2,inf"),
+     json.dumps({"horizon": HORIZON4, "mode": "ct"}),
+     "tube.csv: line 8: coefficient inf is not finite"),
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
         "too-many-periods", "fractional-n-periods", "zero-n-periods",
         "zero-period", "no-status-column", "short-row", "non-numeric-cell",
-        "gap-row-first", "gap-row-last"])
+        "gap-row-first", "gap-row-last", "nan-theta", "nan-value",
+        "inf-value"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []

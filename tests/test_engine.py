@@ -519,8 +519,8 @@ def part_counts(monkeypatch):
     counts = []
     components = milp._components
 
-    def counted(a):
-        parts = components(a)
+    def counted(*args):
+        parts = components(*args)
         counts.append(len(parts))
         return parts
 
@@ -611,7 +611,8 @@ def test_explicit_workers_capped_at_direction_count(monkeypatch, toy_tube,
 
 def test_pool_workers_inherit_the_loaded_solver(fresh_python):
     # the solver is loaded before the pool forks, or each worker of each
-    # pool imports it again
+    # pool loads it again; it is HiGHS's extension alone, without scipy's
+    # optimize and sparse subpackages
     out = fresh_python("""
 import json, sys
 from ctflex import engine
@@ -621,7 +622,7 @@ loaded = []
 
 def pool(*args, **kwargs):
     loaded.append([name in sys.modules
-                   for name in ("scipy.optimize", "scipy.sparse.csgraph",
+                   for name in ("scipy.optimize", "scipy.sparse",
                                 "scipy.optimize._highspy._core")])
     return real(*args, **kwargs)
 
@@ -629,4 +630,26 @@ real, engine.ProcessPoolExecutor = engine.ProcessPoolExecutor, pool
 engine.assess(three_node(), engine.AssessmentConfig(directions=2, workers=2))
 print(json.dumps(loaded))
 """)
-    assert json.loads(out) == [[True, True, True]]
+    assert json.loads(out) == [[False, False, True]]
+
+
+def test_scipy_optimize_reuses_the_loaded_extension(fresh_python):
+    # the extension is registered under its own name, so importing
+    # scipy.optimize after a pooled assessment reuses it, and scipy's own
+    # milp still solves with it
+    out = fresh_python("""
+import json, sys
+from ctflex import engine, milp
+from ctflex.instances import three_node
+
+engine.assess(three_node(), engine.AssessmentConfig(directions=2, workers=2))
+loaded = [name in sys.modules for name in (
+    "scipy.optimize", "scipy.sparse", "scipy.optimize._highspy._core")]
+import scipy.optimize
+from scipy.optimize._highspy import _core
+res = scipy.optimize.milp([-1.0, -1.0], integrality=[1, 0],
+                          bounds=scipy.optimize.Bounds(0.0, 1.5))
+print(json.dumps([loaded, _core is milp.load_solver(), res.status,
+                  res.x.tolist()]))
+""")
+    assert json.loads(out) == [[False, False, True], True, 0, [1.0, 1.5]]

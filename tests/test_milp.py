@@ -2,9 +2,13 @@
 checks of small integer programs, determinism, post-solve checks, and the
 LP text dump."""
 
+import importlib.machinery
+import importlib.util
 import io
 import itertools
+import json
 import math
+import sys
 import time
 import warnings
 from types import SimpleNamespace
@@ -12,10 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 from scipy.optimize._highspy import _core as highs_core
 
-from ctflex import engine, milp
+from ctflex import cli, engine, milp
 from ctflex.instances import twelve_node
 from ctflex.milp import (
     FrozenProblemError, MilpProblem, SolveOptions, solve, write_lp,
@@ -160,9 +165,10 @@ def test_installed_highs_accepts_every_option(monkeypatch):
         # _highs raises BackendError on any option HiGHS does not take
         for name, value in opts.items():
             assert _read_back(opts, name) == value, name
+        a = sparse.csc_matrix([[1.0, 1.0]])
         status, x = _run_highs(
             np.array([-1.0, -1.0]), np.array([1, 0]), np.zeros(2),
-            np.ones(2), sparse.csc_matrix([[1.0, 1.0]]),
+            np.ones(2), (a.indptr, a.indices, a.data), a.shape,
             np.array([-np.inf]), np.array([1.5]), opts)
         assert status == "optimal" and x.tolist() == [1.0, 0.5]
 
@@ -182,6 +188,77 @@ def test_rejected_option_raises(monkeypatch, name, value):
         solve(p.freeze())
 
 
+def test_missing_highs_extension_is_a_backend_failure(monkeypatch, tmp_path,
+                                                     capsys):
+    # a scipy package without the extension where scipy >= 1.15 keeps it
+    searched = tmp_path / "scipy" / "optimize" / "_highspy"
+    searched.mkdir(parents=True)
+    find_spec = importlib.util.find_spec
+
+    def no_extension(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path / "scipy")]
+        return spec
+
+    monkeypatch.setattr(importlib.util, "find_spec", no_extension)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    with pytest.raises(milp.BackendError, match=f"not in {searched}$"):
+        milp.load_solver()
+    assert cli.main(["assess", "builtin:three-node", "--directions", "2",
+                     "--workers", "1", "--out", str(tmp_path / "out")]) == 4
+    assert str(searched) in capsys.readouterr().err
+    assert "scipy.optimize._highspy._core" not in sys.modules
+
+
+def test_highs_stdout_is_logged_not_printed(tmp_path, fresh_python):
+    # the bundled HiGHS prints some messages straight to file descriptor 1,
+    # past Python's sys.stdout; a stubbed run does the same, raw and
+    # through C's buffered printf, the latter after HiGHS's own run so that
+    # nothing in HiGHS flushes it
+    out = fresh_python(f"""
+import ctypes, json, logging, os
+from ctflex import cli, milp
+
+printf = ctypes.CDLL(None).printf
+highs = milp._highs
+runs = []
+
+class Printing:
+    def __init__(self, real):
+        self.real = real
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def run(self):
+        runs.append(len(runs))
+        os.write(1, b"raw line\\n")
+        status = self.real.run()
+        printf(b"printf line %d\\n", len(runs))
+        return status
+
+class Records(logging.Handler):
+    def emit(self, record):
+        messages.append(record.getMessage())
+
+messages = []
+milp._highs = lambda options: Printing(highs(options))
+logging.getLogger("ctflex.milp").addHandler(Records())
+code = cli.main(["assess", "builtin:three-node", "--directions", "2",
+                 "--workers", "1", "--out", {str(tmp_path)!r}])
+print(json.dumps([code, len(runs), messages]))
+""")
+    wrote, result = out.splitlines()
+    assert wrote.startswith("wrote ")
+    code, n_runs, messages = json.loads(result)
+    assert code == 0 and n_runs >= 2
+    assert messages == [message for n in range(1, n_runs + 1)
+                        for message in ("HiGHS: raw line",
+                                        f"HiGHS: printf line {n}")]
+
+
 def _spied_highs(monkeypatch, answer=None):
     """Record every HiGHS call the backend makes, with the arrays and
     options it passes and the (status, values) it gets back;
@@ -189,11 +266,11 @@ def _spied_highs(monkeypatch, answer=None):
     given."""
     calls = []
 
-    def spy(c, integrality, lb, ub, a, lo, hi, options):
+    def spy(c, integrality, lb, ub, a, shape, lo, hi, options):
         calls.append(SimpleNamespace(c=c, integrality=integrality, lb=lb,
-                                     ub=ub, a=a, lo=lo, hi=hi,
+                                     ub=ub, a=a, shape=shape, lo=lo, hi=hi,
                                      options=options))
-        args = (c, integrality, lb, ub, a, lo, hi, options)
+        args = (c, integrality, lb, ub, a, shape, lo, hi, options)
         calls[-1].result = (_run_highs(*args) if answer is None
                             else answer(len(calls), *args))
         return calls[-1].result
@@ -202,8 +279,15 @@ def _spied_highs(monkeypatch, answer=None):
     return calls
 
 
+def _matrix(call):
+    """The constraint matrix of a recorded HiGHS call, from its CSC
+    arrays."""
+    indptr, indices, data = call.a
+    return sparse.csc_matrix((data, indices, indptr), shape=call.shape)
+
+
 def _dense_rows(call):
-    return call.a.toarray(), call.lo, call.hi
+    return _matrix(call).toarray(), call.lo, call.hi
 
 
 def test_disjoint_knapsacks_solved_apart(monkeypatch):
@@ -336,6 +420,93 @@ def test_variable_in_no_row_costs_no_call(monkeypatch):
     assert len(calls) == 1 and len(calls[0].c) == 3
 
 
+def _scipy_parts(problem) -> list:
+    """(columns, rows, CSC matrix) of each part as ``scipy.sparse`` finds
+    them: the components of the variable-row graph by ``csgraph``, with
+    empty rows and variables in no row in the first, and each part's
+    matrix cut from the whole one.  The reference for ``_components``."""
+    n = problem.n_variables
+    a = sparse.csr_matrix((problem._vals, (problem._rows, problem._cols)),
+                          shape=(problem.n_constraints, n))
+    graph = sparse.bmat([[None, a.T], [a, None]], format="csr")
+    _, labels = csgraph.connected_components(graph, directed=False)
+    linked = np.diff(graph.indptr) > 0
+    labels[~linked] = labels[linked][0] if linked.any() else 0
+    parts = []
+    for k in np.unique(labels):
+        cols = np.flatnonzero(labels[:n] == k)
+        rows = np.flatnonzero(labels[n:] == k)
+        parts.append((cols, rows, a[rows][:, cols].tocsc()))
+    return parts
+
+
+def _assert_parts_match_scipy(problem):
+    got = milp._components(
+        (problem.n_constraints, problem.n_variables),
+        np.array(problem._rows, dtype=np.intp),
+        np.array(problem._cols, dtype=np.intp),
+        np.array(problem._vals, dtype=float))
+    want = _scipy_parts(problem)
+    assert len(got) == len(want)
+    for (cols, rows, arrays), (want_cols, want_rows, a) in zip(got, want):
+        assert cols.tolist() == want_cols.tolist()
+        assert rows.tolist() == want_rows.tolist()
+        assert a.has_sorted_indices
+        for got_array, want_array in zip(arrays, (a.indptr, a.indices,
+                                                  a.data)):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+    return len(got)
+
+
+def _cancelled_term():
+    # x's two terms sum to an explicit zero entry, its only link to y
+    p = MilpProblem()
+    x, y, z = (p.add_variable(0.0, 1.0) for _ in range(3))
+    p.add_constraint([(y, 1.0), (x, 1.0), (x, -1.0)], "<=", 1.0)
+    p.add_constraint({z: 1.0}, "<=", 1.0)
+    return p.freeze()
+
+
+def _no_rows():
+    p = MilpProblem()
+    p.add_variable(0.0, 1.0)
+    p.add_variable(0.0, 1.0)
+    return p.freeze()
+
+
+def _empty_rows_only():
+    p = MilpProblem()
+    p.add_variable(0.0, 1.0)
+    p.add_constraint({}, "<=", 1.0)
+    p.add_constraint({}, ">=", -1.0)
+    return p.freeze()
+
+
+@pytest.mark.parametrize("make, n_parts", [
+    (_two_parts, 2), (_three_parts, 3), (_cancelled_term, 2),
+    (_no_rows, 1), (_empty_rows_only, 1),
+], ids=["two-parts", "three-parts", "cancelled-term", "no-rows",
+        "empty-rows-only"])
+def test_small_split_matches_scipy(make, n_parts):
+    assert _assert_parts_match_scipy(make()) == n_parts
+
+
+@pytest.mark.parametrize("mode, ess, n_parts", [
+    ("ct", True, 1), ("dt", True, 1), ("ct", False, 4), ("dt", False, 4),
+], ids=["ct", "dt", "ct-no-storage", "dt-no-storage"])
+def test_twelve_node_split_matches_scipy(mode, ess, n_parts):
+    # every direction at K = 12: byte for byte the arrays that the split
+    # by csgraph and the matrix cut by scipy.sparse handed HiGHS
+    model = twelve_node(ess=ess)
+    config = engine.AssessmentConfig(mode=mode)
+    margins = engine.compute_margins(model)
+    for theta in engine.all_directions(config.directions):
+        assembled = engine.build_subproblem(model, float(theta), config,
+                                            margins)
+        assert _assert_parts_match_scipy(assembled.problem) == n_parts
+
+
 def _recorded_rows(monkeypatch) -> list:
     """Record every ``add_constraint`` call as (terms, sense, rhs), with
     the terms summed per variable and sorted as the builder promises."""
@@ -395,10 +566,13 @@ def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
                       (call.lb, lb), (call.ub, ub),
                       (call.lo, lo), (call.hi, hi)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(call.a, name), getattr(a, name))
-    assert call.a.format == "csc"
-    assert call.a.shape == a.shape and call.a.has_sorted_indices
+    for got, name in zip(call.a, ("indptr", "indices", "data")):
+        want = getattr(a, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert call.shape == a.shape
+    indptr, indices, _ = call.a
+    assert all((np.diff(indices[start:end]) > 0).all()
+               for start, end in zip(indptr[:-1], indptr[1:]))
 
 
 # a CT direction with restarts (the hardest of the 24 at K = 12), and a DT
@@ -441,8 +615,8 @@ def test_highs_call_matches_scipy_milp(restart_solves):
             warnings.simplefilter("ignore")
             res = scipy_milp(call.c, integrality=call.integrality,
                              bounds=Bounds(call.lb, call.ub),
-                             constraints=LinearConstraint(call.a, call.lo,
-                                                          call.hi),
+                             constraints=LinearConstraint(_matrix(call),
+                                                          call.lo, call.hi),
                              options=options)
         status, x = call.result
         assert status == ("optimal", "limit", "infeasible",
