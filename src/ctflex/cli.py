@@ -119,37 +119,6 @@ def _theta_set(args, default: tuple | None = None) -> tuple | None:
     return theta_set
 
 
-def _stored_tube(tube_path: str, summary_path: str) -> engine.FlexTube:
-    """A tube read back from an assessment's tube CSV and summary JSON."""
-    for path in (tube_path, summary_path):
-        if not os.path.exists(path):
-            raise CliError(f"file not found: {path}")
-    try:
-        with open(summary_path) as fp:
-            summary = json.load(fp)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"{summary_path}: unreadable JSON: {exc}") from exc
-    if not isinstance(summary, dict) or "horizon" not in summary:
-        raise CliError(f"{summary_path}: no horizon block")
-    horizon = summary["horizon"]
-    missing = [key for key in ("t1", "period", "n_periods")
-               if not isinstance(horizon, dict)
-               or not isinstance(horizon.get(key), (int, float))]
-    if missing:
-        raise CliError(f"{summary_path}: horizon block lacks a number for "
-                       f"{', '.join(missing)}")
-    if not isinstance(horizon["n_periods"], int) or horizon["n_periods"] < 1:
-        raise CliError(f"{summary_path}: horizon n_periods "
-                       f"{horizon['n_periods']!r} is not an integer >= 1")
-    mode = summary.get("mode", "ct")
-    if mode not in engine.N_COEF_BY_MODE:
-        raise CliError(f"{summary_path}: unknown mode {mode!r}")
-    try:
-        return engine.tube_from_csv(tube_path, horizon, mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _config_from_args(args) -> engine.AssessmentConfig:
     try:
         return engine.AssessmentConfig(
@@ -193,31 +162,6 @@ def _write_manifest(out_dir: str, args, stages: dict, warnings: list):
         fp.write("\n")
 
 
-def _summary(tube: engine.FlexTube, model: NetworkModel, theta_set) -> dict:
-    doc = {
-        "directions": [s.theta for s in tube.slices],
-        "statuses": {repr(s.theta): s.status for s in tube.slices},
-        "gaps": tube.gaps,
-        "horizon": {"t1": tube.t1, "period": tube.period,
-                    "n_periods": tube.n_periods},
-        "mode": tube.mode,
-        "M": None,
-        "K1": None,
-        "K2": None,
-        "theta_set": list(theta_set) if theta_set else None,
-    }
-    try:
-        doc["M"] = engine.metric_M(tube, theta_set)
-    except ValueError:
-        pass
-    try:
-        k1, k2 = engine.penetration_metrics(model)
-        doc["K1"], doc["K2"] = k1, k2
-    except ValueError:
-        pass
-    return doc
-
-
 def cmd_assess(args) -> int:
     model = _load(args.model, args.alpha)
     config = _config_from_args(args)
@@ -235,7 +179,7 @@ def cmd_assess(args) -> int:
     with open(os.path.join(args.out, "tube.csv"), "w", newline="") as fp:
         engine.tube_to_csv(tube, fp)
     with open(os.path.join(args.out, "summary.json"), "w") as fp:
-        json.dump(_summary(tube, model, theta_set), fp, indent=1,
+        json.dump(engine.tube_summary(tube, model, theta_set), fp, indent=1,
                   sort_keys=True)
         fp.write("\n")
     if args.plot_grid:
@@ -274,7 +218,10 @@ def cmd_pqbox(args) -> int:
     stages = {}
     os.makedirs(args.out, exist_ok=True)
     if args.tube:
-        tube = _stored_tube(args.tube, args.summary)
+        try:
+            tube = engine.read_tube(args.tube, args.summary)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         if args.mode not in (None, tube.mode):
             raise CliError(f"--mode {args.mode} contradicts {args.summary}, "
                            f"which holds a {tube.mode} tube")

@@ -12,8 +12,10 @@ whose subproblem is infeasible (or hits the solver limit) are kept as gaps.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +41,8 @@ __all__ = [
     "all_directions", "compute_margins",
     "build_subproblem", "solve_slice", "assemble_tube", "assess",
     "query_point", "match_direction", "metric_M", "penetration_metrics",
-    "tube_to_csv", "tube_from_csv", "dense_grid_csv",
+    "tube_summary", "tube_to_csv", "tube_from_csv", "read_tube",
+    "dense_grid_csv",
 ]
 
 DEFAULT_THETA_SET = tuple(k * math.pi / 3.0 for k in range(6))
@@ -109,8 +112,6 @@ class FlexTube:
         # a NaN direction passes the ordering test, never this one
         if not all(0 <= th < 2 * math.pi for th in thetas):
             raise ValueError("slice directions must lie in [0, 2pi)")
-        if not self.period > 0:
-            raise ValueError(f"period {self.period} must be positive")
 
     @property
     def directions(self) -> np.ndarray:
@@ -400,6 +401,33 @@ def penetration_metrics(model: NetworkModel,
 
 
 _TUBE_COLUMNS = ("theta", "period", "coef_index", "value", "status")
+# the statuses that solve_slice writes
+_STATUSES = ("optimal", "infeasible", "limit")
+
+
+def tube_summary(tube: FlexTube, model: NetworkModel, theta_set) -> dict:
+    doc = {
+        "directions": [s.theta for s in tube.slices],
+        "statuses": {repr(s.theta): s.status for s in tube.slices},
+        "gaps": tube.gaps,
+        "horizon": {"t1": tube.t1, "period": tube.period,
+                    "n_periods": tube.n_periods},
+        "mode": tube.mode,
+        "M": None,
+        "K1": None,
+        "K2": None,
+        "theta_set": list(theta_set) if theta_set else None,
+    }
+    try:
+        doc["M"] = metric_M(tube, theta_set)
+    except ValueError:
+        pass
+    try:
+        k1, k2 = penetration_metrics(model)
+        doc["K1"], doc["K2"] = k1, k2
+    except ValueError:
+        pass
+    return doc
 
 
 def tube_to_csv(tube: FlexTube, fp):
@@ -417,21 +445,47 @@ def tube_to_csv(tube: FlexTube, fp):
                             s.status])
 
 
+def _stored_layout(horizon, mode) -> tuple:
+    """(t1, period, n_periods, n_coef) of a stored tube's horizon block
+    and mode, or ValueError."""
+    missing = [key for key in ("t1", "period", "n_periods")
+               if not isinstance(horizon, dict)
+               or not isinstance(horizon.get(key), (int, float))]
+    if missing:
+        raise ValueError("horizon block lacks a number for "
+                         f"{', '.join(missing)}")
+    for key in ("t1", "period"):
+        # not math.isfinite, which overflows on a long JSON integer
+        if not abs(horizon[key]) <= sys.float_info.max:
+            raise ValueError(f"horizon {key} {horizon[key]!r} is not finite")
+    t1, period, n_periods = (horizon[k] for k in ("t1", "period", "n_periods"))
+    if not period > 0:
+        raise ValueError(f"horizon period {period!r} must be positive")
+    if isinstance(n_periods, bool) or not isinstance(n_periods, int) \
+            or n_periods < 1:
+        raise ValueError(f"horizon n_periods {n_periods!r} is not an "
+                         "integer >= 1")
+    # a tuple, not the dict: a list or a dict mode is unhashable
+    if mode not in tuple(N_COEF_BY_MODE):
+        raise ValueError(f"unknown mode {mode!r}")
+    return float(t1), float(period), n_periods, N_COEF_BY_MODE[mode]
+
+
 def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
     """Rebuild a tube from its CSV plus the horizon block of the summary.
 
-    Raises ValueError unless the horizon's ``n_periods`` is an integer
-    >= 1, the header names every column that ``tube_to_csv`` writes, every
-    cell read is a number, every coefficient is finite, every direction's
-    rows share one status, every direction lies in [0, 2pi), and every
-    optimal slice has exactly the periods and coefficients that the
-    horizon and the mode declare.
+    Raises ValueError unless ``t1`` and ``period`` are finite numbers,
+    ``period`` positive, ``n_periods`` an integer >= 1, the mode known,
+    the header names every column that ``tube_to_csv`` writes, every
+    status is one that ``solve_slice`` writes, every cell read is a
+    number, no optimal cell is given twice, every coefficient is finite,
+    every direction's rows share one status, every direction lies in
+    [0, 2pi), and every optimal slice has exactly the periods and
+    coefficients that the horizon and the mode declare.  Messages about
+    the CSV name the file, and the line where there is one.
     """
-    n_periods = horizon["n_periods"]
-    if isinstance(n_periods, bool) or not isinstance(n_periods, int) \
-            or n_periods < 1:
-        raise ValueError(f"n_periods {n_periods!r} is not an integer >= 1")
-    cells: dict = {}                # theta -> {(period, coef): value}
+    t1, period, n_periods, n_coef = _stored_layout(horizon, mode)
+    cells: dict = {}                # theta -> {(period, coef): (value, line)}
     status: dict = {}
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
@@ -445,30 +499,42 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
         for row in reader:
             if not row:             # a blank line holds no cell
                 continue
+            line = reader.line_num
             if len(row) < width:
-                raise ValueError(f"{path}: line {reader.line_num} has "
-                                 f"{len(row)} fields, short of the "
-                                 f"{width} its columns need")
+                raise ValueError(f"{path}: line {line} has {len(row)} "
+                                 f"fields, short of the {width} its "
+                                 "columns need")
             st = row[i_status]
-            try:
+            if st not in _STATUSES:
+                raise ValueError(f"{path}: line {line}: unknown status "
+                                 f"{st!r}")
+            try:                    # each ValueError gets this line
                 th = float(row[i_theta])
                 if st == "optimal":
-                    cells.setdefault(th, {})[(int(row[i_period]),
-                                              int(row[i_coef]))] = \
-                        (float(row[i_value]), reader.line_num)
+                    cell = (int(row[i_period]), int(row[i_coef]))
+                    slot = cells.setdefault(th, {})
+                    if cell in slot:
+                        raise ValueError(f"theta {th!r} period {cell[0]} "
+                                         f"coefficient {cell[1]} repeats "
+                                         f"line {slot[cell][1]}")
+                    value = float(row[i_value])
+                    if not math.isfinite(value):
+                        raise ValueError(f"coefficient {value!r} is not "
+                                         "finite")
+                    slot[cell] = (value, line)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") \
-                    from None
+                raise ValueError(f"{path}: line {line}: {exc}") from None
             if status.setdefault(th, st) != st:
                 raise ValueError(f"{path}: theta {th!r} has both "
                                  f"{status[th]!r} and {st!r} rows")
-    n_coef = N_COEF_BY_MODE[mode]
     slices = []
     for th in sorted(status):
         if status[th] != "optimal":
             slices.append(Slice(th, status[th], None, None))
             continue
-        if set(cells[th]) != set(np.ndindex(n_periods, n_coef)):
+        # the count first: a huge n_periods must not build its grid
+        if len(cells[th]) != n_periods * n_coef \
+                or set(cells[th]) != set(np.ndindex(n_periods, n_coef)):
             raise ValueError(
                 f"{path}: theta {th!r} does not fill exactly the "
                 f"{n_periods} x {n_coef} period x coefficient grid ({mode}) "
@@ -476,15 +542,34 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
         coeffs = np.zeros((n_periods, n_coef))
         for (m, k), (v, _) in cells[th].items():
             coeffs[m, k] = v
-        if not np.isfinite(coeffs).all():
-            v, line = next(cell for cell in cells[th].values()
-                           if not math.isfinite(cell[0]))
-            raise ValueError(f"{path}: line {line}: coefficient {v!r} is "
-                             "not finite")
-        slices.append(Slice(th, "optimal", coeffs, _objective(
-            coeffs, float(horizon["period"]), n_coef)))
-    return FlexTube(tuple(slices), float(horizon["t1"]),
-                    float(horizon["period"]), n_periods, mode=mode)
+        slices.append(Slice(th, "optimal", coeffs,
+                            _objective(coeffs, period, n_coef)))
+    try:
+        return FlexTube(tuple(slices), t1, period, n_periods, mode=mode)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_tube(tube_path: str, summary_path: str) -> FlexTube:
+    """A tube read back from an assessment's tube CSV and summary JSON,
+    whose mode is ``ct`` when absent; ValueError naming the file unless
+    both exist and pass ``tube_from_csv``."""
+    for path in (tube_path, summary_path):
+        if not os.path.isfile(path):
+            raise ValueError(f"file not found: {path}")
+    try:
+        with open(summary_path) as fp:
+            summary = json.load(fp)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{summary_path}: unreadable JSON: {exc}") from None
+    if not isinstance(summary, dict) or "horizon" not in summary:
+        raise ValueError(f"{summary_path}: no horizon block")
+    horizon, mode = summary["horizon"], summary.get("mode", "ct")
+    try:
+        _stored_layout(horizon, mode)
+    except ValueError as exc:
+        raise ValueError(f"{summary_path}: {exc}") from None
+    return tube_from_csv(tube_path, horizon, mode)
 
 
 def dense_grid_csv(tube: FlexTube, fp, n_theta: int = 96, n_t: int = 33):

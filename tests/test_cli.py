@@ -1,14 +1,16 @@
 """CLI contract tests: command outputs, exit codes, the direction-set
 parser, and byte-determinism across reruns."""
 
+import copy
 import hashlib
 import json
 import math
 import os
+import random
 
 import pytest
 
-from ctflex import engine
+from ctflex import engine, pqbox
 from ctflex.cli import CliError, main, parse_theta_set
 from ctflex.instances import two_node
 from ctflex.netmodel import serialize
@@ -439,12 +441,31 @@ CT4_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     (CT4_TUBE_CSV.replace("0.0,1,2,1.0", "0.0,1,2,inf"),
      json.dumps({"horizon": HORIZON4, "mode": "ct"}),
      "tube.csv: line 8: coefficient inf is not finite"),
+    (DT4_TUBE_CSV + "3.0,,,,abc\n",
+     json.dumps({"horizon": HORIZON4, "mode": "dt"}),
+     "tube.csv: line 6: unknown status 'abc'"),
+    (DT4_TUBE_CSV + "0.0,1,0,5.0,optimal\n",
+     json.dumps({"horizon": HORIZON4, "mode": "dt"}),
+     "tube.csv: line 6: theta 0.0 period 1 coefficient 0 repeats line 3"),
+    (DT4_TUBE_CSV, json.dumps({"horizon": {**HORIZON4, "n_periods": True},
+                               "mode": "dt"}),
+     "summary.json: horizon n_periods True is not an integer >= 1"),
+    (DT4_TUBE_CSV, json.dumps({"horizon": {**HORIZON4, "t1": math.nan},
+                               "mode": "dt"}),
+     "summary.json: horizon t1 nan is not finite"),
+    (DT4_TUBE_CSV, json.dumps({"horizon": {**HORIZON4, "period": math.inf},
+                               "mode": "dt"}),
+     "summary.json: horizon period inf is not finite"),
+    (DT4_TUBE_CSV, json.dumps({"horizon": {**HORIZON4, "t1": 10 ** 400},
+                               "mode": "dt"}),
+     "summary.json: horizon t1 1000"),
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
         "too-many-periods", "fractional-n-periods", "zero-n-periods",
         "zero-period", "no-status-column", "short-row", "non-numeric-cell",
         "gap-row-first", "gap-row-last", "nan-theta", "nan-value",
-        "inf-value"])
+        "inf-value", "unknown-status", "repeated-cell", "bool-n-periods",
+        "nan-t1", "inf-period", "long-int-t1"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []
@@ -459,6 +480,88 @@ def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["tube", "summary"])
+def test_pqbox_stored_tube_that_is_a_directory(which, tmp_path, capsys):
+    paths = [CT12_TUBE, CT12_SUMMARY]
+    paths[which] = str(tmp_path)
+    rc = run(["pqbox", "builtin:twelve-node", "--tube", paths[0],
+              "--summary", paths[1], "--time", "0",
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: file not found: {tmp_path}\n"
+
+
+# what a mutant of the stored 12-node tube puts in a CSV cell, or in a
+# summary field it retypes, and the times it is queried at
+MUTANT_CELLS = ("nan", "inf", "", "abc", "-1", "1e308")
+MUTANT_FIELDS = (math.nan, math.inf, "", "abc", -1, 1e308, None, True, [],
+                 {})
+MUTANT_TIMES = (0, 900, 1234.5, 1800, 3600)
+
+
+def stored_tube_mutants(rng, count):
+    """``count`` (edit, tube CSV text, summary document) triples, each the
+    stored 12-node tube and summary with one random edit."""
+    with open(CT12_TUBE) as fp:
+        lines = fp.read().splitlines()
+    with open(CT12_SUMMARY) as fp:
+        summary = json.load(fp)
+    for _ in range(count):
+        rows, doc = list(lines), copy.deepcopy(summary)
+        edit = rng.choice(("drop", "duplicate", "swap", "cell", "delete",
+                           "retype"))
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "duplicate":
+            rows.insert(j, rows[i])
+        elif edit == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == "cell":
+            cells = rows[i].split(",")
+            cells[rng.randrange(len(cells))] = rng.choice(MUTANT_CELLS)
+            rows[i] = ",".join(cells)
+        else:
+            block = rng.choice((doc, doc["horizon"]))
+            key = rng.choice(sorted(block))
+            if edit == "delete":
+                del block[key]
+            else:
+                block[key] = rng.choice(MUTANT_FIELDS)
+        yield edit, "\n".join(rows) + "\n", doc
+
+
+def test_pqbox_stored_tube_mutants(tmp_path, capsys):
+    # each mutant is input error, or a box whose corners are finite and
+    # lie in the section of the mutant as read back; a traceback fails
+    rng = random.Random(1117)
+    tube, summary = str(tmp_path / "tube.csv"), str(tmp_path / "summary.json")
+    out = tmp_path / "box"
+    codes = []
+    for n, (edit, tube_text, doc) in enumerate(stored_tube_mutants(rng, 300)):
+        with open(tube, "w") as fp:
+            fp.write(tube_text)
+        with open(summary, "w") as fp:
+            json.dump(doc, fp)
+        t0 = rng.choice(MUTANT_TIMES)
+        rc = run(["pqbox", "builtin:twelve-node", "--tube", tube,
+                  "--summary", summary, "--time", str(t0), "--out", str(out)])
+        err = capsys.readouterr().err
+        what = f"mutant {n} ({edit}) at t = {t0}: exit {rc}, {err!r}"
+        codes.append(rc)
+        if rc == 2:
+            assert err.startswith("error: "), what
+            continue
+        assert rc == 0, what
+        box = json.loads((out / "box.json").read_text())
+        section = pqbox.cross_section(engine.read_tube(tube, summary), t0)
+        for p in (box["P1"], box["P2"]):
+            for q in (box["Q1"], box["Q2"]):
+                assert math.isfinite(p) and math.isfinite(q), what
+                assert section.contains(p, q), what
+    assert codes.count(0) and codes.count(2)
 
 
 def test_compare_dt(tmp_path):

@@ -429,6 +429,20 @@ def test_tube_csv_direction_with_gap_and_optimal_rows_rejected(rows,
         engine.tube_from_csv(str(path), horizon, "dt")
 
 
+def test_tube_csv_repeated_optimal_cell_rejected(tmp_path):
+    path = tmp_path / "tube.csv"
+    header = "theta,period,coef_index,value,status\n"
+    horizon = {"t1": 0.0, "period": 900.0, "n_periods": 1}
+    path.write_text(header + "0.0,0,0,1.0,optimal\n0.0,0,0,5.0,optimal\n")
+    with pytest.raises(ValueError, match=r"tube.csv: line 3: theta 0.0 "
+                       r"period 0 coefficient 0 repeats line 2$"):
+        engine.tube_from_csv(str(path), horizon, "dt")
+    # a repeated gap row carries no value
+    path.write_text(header + "0.0,,,,infeasible\n0.0,,,,infeasible\n"
+                    "1.0,0,0,1.0,optimal\n")
+    assert engine.tube_from_csv(str(path), horizon, "dt").gaps == [0.0]
+
+
 def test_dense_grid_emission(sym_tube):
     buf = io.StringIO()
     engine.dense_grid_csv(sym_tube, buf, n_theta=8, n_t=3)
@@ -458,9 +472,8 @@ def stored_ct12_tube():
     """The 12-node CT tube kept with the benchmark: 24 gap-free slices."""
     data = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "data")
-    with open(os.path.join(data, "ct12_summary.json")) as fp:
-        horizon = json.load(fp)["horizon"]
-    return engine.tube_from_csv(os.path.join(data, "ct12_tube.csv"), horizon)
+    return engine.read_tube(os.path.join(data, "ct12_tube.csv"),
+                            os.path.join(data, "ct12_summary.json"))
 
 
 @pytest.mark.parametrize("make", [lambda: synthetic_tube("ct", gap=5),
