@@ -12,6 +12,7 @@ whose subproblem is infeasible (or hits the solver limit) are kept as gaps.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .blocks import (
     N_COEF,
 )
 from .milp import MilpSolution, SolveOptions, load_solver, solve as milp_solve
-from .netmodel import NetworkModel
+from .netmodel import NetworkModel, read_text
 
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
@@ -407,8 +408,7 @@ _STATUSES = ("optimal", "infeasible", "limit")
 
 def tube_summary(tube: FlexTube, model: NetworkModel, theta_set) -> dict:
     doc = {
-        "directions": [s.theta for s in tube.slices],
-        "statuses": {repr(s.theta): s.status for s in tube.slices},
+        **_listing(tube),
         "gaps": tube.gaps,
         "horizon": {"t1": tube.t1, "period": tube.period,
                     "n_periods": tube.n_periods},
@@ -481,52 +481,49 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
     number, no optimal cell is given twice, every coefficient is finite,
     every direction's rows share one status, every direction lies in
     [0, 2pi), and every optimal slice has exactly the periods and
-    coefficients that the horizon and the mode declare.  Messages about
-    the CSV name the file, and the line where there is one.
+    coefficients that the horizon and the mode declare, in a file of UTF-8
+    text.  Messages about the CSV name the file, and the line where there
+    is one.
     """
     t1, period, n_periods, n_coef = _stored_layout(horizon, mode)
     cells: dict = {}                # theta -> {(period, coef): (value, line)}
     status: dict = {}
-    with open(path, newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader, [])
-        for name in _TUBE_COLUMNS:
-            if name not in header:
-                raise ValueError(f"{path}: no {name!r} column")
-        cols = [header.index(name) for name in _TUBE_COLUMNS]
-        i_theta, i_period, i_coef, i_value, i_status = cols
-        width = max(cols) + 1
-        for row in reader:
-            if not row:             # a blank line holds no cell
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise ValueError(f"{path}: line {line} has {len(row)} "
-                                 f"fields, short of the {width} its "
-                                 "columns need")
-            st = row[i_status]
-            if st not in _STATUSES:
-                raise ValueError(f"{path}: line {line}: unknown status "
-                                 f"{st!r}")
-            try:                    # each ValueError gets this line
-                th = float(row[i_theta])
-                if st == "optimal":
-                    cell = (int(row[i_period]), int(row[i_coef]))
-                    slot = cells.setdefault(th, {})
-                    if cell in slot:
-                        raise ValueError(f"theta {th!r} period {cell[0]} "
-                                         f"coefficient {cell[1]} repeats "
-                                         f"line {slot[cell][1]}")
-                    value = float(row[i_value])
-                    if not math.isfinite(value):
-                        raise ValueError(f"coefficient {value!r} is not "
-                                         "finite")
-                    slot[cell] = (value, line)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: {exc}") from None
-            if status.setdefault(th, st) != st:
-                raise ValueError(f"{path}: theta {th!r} has both "
-                                 f"{status[th]!r} and {st!r} rows")
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, [])
+    for name in _TUBE_COLUMNS:
+        if name not in header:
+            raise ValueError(f"{path}: no {name!r} column")
+    cols = [header.index(name) for name in _TUBE_COLUMNS]
+    i_theta, i_period, i_coef, i_value, i_status = cols
+    width = max(cols) + 1
+    for row in reader:
+        if not row:             # a blank line holds no cell
+            continue
+        line = reader.line_num
+        if len(row) < width:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                             f"short of the {width} its columns need")
+        st = row[i_status]
+        if st not in _STATUSES:
+            raise ValueError(f"{path}: line {line}: unknown status {st!r}")
+        try:                    # each ValueError gets this line
+            th = float(row[i_theta])
+            if st == "optimal":
+                cell = (int(row[i_period]), int(row[i_coef]))
+                slot = cells.setdefault(th, {})
+                if cell in slot:
+                    raise ValueError(f"theta {th!r} period {cell[0]} "
+                                     f"coefficient {cell[1]} repeats "
+                                     f"line {slot[cell][1]}")
+                value = float(row[i_value])
+                if not math.isfinite(value):
+                    raise ValueError(f"coefficient {value!r} is not finite")
+                slot[cell] = (value, line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        if status.setdefault(th, st) != st:
+            raise ValueError(f"{path}: theta {th!r} has both "
+                             f"{status[th]!r} and {st!r} rows")
     slices = []
     for th in sorted(status):
         if status[th] != "optimal":
@@ -550,10 +547,17 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _listing(tube: FlexTube) -> dict:
+    """The summary's record of a tube's directions and their statuses."""
+    return {"directions": [s.theta for s in tube.slices],
+            "statuses": {repr(s.theta): s.status for s in tube.slices}}
+
+
 def read_tube(tube_path: str, summary_path: str) -> FlexTube:
     """A tube read back from an assessment's tube CSV and summary JSON,
     whose mode is ``ct`` when absent; ValueError naming the file unless
-    both exist and pass ``tube_from_csv``."""
+    both exist, pass ``tube_from_csv``, and the summary's ``directions``
+    and ``statuses``, where it has them, are the tube's."""
     for path in (tube_path, summary_path):
         if not os.path.isfile(path):
             raise ValueError(f"file not found: {path}")
@@ -569,7 +573,12 @@ def read_tube(tube_path: str, summary_path: str) -> FlexTube:
         _stored_layout(horizon, mode)
     except ValueError as exc:
         raise ValueError(f"{summary_path}: {exc}") from None
-    return tube_from_csv(tube_path, horizon, mode)
+    tube = tube_from_csv(tube_path, horizon, mode)
+    for key, value in _listing(tube).items():
+        if key in summary and summary[key] != value:
+            raise ValueError(f"{summary_path}: {key} differ from those of "
+                             f"the tube {tube_path}")
+    return tube
 
 
 def dense_grid_csv(tube: FlexTube, fp, n_theta: int = 96, n_t: int = 33):

@@ -6,18 +6,19 @@ uncertainty description, and the assessment horizon.  Everything is
 per-unit on the declared base.  Models are immutable after construction
 and safe to share across parallel workers.
 
-The on-disk form is a single JSON file with sections
-nodes/branches/devices/uncertainty/horizon; sampled profiles live in CSV
-sidecar files with header ``t,value`` (seconds since t1) or inline arrays.
+The on-disk form is one JSON file whose entries' keys are their dataclass
+fields (see ``_SECTIONS``); sampled profiles live in CSV sidecar files
+with header ``t,value`` (seconds since t1) or inline arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -25,14 +26,8 @@ __all__ = [
     "Profile", "Branch", "PvUnit", "LoadPoint", "EssDevice", "SopDevice",
     "SvcDevice", "CapacitorBank", "Horizon",
     "NetworkModel", "ModelError", "ParseError", "ValidationError",
-    "load_model", "serialize", "validate",
+    "load_model", "serialize", "validate", "read_text",
 ]
-
-BRANCH_KINDS = ("plain", "oltc", "regulator")
-
-DEFAULT_U_MIN = 0.95 ** 2
-DEFAULT_U_MAX = 1.05 ** 2
-
 
 class ModelError(Exception):
     """Base class for model ingestion failures."""
@@ -65,21 +60,14 @@ class Profile:
 
     @classmethod
     def from_csv(cls, path: str) -> "Profile":
-        times, values = [], []
-        with open(path, newline="") as fp:
-            reader = csv.reader(fp)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-                raise ParseError(f"{path}: expected CSV header 't,value'")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    times.append(float(row[0]))
-                    values.append(float(row[1]))
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"{path}: bad row {row!r}") from exc
-        return cls(tuple(times), tuple(values))
+        reader = csv.reader(io.StringIO(read_text(path), newline=""))
+        if [h.strip() for h in next(reader, [])[:2]] != ["t", "value"]:
+            raise ParseError(f"{path}: expected CSV header 't,value'")
+        try:
+            rows = [(float(row[0]), float(row[1])) for row in reader if row]
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: bad row") from exc
+        return cls(tuple(t for t, _ in rows), tuple(v for _, v in rows))
 
     def to_csv(self, path: str):
         with open(path, "w", newline="") as fp:
@@ -87,12 +75,6 @@ class Profile:
             w.writerow(["t", "value"])
             for t, v in zip(self.times, self.values):
                 w.writerow([repr(t), repr(v)])
-
-    def times_array(self) -> np.ndarray:
-        return np.asarray(self.times)
-
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values)
 
 
 @dataclass(frozen=True)
@@ -102,12 +84,9 @@ class Branch:
     r: float
     x: float
     kind: str = "plain"
-    taps: tuple = ()               # OLTC ratio options a_k
+    taps: tuple[float, ...] = ()   # OLTC ratio options a_k
     tau_min: float = 1.0           # regulator ratio band
     tau_max: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple(float(a) for a in self.taps))
 
 
 @dataclass(frozen=True)
@@ -115,12 +94,9 @@ class PvUnit:
     node: int
     s_max: float
     q_max: float
-    u_breaks: tuple                # squared-voltage breakpoints U1 <= U2 < U3 <= U4
+    u_breaks: tuple[float, ...]    # squared-voltage breakpoints U1 <= U2 < U3 <= U4
     forecast: Profile
     sigma2: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_breaks", tuple(float(u) for u in self.u_breaks))
 
 
 @dataclass(frozen=True)
@@ -146,14 +122,11 @@ class EssDevice:
 
 @dataclass(frozen=True)
 class SopDevice:
-    nodes: tuple                   # the two terminal nodes
+    nodes: tuple[int, ...]         # the two terminal nodes
     s_max: float
     p_min: float
     p_max: float
     loss: float = 0.0              # linear conversion-loss coefficient
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
 
 
 @dataclass(frozen=True)
@@ -168,10 +141,7 @@ class SvcDevice:
 @dataclass(frozen=True)
 class CapacitorBank:
     node: int
-    steps: tuple                   # selectable susceptances q_Ck
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(float(q) for q in self.steps))
+    steps: tuple[float, ...]       # selectable susceptances q_Ck
 
 
 @dataclass(frozen=True)
@@ -183,6 +153,23 @@ class Horizon:
     @property
     def n_periods(self) -> int:
         return int(round((self.t2 - self.t1) / self.period))
+
+
+# the model file's sections of entities: file key, NetworkModel field,
+# class, and the label that names an entity in messages and sidecar files
+_SECTIONS = (
+    ("branches", "branches", Branch, "branch"),
+    ("pv_units", "pv_units", PvUnit, "pv"),
+    ("loads", "loads", LoadPoint, "load"),
+    ("ess", "ess_devices", EssDevice, "ess"),
+    ("sop", "sop_devices", SopDevice, "sop"),
+    ("svc", "svc_devices", SvcDevice, "svc"),
+    ("cap_banks", "cap_banks", CapacitorBank, "cap"),
+)
+# the fields stored under another key, and those written for one kind only
+_FILE_KEYS = {"from_node": "from", "to_node": "to"}
+_WRITTEN_FOR_KIND = {"taps": "oltc", "tau_min": "regulator",
+                     "tau_max": "regulator"}
 
 
 @dataclass(frozen=True)
@@ -197,15 +184,14 @@ class NetworkModel:
     svc_devices: tuple = ()
     cap_banks: tuple = ()
     alpha: float = 0.5
-    u_min: float = DEFAULT_U_MIN
-    u_max: float = DEFAULT_U_MAX
+    u_min: float = 0.95 ** 2
+    u_max: float = 1.05 ** 2
     u0: float = 1.0                # squared TDI voltage (held by the TN)
     base_mva: float = 1.0
     base_kv: float = 1.0
 
     def __post_init__(self):
-        for name in ("branches", "pv_units", "loads", "ess_devices",
-                     "sop_devices", "svc_devices", "cap_banks"):
+        for _, name, _, _ in _SECTIONS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # -- topology helpers ---------------------------------------------------
@@ -265,7 +251,7 @@ def _profile_violations(owner: str, profile: Profile, horizon: Horizon,
     if len(profile.times) < 2:
         out.append(f"{owner}: profile needs at least 2 samples")
         return out
-    t = profile.times_array() + horizon.t1
+    t = np.asarray(profile.times) + horizon.t1
     if t[0] > horizon.t1 + 1e-9 or t[-1] < horizon.t2 - 1e-9:
         out.append(f"{owner}: profile does not cover the horizon "
                    f"[{horizon.t1}, {horizon.t2}]")
@@ -290,10 +276,9 @@ def validate(model: NetworkModel) -> list[str]:
 
     An empty list means the model is sound; violations are data, not errors.
     """
-    out = []
     if model.n_nodes < 2:
-        out.append("model: need at least 2 nodes (TDI plus one)")
-        return out
+        return ["model: need at least 2 nodes (TDI plus one)"]
+    out = []
 
     hz = model.horizon
     ratio = (hz.t2 - hz.t1) / hz.period if hz.period > 0 else math.nan
@@ -304,74 +289,64 @@ def validate(model: NetworkModel) -> list[str]:
 
     out.extend(_tree_violations(model))
 
-    for i, br in enumerate(model.branches):
-        if br.kind not in BRANCH_KINDS:
-            out.append(f"branch {i}: unknown class {br.kind!r}")
-        if br.r < 0 or br.x < 0:
-            out.append(f"branch {i}: negative impedance (r={br.r}, x={br.x})")
-        if br.kind == "oltc" and not br.taps:
-            out.append(f"branch {i}: OLTC tap list is empty")
-        if br.kind == "regulator" and br.tau_min > br.tau_max:
-            out.append(f"branch {i}: regulator tau_min {br.tau_min} > tau_max {br.tau_max}")
-
-    def check_node(owner, node):
-        if not 0 <= node < model.n_nodes:
-            out.append(f"{owner}: node {node} does not exist")
-
-    for k, pv in enumerate(model.pv_units):
-        owner = f"pv {k} (node {pv.node})"
-        check_node(owner, pv.node)
-        if not 0 <= pv.q_max <= pv.s_max:
-            out.append(f"{owner}: need 0 <= q_max <= s_max, got "
-                       f"q_max={pv.q_max}, s_max={pv.s_max}")
-        if len(pv.u_breaks) != 4:
-            out.append(f"{owner}: u_breaks must have 4 entries")
-        else:
-            u1, u2, u3, u4 = pv.u_breaks
-            if not (u1 <= u2 < u3 <= u4):
+    # each entity, named by its section label and index, walked field by
+    # field: every float finite, every device node in the tree, every
+    # profile sampled over the horizon
+    for owner, e in [("horizon", hz), ("model", model)] + [
+            (f"{label} {k}", e) for _, name, _, label in _SECTIONS
+            for k, e in enumerate(getattr(model, name))]:
+        for f in fields(e):
+            value = getattr(e, f.name)
+            if isinstance(value, Profile):
+                out.extend(_profile_violations(
+                    owner, value, hz, n_periods, nonnegative=f.name == "forecast"))
+                value = value.times + value.values
+            values = value if isinstance(value, tuple) else (value,)
+            bad = [v for v in values
+                   if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                out.append(f"{owner}: {f.name} {bad[0]!r} is not finite")
+            if f.name in ("node", "nodes"):
+                out.extend(f"{owner}: node {node} does not exist"
+                           for node in values if not 0 <= node < model.n_nodes)
+        if isinstance(e, Branch):
+            if e.kind not in ("plain", "oltc", "regulator"):
+                out.append(f"{owner}: unknown class {e.kind!r}")
+            if e.r < 0 or e.x < 0:
+                out.append(f"{owner}: negative impedance (r={e.r}, x={e.x})")
+            if e.kind == "oltc" and not e.taps:
+                out.append(f"{owner}: OLTC tap list is empty")
+            if e.kind == "regulator" and e.tau_min > e.tau_max:
+                out.append(f"{owner}: regulator tau_min {e.tau_min} > "
+                           f"tau_max {e.tau_max}")
+        if isinstance(e, PvUnit):
+            if not 0 <= e.q_max <= e.s_max:
+                out.append(f"{owner}: need 0 <= q_max <= s_max, got "
+                           f"q_max={e.q_max}, s_max={e.s_max}")
+            u = e.u_breaks
+            if len(u) != 4:
+                out.append(f"{owner}: u_breaks must have 4 entries")
+            elif not u[0] <= u[1] < u[2] <= u[3]:
                 out.append(f"{owner}: u_breaks must satisfy U1 <= U2 < U3 <= U4, "
-                           f"got {pv.u_breaks}")
-        if pv.sigma2 < 0:
+                           f"got {u}")
+        if isinstance(e, (PvUnit, LoadPoint)) and e.sigma2 < 0:
             out.append(f"{owner}: negative variance")
-        out.extend(_profile_violations(owner, pv.forecast, hz, n_periods,
-                                       True))
-
-    for k, ld in enumerate(model.loads):
-        owner = f"load {k} (node {ld.node})"
-        check_node(owner, ld.node)
-        if ld.sigma2 < 0:
-            out.append(f"{owner}: negative variance")
-        out.extend(_profile_violations(owner, ld.profile, hz, n_periods,
-                                       False))
-
-    for k, ess in enumerate(model.ess_devices):
-        owner = f"ess {k} (node {ess.node})"
-        check_node(owner, ess.node)
-        if not 0 <= ess.e_init <= ess.e_max:
-            out.append(f"{owner}: initial energy {ess.e_init} outside [0, {ess.e_max}]")
-        if not (0 < ess.eta_c <= 1 and 0 < ess.eta_d <= 1):
-            out.append(f"{owner}: efficiencies must lie in (0, 1]")
-        if ess.p_c < 0 or ess.p_d < 0:
-            out.append(f"{owner}: negative power rating")
-
-    for k, sop in enumerate(model.sop_devices):
-        owner = f"sop {k} (nodes {sop.nodes})"
-        if len(sop.nodes) != 2 or sop.nodes[0] == sop.nodes[1]:
-            out.append(f"{owner}: SOP terminals must be two distinct nodes")
-        for node in sop.nodes:
-            check_node(owner, node)
-        if sop.p_min > sop.p_max:
-            out.append(f"{owner}: p_min > p_max")
-        if sop.s_max < 0 or sop.loss < 0:
-            out.append(f"{owner}: negative capacity or loss")
-
-    for k, svc in enumerate(model.svc_devices):
-        check_node(f"svc {k} (node {svc.node})", svc.node)
-
-    for k, cap in enumerate(model.cap_banks):
-        owner = f"cap {k} (node {cap.node})"
-        check_node(owner, cap.node)
-        if not cap.steps:
+        if isinstance(e, EssDevice):
+            if not 0 <= e.e_init <= e.e_max:
+                out.append(f"{owner}: initial energy {e.e_init} outside "
+                           f"[0, {e.e_max}]")
+            if not (0 < e.eta_c <= 1 and 0 < e.eta_d <= 1):
+                out.append(f"{owner}: efficiencies must lie in (0, 1]")
+            if e.p_c < 0 or e.p_d < 0:
+                out.append(f"{owner}: negative power rating")
+        if isinstance(e, SopDevice):
+            if len(e.nodes) != 2 or e.nodes[0] == e.nodes[1]:
+                out.append(f"{owner}: SOP terminals must be two distinct nodes")
+            if e.p_min > e.p_max:
+                out.append(f"{owner}: p_min > p_max")
+            if e.s_max < 0 or e.loss < 0:
+                out.append(f"{owner}: negative capacity or loss")
+        if isinstance(e, CapacitorBank) and not e.steps:
             out.append(f"{owner}: no susceptance steps")
 
     if not 0 < model.alpha <= 0.5:
@@ -384,28 +359,91 @@ def validate(model: NetworkModel) -> list[str]:
 # -- file schema -------------------------------------------------------------
 
 
-def _load_profile(entry, base_dir: str) -> Profile:
-    if isinstance(entry, str):
-        return Profile.from_csv(os.path.join(base_dir, entry))
-    if isinstance(entry, dict) and "t" in entry and "value" in entry:
-        return Profile(tuple(entry["t"]), tuple(entry["value"]))
-    raise ParseError(f"profile entry must be a CSV path or {{t, value}} arrays, "
-                     f"got {type(entry).__name__}")
+def _int(value) -> int:
+    """An id or a count: an integer, or a float without a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) \
+            and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+# how a value in the file becomes a field of each declared type but Profile
+_READERS = {"int": _int, "float": float, "str": str,
+            "tuple[int, ...]": lambda v: tuple(_int(x) for x in v),
+            "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+            "float | None": lambda v: None if v is None else float(v)}
+
+
+def _value(entry, key: str, kind: str, base_dir: str):
+    """entry[key] as a field of declared type kind, or ValueError naming the
+    key; a profile is a CSV path relative to base_dir or {t, value} arrays."""
+    value = entry[key]
+    try:
+        if kind != "Profile":
+            return _READERS[kind](value)
+        if isinstance(value, str):
+            return Profile.from_csv(os.path.join(base_dir, value))
+        if isinstance(value, dict) and "t" in value and "value" in value:
+            return Profile(tuple(value["t"]), tuple(value["value"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    raise ParseError(f"profile entry must be a CSV path or {{t, value}} "
+                     f"arrays, got {type(value).__name__}")
+
+
+def _entity(cls, entry, base_dir: str):
+    """cls read from its file entry; a field without a default must be there."""
+    kwargs = {}
+    for f in fields(cls):
+        key = _FILE_KEYS.get(f.name, f.name)
+        if f.default is MISSING or key in entry:
+            kwargs[f.name] = _value(entry, key, f.type, base_dir)
+    return cls(**kwargs)
+
+
+def _entry(entity, sidecar: str) -> dict:
+    """The file entry of a dataclass instance; a profile goes to sidecar."""
+    out = {}
+    for f in fields(entity):
+        if f.name in _WRITTEN_FOR_KIND and entity.kind != _WRITTEN_FOR_KIND[f.name]:
+            continue
+        value = getattr(entity, f.name)
+        if isinstance(value, Profile):
+            value.to_csv(sidecar)
+            value = os.path.basename(sidecar)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[_FILE_KEYS.get(f.name, f.name)] = value
+    return out
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text, or ValueError naming the file and the line of
+    the first byte that does not decode."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} "
+                         "is not UTF-8") from None
 
 
 def load_model(path: str) -> NetworkModel:
     """Parse and validate a model file; raises ParseError / ValidationError."""
     try:
-        with open(path) as fp:
-            doc = json.load(fp)
+        doc = json.loads(read_text(path))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:       # a byte that is not UTF-8
+        raise ParseError(str(exc)) from exc
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         model = _model_from_doc(doc, base_dir)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ParseError(f"{path}: schema error: {exc}") from exc
     violations = validate(model)
     if violations:
@@ -414,69 +452,23 @@ def load_model(path: str) -> NetworkModel:
 
 
 def _model_from_doc(doc: dict, base_dir: str) -> NetworkModel:
-    hz = doc["horizon"]
-    horizon = Horizon(float(hz["t1"]), float(hz["t2"]), float(hz["period"]))
-    voltage = doc.get("voltage", {})
-    branches = tuple(
-        Branch(int(b["from"]), int(b["to"]), float(b["r"]), float(b["x"]),
-               kind=b.get("kind", "plain"), taps=tuple(b.get("taps", ())),
-               tau_min=float(b.get("tau_min", 1.0)),
-               tau_max=float(b.get("tau_max", 1.0)))
-        for b in doc["branches"]
-    )
-    pv_units = tuple(
-        PvUnit(int(p["node"]), float(p["s_max"]), float(p["q_max"]),
-               tuple(p["u_breaks"]), _load_profile(p["forecast"], base_dir),
-               sigma2=float(p.get("sigma2", 0.0)))
-        for p in doc.get("pv_units", ())
-    )
-    loads = tuple(
-        LoadPoint(int(d["node"]), _load_profile(d["profile"], base_dir),
-                  phi=float(d.get("phi", 0.0)), sigma2=float(d.get("sigma2", 0.0)))
-        for d in doc.get("loads", ())
-    )
-    ess = tuple(
-        EssDevice(int(e["node"]), float(e["e_max"]), float(e["e_init"]),
-                  float(e["eta_c"]), float(e["eta_d"]),
-                  float(e["p_c"]), float(e["p_d"]),
-                  t_min_charge=float(e.get("t_min_charge", 0.0)),
-                  t_min_discharge=float(e.get("t_min_discharge", 0.0)))
-        for e in doc.get("ess", ())
-    )
-    sops = tuple(
-        SopDevice(tuple(s["nodes"]), float(s["s_max"]),
-                  float(s["p_min"]), float(s["p_max"]),
-                  loss=float(s.get("loss", 0.0)))
-        for s in doc.get("sop", ())
-    )
-    svcs = tuple(
-        SvcDevice(int(s["node"]), float(s["slope"]),
-                  u_ref=float(s.get("u_ref", 1.0)),
-                  q_min=(None if s.get("q_min") is None else float(s["q_min"])),
-                  q_max=(None if s.get("q_max") is None else float(s["q_max"])))
-        for s in doc.get("svc", ())
-    )
-    caps = tuple(
-        CapacitorBank(int(c["node"]), tuple(c["steps"]))
-        for c in doc.get("cap_banks", ())
-    )
+    horizon = _entity(Horizon, doc["horizon"], base_dir)
+    for key in ("voltage", "uncertainty"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise TypeError(f"{key} is not an object")
+    sections = {name: tuple(_entity(cls, entry, base_dir) for entry in
+                            (doc[key] if name == "branches"
+                             else doc.get(key, ())))
+                for key, name, cls, _ in _SECTIONS}
+    # each scalar in the block that holds it; one left out takes its default
+    blocks = ((doc.get("uncertainty", {}), ("alpha",)),
+              (doc.get("voltage", {}), ("u_min", "u_max", "u0")),
+              (doc, ("base_mva", "base_kv")))
     return NetworkModel(
-        n_nodes=int(doc["nodes"]),
-        branches=branches,
-        horizon=horizon,
-        pv_units=pv_units,
-        loads=loads,
-        ess_devices=ess,
-        sop_devices=sops,
-        svc_devices=svcs,
-        cap_banks=caps,
-        alpha=float(doc.get("uncertainty", {}).get("alpha", 0.5)),
-        u_min=float(voltage.get("u_min", DEFAULT_U_MIN)),
-        u_max=float(voltage.get("u_max", DEFAULT_U_MAX)),
-        u0=float(voltage.get("u0", 1.0)),
-        base_mva=float(doc.get("base_mva", 1.0)),
-        base_kv=float(doc.get("base_kv", 1.0)),
-    )
+        n_nodes=_value(doc, "nodes", "int", base_dir), horizon=horizon,
+        **sections, **{name: _value(block, name, "float", base_dir)
+                       for block, names in blocks for name in names
+                       if name in block})
 
 
 def serialize(model: NetworkModel, path: str):
@@ -487,60 +479,18 @@ def serialize(model: NetworkModel, path: str):
     """
     out_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(out_dir, exist_ok=True)
+    stem = os.path.splitext(os.path.basename(path))[0]
     doc: dict = {
         "base_mva": model.base_mva,
         "base_kv": model.base_kv,
         "nodes": model.n_nodes,
-        "horizon": {"t1": model.horizon.t1, "t2": model.horizon.t2,
-                    "period": model.horizon.period},
+        "horizon": _entry(model.horizon, ""),
         "voltage": {"u_min": model.u_min, "u_max": model.u_max, "u0": model.u0},
-        "branches": [
-            {"from": b.from_node, "to": b.to_node, "r": b.r, "x": b.x,
-             "kind": b.kind,
-             **({"taps": list(b.taps)} if b.kind == "oltc" else {}),
-             **({"tau_min": b.tau_min, "tau_max": b.tau_max}
-                if b.kind == "regulator" else {})}
-            for b in model.branches
-        ],
         "uncertainty": {"alpha": model.alpha},
     }
-    stem = os.path.splitext(os.path.basename(path))[0]
-
-    def dump_profile(profile: Profile, tag: str) -> str:
-        fname = f"{stem}_{tag}.csv"
-        profile.to_csv(os.path.join(out_dir, fname))
-        return fname
-
-    doc["pv_units"] = [
-        {"node": p.node, "s_max": p.s_max, "q_max": p.q_max,
-         "u_breaks": list(p.u_breaks), "sigma2": p.sigma2,
-         "forecast": dump_profile(p.forecast, f"pv{k}")}
-        for k, p in enumerate(model.pv_units)
-    ]
-    doc["loads"] = [
-        {"node": d.node, "phi": d.phi, "sigma2": d.sigma2,
-         "profile": dump_profile(d.profile, f"load{k}")}
-        for k, d in enumerate(model.loads)
-    ]
-    doc["ess"] = [
-        {"node": e.node, "e_max": e.e_max, "e_init": e.e_init,
-         "eta_c": e.eta_c, "eta_d": e.eta_d, "p_c": e.p_c, "p_d": e.p_d,
-         "t_min_charge": e.t_min_charge, "t_min_discharge": e.t_min_discharge}
-        for e in model.ess_devices
-    ]
-    doc["sop"] = [
-        {"nodes": list(s.nodes), "s_max": s.s_max, "p_min": s.p_min,
-         "p_max": s.p_max, "loss": s.loss}
-        for s in model.sop_devices
-    ]
-    doc["svc"] = [
-        {"node": s.node, "slope": s.slope, "u_ref": s.u_ref,
-         "q_min": s.q_min, "q_max": s.q_max}
-        for s in model.svc_devices
-    ]
-    doc["cap_banks"] = [
-        {"node": c.node, "steps": list(c.steps)} for c in model.cap_banks
-    ]
+    for key, name, _, label in _SECTIONS:
+        doc[key] = [_entry(e, os.path.join(out_dir, f"{stem}_{label}{k}.csv"))
+                    for k, e in enumerate(getattr(model, name))]
     with open(path, "w") as fp:
         json.dump(doc, fp, indent=1, sort_keys=True)
         fp.write("\n")

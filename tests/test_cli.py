@@ -12,7 +12,7 @@ import pytest
 
 from ctflex import engine, pqbox
 from ctflex.cli import CliError, main, parse_theta_set
-from ctflex.instances import two_node
+from ctflex.instances import three_node, two_node
 from ctflex.netmodel import serialize
 
 
@@ -459,19 +459,36 @@ CT4_TUBE_CSV = "theta,period,coef_index,value,status\n" + "".join(
     (DT4_TUBE_CSV, json.dumps({"horizon": {**HORIZON4, "t1": 10 ** 400},
                                "mode": "dt"}),
      "summary.json: horizon t1 1000"),
+    (DT4_TUBE_CSV.replace("0.0,1,0,1.0", "0.0,1,0,1.\xff").encode("latin-1"),
+     json.dumps({"horizon": HORIZON4, "mode": "dt"}),
+     "tube.csv: line 3: byte 0xff is not UTF-8"),
+    # the summary lists a gap whose row the tube lacks, or another status
+    (DT4_TUBE_CSV, json.dumps({"horizon": HORIZON4, "mode": "dt",
+                               "directions": [0.0, 3.0],
+                               "statuses": {"0.0": "optimal",
+                                            "3.0": "infeasible"}}),
+     "summary.json: directions differ from those of the tube"),
+    (DT4_TUBE_CSV + "3.0,,,,limit\n",
+     json.dumps({"horizon": HORIZON4, "mode": "dt",
+                 "directions": [0.0, 3.0],
+                 "statuses": {"0.0": "optimal", "3.0": "infeasible"}}),
+     "summary.json: statuses differ from those of the tube"),
 ], ids=["no-tube", "no-summary", "bad-json", "no-horizon", "bad-mode",
         "ct-tube-as-dt", "no-n-periods", "null-n-periods", "too-few-periods",
         "too-many-periods", "fractional-n-periods", "zero-n-periods",
         "zero-period", "no-status-column", "short-row", "non-numeric-cell",
         "gap-row-first", "gap-row-last", "nan-theta", "nan-value",
         "inf-value", "unknown-status", "repeated-cell", "bool-n-periods",
-        "nan-t1", "inf-period", "long-int-t1"])
+        "nan-t1", "inf-period", "long-int-t1", "bad-bytes", "dropped-gap-row",
+        "status-mismatch"])
 def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
                                         tmp_path, capsys):
     paths = []
     for name, text in (("tube.csv", tube_text),
                        ("summary.json", summary_text)):
-        if text is not None:
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        elif text is not None:
             (tmp_path / name).write_text(text)
         paths.append(str(tmp_path / name))
     rc = run(["pqbox", "builtin:three-node", "--tube", paths[0],
@@ -572,6 +589,60 @@ def test_compare_dt(tmp_path):
     rows = open(os.path.join(out, "compare_dt.csv")).read().splitlines()
     assert rows[0] == "theta,ct_objective,dt_objective,ct_status,dt_status"
     assert len(rows) == 5
+
+
+def edit_model(change):
+    """An edit of the serialized model file: ``change`` gets its document."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+def nan_load_sample(path):
+    csv_path = path.with_name("m_load0.csv")
+    csv_path.write_text(csv_path.read_text().replace("\n0.0,0.4\n",
+                                                     "\n0.0,nan\n"))
+
+
+# edits of a serialized three-node model, each an input error that the
+# message names
+BAD_MODEL_FILES = [
+    (edit_model(lambda doc: doc["branches"][0].update(r=math.nan)),
+     "branch 0: r nan is not finite"),
+    (edit_model(lambda doc: doc["loads"][0].update(phi=math.nan)),
+     "load 0: phi nan is not finite"),
+    (nan_load_sample, "load 0: profile nan is not finite"),
+    (edit_model(lambda doc: doc.update(nodes=3.7)),
+     "nodes: 3.7 is not an integer"),
+    (edit_model(lambda doc: doc["loads"][0].update(node=True)),
+     "node: True is not an integer"),
+    (lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
+     "m.json: line 1: byte 0xff is not UTF-8"),
+    (lambda path: path.with_name("m_load0.csv").write_bytes(
+        b"t,value\n0,\xff\n"), "m_load0.csv: line 2: byte 0xff is not UTF-8"),
+    (lambda path: path.with_name("m_pv0.csv").unlink(),
+     "No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("edit, message", BAD_MODEL_FILES,
+                         ids=["nan-r", "nan-phi", "nan-sample",
+                              "fractional-nodes", "bool-node", "bad-bytes",
+                              "bad-bytes-profile", "missing-profile"])
+@pytest.mark.parametrize("command", ["validate", "assess"])
+def test_bad_model_file_is_input_error(command, edit, message, tmp_path,
+                                       capsys):
+    path = tmp_path / "m.json"
+    serialize(three_node(), str(path))
+    edit(path)
+    args = [] if command == "validate" else [
+        "--directions", "2", "--workers", "1", "--out", str(tmp_path / "o")]
+    assert run([command, str(path), *args]) == 2
+    out, err = capsys.readouterr()
+    assert message in out + err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_good_and_bad(tmp_path, capsys):
