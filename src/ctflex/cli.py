@@ -26,7 +26,9 @@ import numpy as np
 from . import __version__, engine, pqbox
 from .instances import ess_symmetric, three_node, twelve_node, two_node
 from .milp import BackendError
-from .netmodel import ModelError, NetworkModel, load_model, validate
+from .netmodel import (
+    ModelError, NetworkModel, ValidationError, load_model, validate,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,8 +63,10 @@ def _load(path: str, alpha: float | None = None) -> NetworkModel:
     else:
         try:
             model = load_model(path)
-        except ModelError as exc:
+        except ValidationError as exc:
             raise CliError(f"{path}: {exc}") from exc
+        except ModelError as exc:       # a ParseError names the file
+            raise CliError(str(exc)) from exc
     if alpha is not None:
         model = _with_alpha(model, alpha)
     return model
@@ -389,12 +393,10 @@ def cmd_validate(args) -> int:
         try:
             model = load_model(args.model)
             violations = []
+        except ValidationError as exc:
+            violations = exc.violations
         except ModelError as exc:
-            from .netmodel import ValidationError
-            if isinstance(exc, ValidationError):
-                violations = exc.violations
-            else:
-                raise CliError(str(exc)) from exc
+            raise CliError(str(exc)) from exc
     if violations:
         for v in violations:
             print(f"violation: {v}")

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +80,17 @@ class AssessmentConfig:
 
 @dataclass(frozen=True)
 class Slice:
-    """Optimal direction-magnitude trajectory for one direction."""
+    """Optimal direction-magnitude trajectory for one direction; ``values``
+    is the optimal solution of its subproblem, which a neighbouring
+    direction starts from, and is never written to a file."""
 
     theta: float
     status: str                    # optimal | infeasible | limit
     coeffs: np.ndarray | None      # (n_periods, n_coef) when optimal
     objective: float | None
     wall_time: float = 0.0
+    values: np.ndarray | None = field(default=None, compare=False,
+                                      repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -203,23 +207,27 @@ def _solve_options(config: AssessmentConfig) -> SolveOptions:
                         seed=config.seed)
 
 
-def solve_assembled(assembled: AssembledProblem,
-                    config: AssessmentConfig) -> MilpSolution:
-    return milp_solve(assembled.problem, _solve_options(config))
+def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,
+                    starts=()) -> MilpSolution:
+    return milp_solve(assembled.problem, _solve_options(config), starts)
 
 
 def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
                 margins: ChanceMargins | None = None,
-                fitted: FittedProfiles | None = None) -> Slice:
+                fitted: FittedProfiles | None = None, starts=()) -> Slice:
     """Solve one direction and reassemble S0 into per-period coefficients.
 
-    Infeasible subproblems are recorded as gaps; a solver limit without a
-    proven optimum is conservatively treated the same way (with its own
-    status label for the logs).
+    ``starts`` are solutions of other directions' subproblems (the
+    ``values`` of their slices), tried as first incumbents: they can speed
+    the solve, and change which optimum it returns, never its status or,
+    beyond the MIP gap, its objective.  Infeasible subproblems are
+    recorded as gaps; a solver limit without a proven optimum is
+    conservatively treated the same way (with its own status label for
+    the logs).
     """
     start = time.perf_counter()
     assembled = build_subproblem(model, theta, config, margins, fitted)
-    sol = solve_assembled(assembled, config)
+    sol = solve_assembled(assembled, config, starts)
     if sol.status != "optimal":
         status = "limit" if sol.status == "limit" else "infeasible"
         return Slice(theta, status, None, None, time.perf_counter() - start)
@@ -227,7 +235,7 @@ def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
                        for m in assembled.periods])
     return Slice(theta, "optimal", coeffs,
                  _objective(coeffs, model.horizon.period, assembled.n_coef),
-                 time.perf_counter() - start)
+                 time.perf_counter() - start, sol.values)
 
 
 def _objective(coeffs: np.ndarray, period: float, n_coef: int) -> float:
@@ -254,31 +262,55 @@ def assemble_tube(slices, model: NetworkModel, mode: str = "ct",
 def assess(model: NetworkModel,
            config: AssessmentConfig | None = None) -> FlexTube:
     """Full assessment: sample directions, solve slices in parallel on a
-    bounded worker pool, and assemble the tube."""
+    bounded worker pool, and assemble the tube.
+
+    The even-indexed directions are solved first, from no start.  Each
+    odd direction is solved once both its neighbours are, starting from
+    their solutions (a gap gives none), the one before it first: a
+    neighbour's discrete state (taps, capacitor steps, volt-var segments,
+    storage modes) is often optimal for it too.  The pooled and the
+    serial path solve every direction from the same starts, so the tube
+    does not depend on the worker count.
+    """
     config = config or AssessmentConfig()
     margins = compute_margins(model)
     fitted = fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1)
     thetas = all_directions(config.directions)
+    n = len(thetas)
     # never more workers than directions: the pool forks all of them at once
-    workers = min(config.workers or os.cpu_count() or 1, len(thetas))
+    workers = min(config.workers or os.cpu_count() or 1, n)
     start = time.perf_counter()
     results: dict = {}
+
+    def neighbours(i: int) -> tuple:
+        return (i - 1) % n, (i + 1) % n
+
+    def args(i: int) -> tuple:
+        starts = () if i % 2 == 0 else tuple(
+            results[j].values for j in neighbours(i) if results[j].feasible)
+        return model, float(thetas[i]), config, margins, fitted, starts
+
     if workers > 1:
         # separate processes: the bundled backend holds the GIL while solving;
         # the solver is loaded first so the forked workers inherit it
         load_solver()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(solve_slice, model, float(th), config, margins,
-                            fitted): i
-                for i, th in enumerate(thetas)
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
+            pending = {pool.submit(solve_slice, *args(i)): i
+                       for i in range(0, n, 2)}
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    i = pending.pop(fut)
+                    results[i] = fut.result()
+                    # an odd neighbour whose other neighbour is solved
+                    for k in neighbours(i):
+                        if k % 2 and all(j in results
+                                         for j in neighbours(k)):
+                            pending[pool.submit(solve_slice, *args(k))] = k
     else:
-        for i, th in enumerate(thetas):
-            results[i] = solve_slice(model, float(th), config, margins, fitted)
-    slices = [results[i] for i in range(len(thetas))]
+        for i in [*range(0, n, 2), *range(1, n, 2)]:
+            results[i] = solve_slice(*args(i))
+    slices = [results[i] for i in range(n)]
     warnings = []
     for s in slices:
         if s.status == "limit":

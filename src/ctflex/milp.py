@@ -287,10 +287,12 @@ def _run_logged(highs):
             _log.warning("HiGHS: %s", line)
 
 
-def _run_highs(c, integrality, lb, ub, a, shape, lo, hi, options) -> tuple:
+def _run_highs(c, integrality, lb, ub, a, shape, lo, hi, options,
+               start=None) -> tuple:
     """(status, values) of min c x s.t. lo <= a x <= hi, lb <= x <= ub,
     x_j integer where integrality[j] is 1, with ``a`` the CSC arrays
     ``(indptr, indices, data)`` of a (rows, columns) ``shape`` matrix.
+    ``start``, a feasible point when given, is HiGHS's first incumbent.
 
     The statuses are read as ``scipy.optimize.milp`` reads them: a MIP
     stopped at a time or iteration limit keeps its incumbent if it has
@@ -309,6 +311,11 @@ def _run_highs(c, integrality, lb, ub, a, shape, lo, hi, options) -> tuple:
     lp.integrality_ = [core.HighsVarType(i) for i in integrality.tolist()]
     if highs.passModel(lp) == core.HighsStatus.kError:
         raise BackendError("HiGHS rejects the model")
+    if start is not None:
+        incumbent = core.HighsSolution()
+        incumbent.col_value = start
+        incumbent.value_valid = True
+        highs.setSolution(incumbent)
     _run_logged(highs)
     code = highs.getModelStatus()
     status = {model.kOptimal: "optimal", model.kTimeLimit: "limit",
@@ -410,13 +417,15 @@ class ScipyHighsBackend:
         "mip_feasibility_tolerance": 1e-9,
     }
 
-    def solve(self, problem: MilpProblem, options: SolveOptions) -> MilpSolution:
+    def solve(self, problem: MilpProblem, options: SolveOptions,
+              starts=()) -> MilpSolution:
         n = problem.n_variables
         sign = -1.0 if problem._sense == "max" else 1.0
         c = np.zeros(n)
         for v, coef in problem._objective.items():
             c[v] = sign * coef
         integrality = np.array([1 if b else 0 for b in problem._binary])
+        starts = [_checked_start(x, integrality) for x in starts]
         lb, ub = np.array(problem._lb), np.array(problem._ub)
         lo, hi = np.array(problem._row_lo), np.array(problem._row_hi)
         triplets = (np.array(problem._rows, dtype=np.intp),
@@ -427,18 +436,26 @@ class ScipyHighsBackend:
                 "mip_rel_gap": options.mip_gap, "random_seed": options.seed}
         status, values = "optimal", np.zeros(n)
         start = time.perf_counter()
-        for cols, rows, a in _components((len(lo), n), *triplets):
-            part_opts = {**opts, "time_limit": max(
+
+        def left() -> dict:
+            """``opts`` with what is left of the time limit."""
+            return {**opts, "time_limit": max(
                 options.time_limit - (time.perf_counter() - start), 0.0)}
+
+        for cols, rows, a in _components((len(lo), n), *triplets):
             part = (c[cols], integrality[cols], lb[cols], ub[cols], a,
                     (len(rows), len(cols)), lo[rows], hi[rows])
-            part_status, x = _run_highs(*part, part_opts)
+            incumbent = None
+            if starts and integrality[cols].any():
+                incumbent = _completion(part, [x[cols] for x in starts], left)
+            part_opts = left()
+            part_status, x = _run_highs(*part, part_opts, start=incumbent)
             if part_status in ("infeasible", "unbounded"):
                 # the bundled HiGHS presolve can misreport infeasibility
                 # on McCormick-style rows; trust such verdicts only when
                 # the presolve-free solve agrees
                 part_status, x = _run_highs(
-                    *part, {**part_opts, "presolve": "off"})
+                    *part, {**part_opts, "presolve": "off"}, start=incumbent)
             if part_status in ("infeasible", "unbounded"):
                 status, values = part_status, None
                 break
@@ -454,12 +471,56 @@ class ScipyHighsBackend:
         return MilpSolution(status, objective, values, wall)
 
 
-def solve(problem: MilpProblem,
-          options: SolveOptions | None = None) -> MilpSolution:
-    """Solve a frozen problem with HiGHS."""
+def _checked_start(x, integrality) -> np.ndarray:
+    """``x`` as a float vector, or ValueError unless it holds one value per
+    column and 0 or 1, to 1e-6, in every binary column."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != integrality.shape:
+        raise ValueError(f"start has shape {x.shape}, the problem "
+                         f"{len(integrality)} columns")
+    binary = x[integrality == 1]
+    if not np.all((np.abs(binary) <= 1e-6) | (np.abs(binary - 1) <= 1e-6)):
+        raise ValueError("start holds a value other than 0 or 1 in a "
+                         "binary column")
+    return x
+
+
+def _completion(part, starts, left):
+    """The best optimal completion of the starts' integer values on one
+    part, or None when none completes.
+
+    Each start's rounded integer values are fixed (lb = ub) and the part's
+    LP solved for the rest; ``left()`` gives each LP its options, with
+    what is left of the time limit.  On equal objectives the earlier start
+    wins.
+    """
+    c, integrality, lb, ub, *rest = part
+    ints = integrality == 1
+    best, best_cost = None, np.inf
+    for x in starts:
+        fixed_lb, fixed_ub = lb.copy(), ub.copy()
+        fixed_lb[ints] = fixed_ub[ints] = np.round(x[ints])
+        status, values = _run_highs(c, np.zeros_like(integrality), fixed_lb,
+                                    fixed_ub, *rest, left())
+        if status == "optimal" and c @ values < best_cost:
+            best, best_cost = values, c @ values
+    return best
+
+
+def solve(problem: MilpProblem, options: SolveOptions | None = None,
+          starts=()) -> MilpSolution:
+    """Solve a frozen problem with HiGHS.
+
+    Each of ``starts``, a full-length vector whose binary columns hold 0
+    or 1, is a candidate first incumbent: on each part with integer
+    columns, its integer values are fixed and the rest completed by an
+    LP, and the best completion starts HiGHS's search.  A start that
+    completes nowhere changes nothing.
+    """
     if not problem.frozen:
         raise ValueError("freeze() the problem before solving")
-    return ScipyHighsBackend().solve(problem, options or SolveOptions())
+    return ScipyHighsBackend().solve(problem, options or SolveOptions(),
+                                     starts)
 
 
 def _lp_num(x: float) -> str:

@@ -391,8 +391,22 @@ def _value(entry, key: str, kind: str, base_dir: str):
                      f"arrays, got {type(value).__name__}")
 
 
-def _entity(cls, entry, base_dir: str):
-    """cls read from its file entry; a field without a default must be there."""
+def _known(entry, keys, owner: str):
+    """ValueError naming the first key of the ``entry`` object that is not
+    among ``keys``; TypeError when ``entry`` is not an object."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"{owner} is not an object")
+    unknown = [key for key in entry if key not in keys]
+    if unknown:
+        raise ValueError(f"{owner}: unknown key {unknown[0]!r}")
+
+
+def _entity(cls, entry, base_dir: str, owner: str):
+    """cls read from its file entry, named ``owner`` in messages; a field
+    without a default must be there, and a key that names no field is
+    refused."""
+    _known(entry, [_FILE_KEYS.get(f.name, f.name) for f in fields(cls)],
+           owner)
     kwargs = {}
     for f in fields(cls):
         key = _FILE_KEYS.get(f.name, f.name)
@@ -443,7 +457,8 @@ def load_model(path: str) -> NetworkModel:
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         model = _model_from_doc(doc, base_dir)
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError, OverflowError,
+            OSError) as exc:
         raise ParseError(f"{path}: schema error: {exc}") from exc
     violations = validate(model)
     if violations:
@@ -452,18 +467,20 @@ def load_model(path: str) -> NetworkModel:
 
 
 def _model_from_doc(doc: dict, base_dir: str) -> NetworkModel:
-    horizon = _entity(Horizon, doc["horizon"], base_dir)
-    for key in ("voltage", "uncertainty"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise TypeError(f"{key} is not an object")
-    sections = {name: tuple(_entity(cls, entry, base_dir) for entry in
-                            (doc[key] if name == "branches"
-                             else doc.get(key, ())))
-                for key, name, cls, _ in _SECTIONS}
+    _known(doc, ("nodes", "horizon", "voltage", "uncertainty", "base_mva",
+                 "base_kv", *(key for key, _, _, _ in _SECTIONS)), "model")
+    horizon = _entity(Horizon, doc["horizon"], base_dir, "horizon")
     # each scalar in the block that holds it; one left out takes its default
     blocks = ((doc.get("uncertainty", {}), ("alpha",)),
               (doc.get("voltage", {}), ("u_min", "u_max", "u0")),
               (doc, ("base_mva", "base_kv")))
+    for key, (block, names) in zip(("uncertainty", "voltage"), blocks):
+        _known(block, names, key)
+    sections = {name: tuple(_entity(cls, entry, base_dir, f"{label} {k}")
+                            for k, entry in enumerate(
+                                doc[key] if name == "branches"
+                                else doc.get(key, ())))
+                for key, name, cls, label in _SECTIONS}
     return NetworkModel(
         n_nodes=_value(doc, "nodes", "int", base_dir), horizon=horizon,
         **sections, **{name: _value(block, name, "float", base_dir)

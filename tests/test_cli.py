@@ -645,6 +645,33 @@ def test_bad_model_file_is_input_error(command, edit, message, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda path: path.write_text("{not json"), "invalid JSON"),
+    (edit_model(lambda doc: doc["branches"][0].update(r="x")),
+     "schema error: r: could not convert"),
+    (edit_model(lambda doc: doc.update(pv_unit=doc.pop("pv_units"))),
+     "schema error: model: unknown key 'pv_unit'"),
+    (edit_model(lambda doc: doc["branches"][1].update(to=1)),
+     "model validation failed"),
+], ids=["invalid-json", "schema-error", "unknown-key", "invalid-model"])
+@pytest.mark.parametrize("command", ["validate", "assess"])
+def test_bad_model_file_names_its_path_once(command, edit, message, tmp_path,
+                                            capsys):
+    path = tmp_path / "m.json"
+    serialize(three_node(), str(path))
+    edit(path)
+    args = [] if command == "validate" else [
+        "--directions", "2", "--workers", "1", "--out", str(tmp_path / "o")]
+    assert run([command, str(path), *args]) == 2
+    out, err = capsys.readouterr()
+    if command == "validate" and message == "model validation failed":
+        # validate lists each violation instead
+        assert "violation: branch 1: node 1 has two parents" in out
+    else:
+        assert message in err
+        assert (out + err).count(str(path)) == 1
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     assert run(["validate", "builtin:twelve-node"]) == 0
     bad = {

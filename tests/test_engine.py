@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -590,6 +591,67 @@ def test_assess_parallel_matches_serial():
         assert a.status == b.status
         if a.feasible:
             assert np.allclose(a.coeffs, b.coeffs, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def warm_dt():
+    """The 12-node DT tube at K = 3, whose odd directions do start from
+    their neighbours: solved serially, with every direction the serial
+    path solves and every HiGHS call made in it recorded, and pooled."""
+    model, config = twelve_node(), engine.AssessmentConfig(directions=3,
+                                                           mode="dt")
+    order, calls = [], []
+    solve_slice, run_highs = engine.solve_slice, milp._run_highs
+
+    def traced_slice(model, theta, *args):
+        order.append(theta)
+        return solve_slice(model, theta, *args)
+
+    def spy(c, integrality, *args, start=None):
+        calls.append((order[-1], bool(integrality.any()), start is not None))
+        return run_highs(c, integrality, *args, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "solve_slice", traced_slice)
+        mp.setattr(milp, "_run_highs", spy)
+        serial = engine.assess(model, dataclasses.replace(config, workers=1))
+    pooled = engine.assess(model, dataclasses.replace(config, workers=2))
+    return SimpleNamespace(model=model, config=config, serial=serial,
+                           pooled=pooled, order=order, calls=calls)
+
+
+def test_tube_does_not_depend_on_worker_count(warm_dt):
+    files = []
+    for tube in (warm_dt.serial, warm_dt.pooled):
+        csv_text = io.StringIO()
+        engine.tube_to_csv(tube, csv_text)
+        summary = engine.tube_summary(tube, warm_dt.model, None)
+        files.append((csv_text.getvalue(), json.dumps(summary)))
+    assert files[0] == files[1]
+
+
+def test_warm_started_slices_match_cold_solves(warm_dt):
+    gap = warm_dt.config.mip_gap
+    for s in warm_dt.serial.slices:
+        cold = engine.solve_slice(warm_dt.model, s.theta, warm_dt.config)
+        assert s.status == cold.status == "optimal"
+        assert s.objective == pytest.approx(cold.objective, rel=gap)
+
+
+def test_only_odd_directions_start_from_their_neighbours(warm_dt):
+    thetas = engine.all_directions(3).tolist()
+    # the even directions first, then each odd one
+    assert warm_dt.order == thetas[0::2] + thetas[1::2]
+    for k, theta in enumerate(thetas):
+        mips = [start for th, mip, start in warm_dt.calls
+                if th == theta and mip]
+        lps = [th for th, mip, _ in warm_dt.calls if th == theta and not mip]
+        assert mips
+        if k % 2:
+            # one completion LP per neighbour, and the MIP starts
+            assert len(lps) == 2 and any(mips)
+        else:
+            assert lps == [] and not any(mips)
 
 
 @pytest.mark.parametrize("workers, pool_size", [(500, 4), (3, 3)])

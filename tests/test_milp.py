@@ -125,7 +125,7 @@ def _stubbed_options(monkeypatch, seed=0):
     presolve-off retry of a stubbed infeasible verdict."""
     calls = []
 
-    def fake_highs(*arrays):
+    def fake_highs(*arrays, start=None):
         calls.append(arrays[-1])
         return "infeasible", None
 
@@ -260,18 +260,18 @@ print(json.dumps([code, len(runs), messages]))
 
 
 def _spied_highs(monkeypatch, answer=None):
-    """Record every HiGHS call the backend makes, with the arrays and
-    options it passes and the (status, values) it gets back;
+    """Record every HiGHS call the backend makes, with the arrays, options
+    and start it passes and the (status, values) it gets back;
     ``answer(call number, *arrays, options)`` replaces the real solve when
     given."""
     calls = []
 
-    def spy(c, integrality, lb, ub, a, shape, lo, hi, options):
+    def spy(c, integrality, lb, ub, a, shape, lo, hi, options, start=None):
         calls.append(SimpleNamespace(c=c, integrality=integrality, lb=lb,
                                      ub=ub, a=a, shape=shape, lo=lo, hi=hi,
-                                     options=options))
+                                     options=options, start=start))
         args = (c, integrality, lb, ub, a, shape, lo, hi, options)
-        calls[-1].result = (_run_highs(*args) if answer is None
+        calls[-1].result = (_run_highs(*args, start=start) if answer is None
                             else answer(len(calls), *args))
         return calls[-1].result
 
@@ -391,6 +391,127 @@ def test_later_part_gets_what_is_left_of_the_time_limit(monkeypatch):
     assert 10.0 - 0.05 < first <= 10.0
     assert second <= 10.0 - 0.05
     assert sol.wall_time >= 0.05
+
+    # a start's completion LPs spend the same budget: the slow first one
+    # leaves less to the first part's MIP and to everything after it
+    calls = _spied_highs(monkeypatch, slow_first)
+    sol = solve(_two_binary_parts(), SolveOptions(time_limit=10.0),
+                starts=([1.0, 0.0, 1.0, 0.0],))
+    assert sol.status == "optimal"
+    assert [call.integrality.any() for call in calls] == [False, True] * 2
+    limits = [call.options["time_limit"] for call in calls]
+    assert 10.0 - 0.05 < limits[0] <= 10.0
+    assert all(limit <= 10.0 - 0.05 for limit in limits[1:])
+    assert limits == sorted(limits, reverse=True)
+
+
+def _two_binary_parts():
+    """Two parts, each a binary b and a continuous u <= b in [0, 2], with
+    max u + b: the optimum is b = u = 1 in both, columns (b, u, b, u)."""
+    p = MilpProblem()
+    for _ in range(2):
+        b, u = p.add_variable(binary=True), p.add_variable(0.0, 2.0)
+        p.add_constraint({u: 1.0, b: -1.0}, "<=", 0.0)
+    p.set_objective({v: 1.0 for v in range(4)})
+    return p.freeze()
+
+
+def _knapsack():
+    p = MilpProblem()
+    xs = [p.add_variable(binary=True) for _ in range(3)]
+    p.add_constraint(list(zip(xs, [2.0, 3.0, 4.0])), "<=", 5.0)
+    p.set_objective(dict(zip(xs, [4.0, 5.0, 6.0])))
+    return p.freeze()
+
+
+def _dt_direction():
+    # a 12-node DT direction with storage: one part with binaries
+    config = engine.AssessmentConfig(mode="dt")
+    return engine.build_subproblem(twelve_node(), math.pi / 3,
+                                   config).problem
+
+
+@pytest.mark.parametrize("make", [_knapsack, _dt_direction],
+                         ids=["knapsack", "dt12-pi/3"])
+def test_optimal_start_keeps_status_and_objective(monkeypatch, make):
+    problem = make()
+    cold = solve(problem)
+    calls = _spied_highs(monkeypatch)
+    warm = solve(problem, starts=(cold.values,))
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+    assert problem.check_solution(warm.values) == []
+    # one completion LP, whose optimum starts the MIP
+    lp, mip = calls
+    assert not lp.integrality.any() and lp.result[0] == "optimal"
+    assert mip.integrality.any() and mip.start is lp.result[1]
+
+
+def test_start_whose_completion_is_infeasible_is_ignored(monkeypatch):
+    # x >= 1 needs b = 1, as x <= 10 b; the start's b = 0 completes nowhere
+    p = MilpProblem()
+    b, x = p.add_variable(binary=True), p.add_variable(0.0, 20.0)
+    p.add_constraint({x: 1.0}, ">=", 1.0)
+    p.add_constraint({x: 1.0, b: -10.0}, "<=", 0.0)
+    p.set_objective({b: -1.0, x: -1.0})
+    p.freeze()
+    cold = solve(p)
+    calls = _spied_highs(monkeypatch)
+    warm = solve(p, starts=([0.0, 5.0],))
+    assert (warm.status, warm.objective) == (cold.status, cold.objective)
+    assert warm.values.tolist() == cold.values.tolist() == [1.0, 1.0]
+    lp, mip = calls
+    assert lp.lb[0] == lp.ub[0] == 0.0
+    assert lp.result == ("infeasible", None)
+    assert mip.start is None
+
+
+def test_each_part_gets_its_own_columns_of_the_start(monkeypatch):
+    # without storage each period is a part.  Two starts: random binaries,
+    # which differ from part to part, and the cold optimum, which completes
+    config = engine.AssessmentConfig(directions=3, mode="dt")
+    problem = engine.build_subproblem(twelve_node(ess=False), 0.0,
+                                      config).problem
+    integrality = np.array(problem._binary)
+    noise = np.where(integrality, np.random.default_rng(0).integers(
+        0, 2, problem.n_variables), 0.5)
+    cold = solve(problem)
+    calls = _spied_highs(monkeypatch)
+    warm = solve(problem, starts=(noise, cold.values))
+    assert warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+    parts = milp._components((problem.n_constraints, problem.n_variables),
+                             np.array(problem._rows, dtype=np.intp),
+                             np.array(problem._cols, dtype=np.intp),
+                             np.array(problem._vals, dtype=float))
+    assert len(parts) == 4 and len(calls) == 3 * len(parts)
+    fixed = []
+    for k, (cols, _, _) in enumerate(parts):
+        *lps, mip = calls[3 * k:3 * k + 3]
+        ints = integrality[cols]
+        assert ints.any() and mip.integrality.tolist() == ints.tolist()
+        for lp, start in zip(lps, (noise, cold.values)):
+            assert not lp.integrality.any()
+            assert lp.lb[ints].tolist() == lp.ub[ints].tolist() == \
+                np.round(start[cols][ints]).tolist()
+            assert lp.lb[~ints].tolist() == \
+                np.array(problem._lb)[cols][~ints].tolist()
+        fixed.append(tuple(lps[0].lb[ints]))
+        done = [lp.result[1] for lp in lps if lp.result[0] == "optimal"]
+        assert done and mip.start is min(done, key=lambda x: mip.c @ x)
+    assert len(set(fixed)) == len(parts)
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0],
+                                   [0.5, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                                   [np.nan, 0.0, 1.0, 0.0]],
+                         ids=["short", "long", "fractional-binary",
+                              "binary-two", "nan-binary"])
+def test_malformed_start_raises(monkeypatch, start):
+    calls = _spied_highs(monkeypatch)
+    with pytest.raises(ValueError, match="start"):
+        solve(_two_binary_parts(), starts=([1.0, 0.0, 1.0, 0.0], start))
+    assert calls == []
 
 
 def test_empty_row_keeps_problem_infeasible(monkeypatch):

@@ -285,6 +285,34 @@ def test_ids_are_integers_and_values_convert(section, key, value, message,
         load_model(write_required_only(tmp_path, doc))
 
 
+def _renamed(block, old, new):
+    block[new] = block.pop(old)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _renamed(doc, "pv_units", "pv_unit"),
+     "model: unknown key 'pv_unit'"),
+    (lambda doc: doc["pv_units"][0].update(sigma_2=0.01),
+     "pv 0: unknown key 'sigma_2'"),
+    (lambda doc: _renamed(doc["branches"][1], "to", "to_node"),
+     "branch 1: unknown key 'to_node'"),
+    (lambda doc: doc["horizon"].update(n_periods=2),
+     "horizon: unknown key 'n_periods'"),
+    (lambda doc: doc.update(voltage={"u_min": 0.9, "umax": 1.1}),
+     "voltage: unknown key 'umax'"),
+    (lambda doc: doc.update(uncertainty={"alpha": 0.1, "sigma2": 0.1}),
+     "uncertainty: unknown key 'sigma2'"),
+], ids=["top-level", "entry", "branch-field-name", "horizon", "voltage",
+        "uncertainty"])
+def test_unknown_key_is_refused(edit, message, tmp_path):
+    # a misspelt key would otherwise load as its default, or as an empty
+    # section
+    doc = json.loads(json.dumps(REQUIRED_ONLY))
+    edit(doc)
+    with pytest.raises(ParseError, match=f"schema error: {message}$"):
+        load_model(write_required_only(tmp_path, doc))
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda m: dataclasses.replace(
         m, branches=(dataclasses.replace(m.branches[0], r=math.nan),)
