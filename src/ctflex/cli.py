@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -108,18 +109,19 @@ def parse_theta_set(text: str) -> tuple:
 
 def _theta_set(args, default: tuple | None = None) -> tuple | None:
     """The parsed ``--theta-set``, or ``default`` when it is not given,
-    each direction among the 2K that the assessment samples."""
+    each direction among the 2K that the assessment samples and no two
+    the same one."""
     if args.theta_set:
         theta_set, source = parse_theta_set(args.theta_set), "--theta-set"
     elif default is None:
         return None
     else:
         theta_set, source = default, "default --theta-set"
-    sampled = engine.all_directions(args.directions)
-    for th in theta_set:
-        if engine.match_direction(sampled, th) is None:
-            raise CliError(f"{source} direction {th} is not among the "
-                           f"{len(sampled)} sampled directions")
+    try:
+        engine.match_directions(engine.all_directions(args.directions),
+                                theta_set)
+    except ValueError as exc:
+        raise CliError(f"{source} {exc}") from None
     return theta_set
 
 
@@ -176,8 +178,10 @@ def cmd_assess(args) -> int:
     tube = engine.assess(model, config)
     stages["assess"] = time.perf_counter() - t0
     if all(not s.feasible for s in tube.slices):
-        print("assessment empty: every direction is infeasible",
-              file=sys.stderr)
+        counts = Counter(s.status for s in tube.slices)
+        print("assessment empty: no direction is optimal ("
+              + ", ".join(f"{counts[st]} {st}" for st in sorted(counts))
+              + ")", file=sys.stderr)
         return EXIT_EMPTY
     t0 = time.perf_counter()
     with open(os.path.join(args.out, "tube.csv"), "w", newline="") as fp:
@@ -316,7 +320,7 @@ def cmd_metrics(args) -> int:
             _with_alpha(base, alpha)   # reject a bad grid value before solving
     theta_set = _theta_set(args, engine.DEFAULT_THETA_SET)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
+    rows, warnings = [], []
     for alpha in alphas:
         for sop_on in sop_states:
             for ess_on in ess_states:
@@ -349,13 +353,17 @@ def cmd_metrics(args) -> int:
                         "K2": k2,
                         "gaps": len(tube.gaps),
                     })
+                    cell = ("alpha {alpha}, sop {sop}, ess {ess}, "
+                            "pv_scale {pv_scale}").format(**rows[-1])
+                    warnings += [f"{cell}: {w}"
+                                 for w in tube.diagnostics["warnings"]]
     out_path = os.path.join(args.out, "metrics.csv")
     with open(out_path, "w", newline="") as fp:
         w = _csv.DictWriter(fp, fieldnames=list(rows[0].keys()))
         w.writeheader()
         for row in rows:
             w.writerow(row)
-    _write_manifest(args.out, args, {}, [])
+    _write_manifest(args.out, args, {}, warnings)
     print(f"wrote {out_path} ({len(rows)} cells)")
     return EXIT_OK
 
@@ -378,7 +386,9 @@ def cmd_compare_dt(args) -> int:
                         "" if s_ct.objective is None else repr(s_ct.objective),
                         "" if s_dt.objective is None else repr(s_dt.objective),
                         s_ct.status, s_dt.status])
-    _write_manifest(args.out, args, {}, [])
+    _write_manifest(args.out, args, {}, [
+        f"{mode}: {w}" for mode, tube in (("ct", ct), ("dt", dt))
+        for w in tube.diagnostics["warnings"]])
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -18,7 +18,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Executor, Future,
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,9 @@ from .netmodel import NetworkModel, read_text
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
     "all_directions", "compute_margins",
-    "build_subproblem", "solve_slice", "assemble_tube", "assess",
-    "query_point", "match_direction", "metric_M", "penetration_metrics",
+    "build_subproblem", "solve_slice", "InProcessExecutor", "assess",
+    "query_point", "match_direction", "match_directions", "metric_M",
+    "penetration_metrics",
     "tube_summary", "tube_to_csv", "tube_from_csv", "read_tube",
     "dense_grid_csv",
 ]
@@ -202,14 +204,11 @@ def build_subproblem(model: NetworkModel, theta: float,
     return builder.build(theta)
 
 
-def _solve_options(config: AssessmentConfig) -> SolveOptions:
-    return SolveOptions(mip_gap=config.mip_gap, time_limit=config.time_limit,
-                        seed=config.seed)
-
-
 def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,
                     starts=()) -> MilpSolution:
-    return milp_solve(assembled.problem, _solve_options(config), starts)
+    return milp_solve(assembled.problem, SolveOptions(
+        mip_gap=config.mip_gap, time_limit=config.time_limit,
+        seed=config.seed), starts)
 
 
 def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
@@ -245,32 +244,32 @@ def _objective(coeffs: np.ndarray, period: float, n_coef: int) -> float:
     return float(sum(weight * float(row.sum()) for row in coeffs))
 
 
-def assemble_tube(slices, model: NetworkModel, mode: str = "ct",
-                  diagnostics: dict | None = None) -> FlexTube:
-    """Sort slices by direction and keep infeasible directions as gaps."""
-    if not slices:
-        raise ValueError("no slices to assemble")
-    ordered = sorted(slices, key=lambda s: s.theta)
-    thetas = [s.theta for s in ordered]
-    if any(abs(b - a) < 1e-12 for a, b in zip(thetas, thetas[1:])):
-        raise ValueError("duplicate slice directions")
-    hz = model.horizon
-    return FlexTube(tuple(ordered), hz.t1, hz.period, hz.n_periods,
-                    mode=mode, diagnostics=diagnostics or {})
+class InProcessExecutor(Executor):
+    """An executor for one worker: ``submit`` runs the call in the calling
+    process and returns its finished Future."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 def assess(model: NetworkModel,
            config: AssessmentConfig | None = None) -> FlexTube:
-    """Full assessment: sample directions, solve slices in parallel on a
-    bounded worker pool, and assemble the tube.
+    """Full assessment: sample directions, solve slices on a bounded worker
+    pool, and assemble the tube.
 
     The even-indexed directions are solved first, from no start.  Each
     odd direction is solved once both its neighbours are, starting from
     their solutions (a gap gives none), the one before it first: a
     neighbour's discrete state (taps, capacitor steps, volt-var segments,
-    storage modes) is often optimal for it too.  The pooled and the
-    serial path solve every direction from the same starts, so the tube
-    does not depend on the worker count.
+    storage modes) is often optimal for it too.  One loop submits them to
+    a process pool, or to an in-process executor for one worker, and takes
+    each batch of finished solves in direction order, so the tube does not
+    depend on the worker count.
     """
     config = config or AssessmentConfig()
     margins = compute_margins(model)
@@ -291,26 +290,25 @@ def assess(model: NetworkModel,
         return model, float(thetas[i]), config, margins, fitted, starts
 
     if workers > 1:
-        # separate processes: the bundled backend holds the GIL while solving;
-        # the solver is loaded first so the forked workers inherit it
+        # separate processes: the bundled backend holds the GIL while
+        # solving; the solver is loaded first so the forked workers inherit it
         load_solver()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(solve_slice, *args(i)): i
-                       for i in range(0, n, 2)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    i = pending.pop(fut)
-                    results[i] = fut.result()
-                    # an odd neighbour whose other neighbour is solved
-                    for k in neighbours(i):
-                        if k % 2 and all(j in results
-                                         for j in neighbours(k)):
-                            pending[pool.submit(solve_slice, *args(k))] = k
+        executor = ProcessPoolExecutor(max_workers=workers)
     else:
-        for i in [*range(0, n, 2), *range(1, n, 2)]:
-            results[i] = solve_slice(*args(i))
-    slices = [results[i] for i in range(n)]
+        executor = InProcessExecutor()
+    with executor as pool:
+        pending = {pool.submit(solve_slice, *args(i)): i
+                   for i in range(0, n, 2)}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in sorted(done, key=pending.get):
+                i = pending.pop(fut)
+                results[i] = fut.result()
+                # an odd neighbour whose other neighbour is solved
+                for k in neighbours(i):
+                    if k % 2 and all(j in results for j in neighbours(k)):
+                        pending[pool.submit(solve_slice, *args(k))] = k
+    slices = tuple(results[i] for i in range(n))
     warnings = []
     for s in slices:
         if s.status == "limit":
@@ -324,8 +322,9 @@ def assess(model: NetworkModel,
         "slice_wall_times": {s.theta: s.wall_time for s in slices},
         "warnings": warnings,
     }
-    return assemble_tube(slices, model, mode=config.mode,
-                         diagnostics=diagnostics)
+    hz = model.horizon
+    return FlexTube(slices, hz.t1, hz.period, hz.n_periods, mode=config.mode,
+                    diagnostics=diagnostics)
 
 
 # -- tube queries -------------------------------------------------------------
@@ -394,17 +393,30 @@ def match_direction(thetas: np.ndarray, theta: float) -> int | None:
     return int(match[0]) if len(match) else None
 
 
-def metric_M(tube: FlexTube, theta_set=None) -> float:
-    """Aggregate flexibility: sum of coefficient sums of S0 over the chosen
-    directions and all periods; infeasible directions contribute zero."""
-    theta_set = DEFAULT_THETA_SET if theta_set is None else tuple(theta_set)
-    thetas = tube.directions
-    total = 0.0
+def match_directions(thetas: np.ndarray, theta_set) -> list:
+    """Index of the sampled direction that each of theta_set matches, or
+    ValueError naming the entry that matches none, or the two entries
+    that match the same one."""
+    matched: dict = {}
     for th in theta_set:
         k = match_direction(thetas, th)
         if k is None:
-            raise ValueError(
-                f"direction {th} is not among the sampled directions")
+            raise ValueError(f"direction {th} is not among the {len(thetas)} "
+                             "sampled directions")
+        if k in matched:
+            raise ValueError(f"directions {matched[k]} and {th} both match "
+                             f"sampled direction {thetas[k]}")
+        matched[k] = th
+    return list(matched)
+
+
+def metric_M(tube: FlexTube, theta_set=None) -> float:
+    """Aggregate flexibility: sum of coefficient sums of S0 over the chosen
+    directions and all periods; infeasible directions contribute zero.
+    ValueError unless each direction matches a sampled one of its own."""
+    theta_set = DEFAULT_THETA_SET if theta_set is None else theta_set
+    total = 0.0
+    for k in match_directions(tube.directions, theta_set):
         s = tube.slices[k]
         if s.feasible:
             total += float(np.sum(s.coeffs))

@@ -152,15 +152,34 @@ def test_pqbox_bad_step_is_input_error(flags, tmp_path, capsys, no_assess):
     assert f"error: {flags[0]}" in capsys.readouterr().err
 
 
-def test_pqbox_no_feasible_direction(tmp_path, capsys):
-    # loads only and alpha such that nothing works: use a model with a load
-    # whose power factor points between samples -> every direction is a gap
+def gappy_two_node():
+    """The two-node toy whose load's power factor points between the
+    samples, so that every direction is a gap."""
     import dataclasses
     model = two_node()
-    model = dataclasses.replace(
+    return dataclasses.replace(
         model, loads=(dataclasses.replace(model.loads[0], phi=0.37),))
+
+
+@pytest.mark.parametrize("model, flags, counts", [
+    ("builtin:twelve-node", ["--time-limit", "0"], "4 limit"),
+    ("gappy", [], "4 infeasible"),
+])
+def test_empty_assessment_counts_statuses(model, flags, counts, tmp_path,
+                                          capsys):
+    if model == "gappy":
+        model = str(tmp_path / "gappy.json")
+        serialize(gappy_two_node(), model)
+    rc = run(["assess", model, "--directions", "2", "--workers", "1",
+              *flags, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"assessment empty: no direction is optimal ({counts})" in \
+        capsys.readouterr().err
+
+
+def test_pqbox_no_feasible_direction(tmp_path, capsys):
     path = str(tmp_path / "gappy.json")
-    serialize(model, path)
+    serialize(gappy_two_node(), path)
     rc = run(["pqbox", path, "--directions", "2", "--workers", "1",
               "--time", "900", "--out", str(tmp_path / "bx")])
     assert rc == 3
@@ -355,6 +374,20 @@ def test_unsampled_theta_set_rejected_before_solving(command, theta_set,
               "--workers", "1", "--theta-set", theta_set, "--out", str(out)])
     assert rc == 2
     assert "error: --theta-set direction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["assess", "metrics"])
+def test_theta_set_matching_a_direction_twice_rejected_before_solving(
+        command, tmp_path, capsys, no_assess):
+    # 2pi is direction 0 again, which would count twice in M
+    out = tmp_path / "o"
+    rc = run([command, "builtin:three-node", "--directions", "3",
+              "--workers", "1", "--theta-set", "0,2pi/3,4pi/3,2pi",
+              "--out", str(out)])
+    assert rc == 2
+    assert "error: --theta-set directions 0.0 and 6.283185307179586 both " \
+        "match sampled direction 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -579,6 +612,24 @@ def test_pqbox_stored_tube_mutants(tmp_path, capsys):
                 assert math.isfinite(p) and math.isfinite(q), what
                 assert section.contains(p, q), what
     assert codes.count(0) and codes.count(2)
+
+
+@pytest.mark.parametrize("command, flags, prefixes", [
+    ("metrics", ["--theta-set", "0"],
+     ["alpha 0.5, sop 1, ess 1, pv_scale 1.0"]),
+    ("compare-dt", [], ["ct", "dt"]),
+])
+def test_manifest_keeps_each_assessment_warnings(command, flags, prefixes,
+                                                 tmp_path):
+    # two-node at K = 2: pi/2, pi and 3pi/2 are gaps
+    out = tmp_path / "o"
+    assert run([command, "builtin:two-node", "--directions", "2",
+                "--workers", "1", *flags, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        f"{prefix}: direction {theta}: infeasible (gap)"
+        for prefix in prefixes
+        for theta in ("1.570796", "3.141593", "4.712389")]
 
 
 def test_compare_dt(tmp_path):

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,13 +153,14 @@ def test_deterministic_repeat_solve():
 # -- tube assembly and queries ----------------------------------------------------
 
 
-def test_assemble_tube_rejects_duplicates():
+def test_flex_tube_rejects_duplicates():
     model = three_node()
     s = engine.solve_slice(model, 0.0, CFG1)
-    with pytest.raises(ValueError, match="duplicate"):
-        engine.assemble_tube([s, s], model)
-    with pytest.raises(ValueError, match="no slices"):
-        engine.assemble_tube([], model)
+    hz = model.horizon
+    with pytest.raises(ValueError, match="strictly increasing"):
+        engine.FlexTube((s, s), hz.t1, hz.period, hz.n_periods)
+    with pytest.raises(ValueError, match="at least one slice"):
+        engine.FlexTube((), hz.t1, hz.period, hz.n_periods)
 
 
 def test_tube_keeps_gaps(gap_tube):
@@ -241,6 +243,12 @@ def test_metric_m_infeasible_contributes_zero():
     )
     tube = engine.FlexTube(slices, 0.0, 900.0, 4)
     assert engine.metric_M(tube) == 0.0
+
+
+def test_metric_m_counts_each_sampled_direction_once(toy_tube):
+    # 2 pi is direction 0 again
+    with pytest.raises(ValueError, match="0.0 and 6.28"):
+        engine.metric_M(toy_tube, (0.0, math.pi / 2, 2 * math.pi))
 
 
 def test_metric_m_requires_sampled_direction():
@@ -657,31 +665,116 @@ def test_only_odd_directions_start_from_their_neighbours(warm_dt):
 @pytest.mark.parametrize("workers, pool_size", [(500, 4), (3, 3)])
 def test_explicit_workers_capped_at_direction_count(monkeypatch, toy_tube,
                                                     workers, pool_size):
-    # the stub runs every submitted solve inline, so no process starts
+    # the stub runs every submitted solve in this process
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return engine.InProcessExecutor()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     tube = engine.assess(three_node(), engine.AssessmentConfig(
         directions=2, workers=workers))
     assert sizes == [pool_size]
     for a, b in zip(toy_tube.slices, tube.slices):
         assert a.status == b.status
         assert a.objective == b.objective
+
+
+def test_in_process_executor_returns_finished_futures():
+    pool = engine.InProcessExecutor()
+    assert pool.submit(int, "11", base=2).result() == 3
+    fut = pool.submit(int, "eleven")
+    assert fut.done()
+    with pytest.raises(ValueError):
+        fut.result()
+
+
+def test_one_worker_starts_no_process(monkeypatch, toy_tube):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    tube = engine.assess(three_node(), CFG1)
+    assert tube_files(tube, three_node()) == tube_files(toy_tube,
+                                                        three_node())
+
+
+def tube_files(tube, model) -> tuple:
+    """The tube CSV and summary JSON that ``assess`` would write."""
+    csv_text = io.StringIO()
+    engine.tube_to_csv(tube, csv_text)
+    return csv_text.getvalue(), json.dumps(
+        engine.tube_summary(tube, model, None))
+
+
+class HeldPool(concurrent.futures.Executor):
+    """A pool that runs no call until the stubbed ``wait`` finishes it,
+    and logs each submit and each finish by direction index."""
+
+    def __init__(self, thetas):
+        self.thetas, self.events, self.held = thetas, [], {}
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        self.held[fut] = (fn, args)
+        self.events.append(("submit", self.thetas.index(args[1])))
+        return fut
+
+    def finish(self, fut):
+        fn, args = self.held.pop(fut)
+        fut.set_result(fn(*args))
+        self.events.append(("finish", self.thetas.index(args[1])))
+
+
+@pytest.mark.parametrize("directions", [2, 3])
+@pytest.mark.parametrize("order", ["last-submitted", "seeded"])
+def test_loop_gives_the_serial_tube_in_any_finishing_order(
+        monkeypatch, directions, order):
+    # no process starts: the stubbed wait finishes one held solve at a
+    # time, the last one submitted or a seeded random one
+    model = three_node()
+    thetas = engine.all_directions(directions).tolist()
+    n = len(thetas)
+    starts: dict = {}
+    solve_slice = engine.solve_slice
+
+    def traced_slice(model, theta, config, margins, fitted, given):
+        starts.setdefault(theta, []).append(given)
+        return solve_slice(model, theta, config, margins, fitted, given)
+
+    monkeypatch.setattr(engine, "solve_slice", traced_slice)
+    serial = engine.assess(model, engine.AssessmentConfig(
+        directions=directions, workers=1))
+    serial_starts, starts = starts, {}
+    pool, rng = HeldPool(thetas), random.Random(directions)
+
+    def finish_one(fs, return_when):
+        assert return_when == concurrent.futures.FIRST_COMPLETED
+        held = list(fs)
+        fut = held[-1] if order == "last-submitted" else rng.choice(held)
+        pool.finish(fut)
+        return {fut}, set(held) - {fut}
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                        lambda max_workers: pool)
+    monkeypatch.setattr(engine, "wait", finish_one)
+    tube = engine.assess(model, engine.AssessmentConfig(
+        directions=directions, workers=2))
+    assert tube_files(tube, model) == tube_files(serial, model)
+    assert sorted(i for what, i in pool.events if what == "submit") == \
+        list(range(n))
+    assert not pool.held
+    for pos, (what, i) in enumerate(pool.events):
+        if what == "submit" and i % 2:
+            finished = {j for w, j in pool.events[:pos] if w == "finish"}
+            assert {(i - 1) % n, (i + 1) % n} <= finished
+    # every direction got the starts that it gets with one worker
+    assert starts.keys() == serial_starts.keys()
+    for theta, [given] in starts.items():
+        [want] = serial_starts[theta]
+        assert len(given) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(given, want))
 
 
 def test_pool_workers_inherit_the_loaded_solver(fresh_python):
