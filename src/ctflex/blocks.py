@@ -18,7 +18,7 @@ charge/discharge duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,37 +150,55 @@ class PeriodLayout:
 
 @dataclass
 class AssembledProblem:
-    """A built subproblem plus everything needed to interpret its solution."""
+    """A built subproblem plus everything needed to interpret its solution.
+
+    ``BlockBuilder.build`` gives the direction-free problem, whose
+    ``theta`` is None; ``at`` gives each direction's subproblem from it."""
 
     problem: MilpProblem
     model: NetworkModel
-    theta: float
+    theta: float | None
     periods: list               # period indices 0..n_periods-1
     layouts: dict               # period -> PeriodLayout
     margins: ChanceMargins
     fitted: FittedProfiles
     n_coef: int
+    # triplet index of S0's entry in each (pdir, qdir) row pair
+    direction_entries: tuple = ()
+
+    def at(self, theta: float) -> "AssembledProblem":
+        """The subproblem of direction theta: a copy whose ``pdir`` and
+        ``qdir`` rows hold -cos theta and -sin theta as S0's coefficients.
+        The direction-free problem itself is left as it is."""
+        if self.theta is not None:
+            raise ValueError("at() takes the direction-free problem")
+        c, s = _cos_sin(theta)
+        entries = {}
+        for p_entry, q_entry in self.direction_entries:
+            entries[p_entry], entries[q_entry] = -c, -s
+        problem = self.problem.with_entries(entries, f"slice@{theta:.6f}")
+        return replace(self, problem=problem, theta=theta)
 
 
 # -- the builder --------------------------------------------------------------
 
 
 class BlockBuilder:
-    """Emits device and network blocks for one direction subproblem over
+    """Emits device and network blocks for the direction-free problem over
     every scheduling period of the horizon."""
 
     def __init__(self, model: NetworkModel, *,
                  margins: ChanceMargins | None = None,
-                 fitted: FittedProfiles | None = None,
-                 name: str = "slice"):
+                 fitted: FittedProfiles | None = None):
         self.model = model
         self.margins = margins or ChanceMargins()
         self.fitted = fitted if fitted is not None else fit_profiles(model)
         # the fitted degree fixes the transcription: cubic CT or one-value DT
         self.n_coef = self.fitted.degree + 1
         self.periods = list(range(model.horizon.n_periods))
-        self.problem = MilpProblem(name=name)
+        self.problem = MilpProblem(name="slice")
         self.layouts: dict = {}
+        self.direction_entries: list = []
         self._parent = model.parent_branch()
         self._children = model.child_branches()
 
@@ -542,12 +560,15 @@ class BlockBuilder:
                                (layout.u[br.to_node][k], -br.tau_max ** 2)],
                               "<=", 0.0, f"net_m{m}_regup{bi}_{k}")
 
-    def tdi_block(self, m: int, theta: float):
-        """TDI injections are the root branch flows; the direction factor
-        ties them to the nonnegative magnitude trajectory."""
+    def tdi_block(self, m: int):
+        """TDI injections are the root branch flows; the direction rows
+        P0 = cos(theta) S0 and Q0 = sin(theta) S0 tie them to the
+        nonnegative magnitude trajectory.  S0's coefficient in those rows
+        is a placeholder that ``AssembledProblem.at`` overwrites; S0's
+        columns come before P0's and Q0's, so it is each row's first
+        entry."""
         layout = self.layouts[m]
         root_branches = self._children[0]
-        ct, st = _cos_sin(theta)
         for k in range(self.n_coef):
             terms = [(layout.p0[k], 1.0)]
             terms += [(layout.p_br[bi][k], -1.0) for bi in root_branches]
@@ -555,14 +576,17 @@ class BlockBuilder:
             terms = [(layout.q0[k], 1.0)]
             terms += [(layout.q_br[bi][k], -1.0) for bi in root_branches]
             self._row(terms, "==", 0.0, f"tdi_m{m}_qflow{k}")
-            self._row([(layout.p0[k], 1.0), (layout.s0[k], -ct)], "==",
+            pdir = self.problem.n_entries
+            self._row([(layout.p0[k], 1.0), (layout.s0[k], -1.0)], "==",
                       0.0, f"tdi_m{m}_pdir{k}")
-            self._row([(layout.q0[k], 1.0), (layout.s0[k], -st)], "==",
+            qdir = self.problem.n_entries
+            self._row([(layout.q0[k], 1.0), (layout.s0[k], -1.0)], "==",
                       0.0, f"tdi_m{m}_qdir{k}")
+            self.direction_entries.append((pdir, qdir))
 
     # -- top level -----------------------------------------------------------
 
-    def build(self, theta: float) -> AssembledProblem:
+    def build(self) -> AssembledProblem:
         model = self.model
         for m in self.periods:
             self.init_period(m)
@@ -578,7 +602,7 @@ class BlockBuilder:
             self.ess_block(ei)
         for m in self.periods:
             self.network_block(m)
-            self.tdi_block(m, theta)
+            self.tdi_block(m)
         weight = model.horizon.period / self.n_coef
         objective = {}
         for m in self.periods:
@@ -587,10 +611,11 @@ class BlockBuilder:
         self.problem.set_objective(objective, sense="max")
         self.problem.freeze()
         return AssembledProblem(
-            problem=self.problem, model=model, theta=theta,
+            problem=self.problem, model=model, theta=None,
             periods=list(self.periods), layouts=self.layouts,
             margins=self.margins, fitted=self.fitted,
             n_coef=self.n_coef,
+            direction_entries=tuple(self.direction_entries),
         )
 
 

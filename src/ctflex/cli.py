@@ -281,7 +281,9 @@ def cmd_pqbox(args) -> int:
                 r = section.boundary_radius(float(th))
                 if r is not None:
                     w.writerow([repr(float(th)), repr(float(r))])
-    _write_manifest(args.out, args, stages, [])
+    # a stored tube keeps no warnings; one assessed here keeps its gaps
+    _write_manifest(args.out, args, stages,
+                    tube.diagnostics.get("warnings", []))
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -325,19 +327,15 @@ def cmd_metrics(args) -> int:
         for sop_on in sop_states:
             for ess_on in ess_states:
                 for scale in pv_scales:
-                    if args.model == "builtin:twelve-node":
-                        model = twelve_node(
-                            sop=sop_on, ess=ess_on,
-                            pv_scale=1.0 if scale is None else scale,
-                            alpha=base.alpha if alpha is None else alpha)
-                    else:
-                        model = base
-                        if alpha is not None:
-                            model = dataclasses.replace(model, alpha=alpha)
-                        if not sop_on:
-                            model = dataclasses.replace(model, sop_devices=())
-                        if not ess_on:
-                            model = dataclasses.replace(model, ess_devices=())
+                    # only builtin:twelve-node takes a scale other than 1
+                    model = base if scale in (None, 1.0) \
+                        else twelve_node(pv_scale=scale)
+                    model = dataclasses.replace(
+                        model, alpha=base.alpha if alpha is None else alpha)
+                    if not sop_on:
+                        model = dataclasses.replace(model, sop_devices=())
+                    if not ess_on:
+                        model = dataclasses.replace(model, ess_devices=())
                     tube = engine.assess(model, config)
                     try:
                         k1, k2 = engine.penetration_metrics(model)

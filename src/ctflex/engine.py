@@ -1,5 +1,5 @@
-"""Assessment orchestration: direction sampling, per-direction subproblem
-assembly and parallel solving, tube assembly and queries, and metrics.
+"""Assessment orchestration: direction sampling, one MILP built per
+assessment and solved per direction in parallel, tube queries, and metrics.
 
 For each sampled direction theta the TDI injection is confined to the ray
 (P0, Q0) = S0 (cos theta, sin theta) with S0(t) >= 0, and the integral of
@@ -40,7 +40,7 @@ from .netmodel import NetworkModel, read_text
 
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
-    "all_directions", "compute_margins",
+    "all_directions", "compute_margins", "direction_free_problem",
     "build_subproblem", "solve_slice", "InProcessExecutor", "assess",
     "query_point", "match_direction", "match_directions", "metric_M",
     "penetration_metrics",
@@ -189,19 +189,25 @@ def compute_margins(model: NetworkModel) -> ChanceMargins:
     return ChanceMargins(u_node=u_node, pv_cap=pv_cap, svc=svc)
 
 
+def direction_free_problem(model: NetworkModel, config: AssessmentConfig,
+                           margins: ChanceMargins | None = None,
+                           fitted: FittedProfiles | None = None
+                           ) -> AssembledProblem:
+    """The MILP of every direction; ``at(theta)`` gives direction theta's."""
+    return BlockBuilder(
+        model,
+        margins=margins if margins is not None else compute_margins(model),
+        fitted=fitted if fitted is not None
+        else fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
+    ).build()
+
+
 def build_subproblem(model: NetworkModel, theta: float,
                      config: AssessmentConfig,
                      margins: ChanceMargins | None = None,
                      fitted: FittedProfiles | None = None) -> AssembledProblem:
     """Assemble the MILP for one direction over the whole horizon."""
-    builder = BlockBuilder(
-        model,
-        margins=margins if margins is not None else compute_margins(model),
-        fitted=fitted if fitted is not None
-        else fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
-        name=f"slice@{theta:.6f}",
-    )
-    return builder.build(theta)
+    return direction_free_problem(model, config, margins, fitted).at(theta)
 
 
 def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,
@@ -211,10 +217,10 @@ def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,
         seed=config.seed), starts)
 
 
-def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
-                margins: ChanceMargins | None = None,
-                fitted: FittedProfiles | None = None, starts=()) -> Slice:
-    """Solve one direction and reassemble S0 into per-period coefficients.
+def solve_slice(base: AssembledProblem, theta: float,
+                config: AssessmentConfig, starts=()) -> Slice:
+    """Solve direction theta of the direction-free problem ``base`` and
+    reassemble S0 into per-period coefficients.
 
     ``starts`` are solutions of other directions' subproblems (the
     ``values`` of their slices), tried as first incumbents: they can speed
@@ -225,7 +231,7 @@ def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
     the logs).
     """
     start = time.perf_counter()
-    assembled = build_subproblem(model, theta, config, margins, fitted)
+    assembled = base.at(theta)
     sol = solve_assembled(assembled, config, starts)
     if sol.status != "optimal":
         status = "limit" if sol.status == "limit" else "infeasible"
@@ -233,7 +239,7 @@ def solve_slice(model: NetworkModel, theta: float, config: AssessmentConfig,
     coeffs = np.array([[sol.values[v] for v in assembled.layouts[m].s0]
                        for m in assembled.periods])
     return Slice(theta, "optimal", coeffs,
-                 _objective(coeffs, model.horizon.period, assembled.n_coef),
+                 _objective(coeffs, base.model.horizon.period, base.n_coef),
                  time.perf_counter() - start, sol.values)
 
 
@@ -259,8 +265,8 @@ class InProcessExecutor(Executor):
 
 def assess(model: NetworkModel,
            config: AssessmentConfig | None = None) -> FlexTube:
-    """Full assessment: sample directions, solve slices on a bounded worker
-    pool, and assemble the tube.
+    """Full assessment: build the direction-free MILP once, solve its
+    sampled directions on a bounded worker pool, and assemble the tube.
 
     The even-indexed directions are solved first, from no start.  Each
     odd direction is solved once both its neighbours are, starting from
@@ -272,8 +278,7 @@ def assess(model: NetworkModel,
     depend on the worker count.
     """
     config = config or AssessmentConfig()
-    margins = compute_margins(model)
-    fitted = fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1)
+    base = direction_free_problem(model, config)
     thetas = all_directions(config.directions)
     n = len(thetas)
     # never more workers than directions: the pool forks all of them at once
@@ -287,7 +292,7 @@ def assess(model: NetworkModel,
     def args(i: int) -> tuple:
         starts = () if i % 2 == 0 else tuple(
             results[j].values for j in neighbours(i) if results[j].feasible)
-        return model, float(thetas[i]), config, margins, fitted, starts
+        return base, float(thetas[i]), config, starts
 
     if workers > 1:
         # separate processes: the bundled backend holds the GIL while
@@ -309,14 +314,10 @@ def assess(model: NetworkModel,
                     if k % 2 and all(j in results for j in neighbours(k)):
                         pending[pool.submit(solve_slice, *args(k))] = k
     slices = tuple(results[i] for i in range(n))
-    warnings = []
-    for s in slices:
-        if s.status == "limit":
-            warnings.append(
-                f"direction {s.theta:.6f}: solver limit reached; "
-                "treated as a gap")
-        elif s.status == "infeasible":
-            warnings.append(f"direction {s.theta:.6f}: infeasible (gap)")
+    gap = {"limit": "solver limit reached; treated as a gap",
+           "infeasible": "infeasible (gap)"}
+    warnings = [f"direction {s.theta:.6f}: {gap[s.status]}"
+                for s in slices if not s.feasible]
     diagnostics = {
         "wall_time": time.perf_counter() - start,
         "slice_wall_times": {s.theta: s.wall_time for s in slices},
@@ -423,11 +424,10 @@ def metric_M(tube: FlexTube, theta_set=None) -> float:
     return total
 
 
-def penetration_metrics(model: NetworkModel,
-                        fitted: FittedProfiles | None = None):
+def penetration_metrics(model: NetworkModel):
     """PV penetration K1 and ESS capacity ratio K2 over the fitted
     forecast coefficients."""
-    fitted = fitted or fit_profiles(model)
+    fitted = fit_profiles(model)
     load_sum = float(sum(np.sum(c) for c in fitted.load))
     pv_sum = float(sum(np.sum(c) for c in fitted.pv))
     if not model.loads or load_sum <= 0.0:

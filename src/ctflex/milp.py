@@ -17,6 +17,7 @@ subpackages stay unloaded.
 
 from __future__ import annotations
 
+import copy
 import functools
 import importlib.machinery
 import importlib.util
@@ -144,6 +145,22 @@ class MilpProblem:
         self._frozen = True
         return self
 
+    def with_entries(self, entries: dict, name: str) -> "MilpProblem":
+        """A frozen copy named ``name`` whose matrix entry at each triplet
+        index of ``entries`` holds the value given there; an entry set to
+        0.0 is left out, as ``add_constraint`` leaves out a zero term."""
+        out = copy.copy(self)
+        for key, value in vars(self).items():
+            if isinstance(value, (list, dict)):
+                setattr(out, key, value.copy())
+        for i, value in entries.items():
+            out._vals[i] = float(value)
+        for i in sorted((i for i, v in entries.items() if v == 0.0),
+                        reverse=True):
+            del out._rows[i], out._cols[i], out._vals[i]
+        out.name = name
+        return out.freeze()
+
     # -- introspection -----------------------------------------------------
 
     @property
@@ -157,6 +174,12 @@ class MilpProblem:
     @property
     def n_constraints(self) -> int:
         return len(self._row_names)
+
+    @property
+    def n_entries(self) -> int:
+        """Matrix entries so far; the next row's first term gets this
+        triplet index."""
+        return len(self._vals)
 
     def objective_value(self, values) -> float:
         return float(sum(c * values[v] for v, c in self._objective.items()))

@@ -38,6 +38,12 @@ from oracles import antiderivative, monte_carlo_validate
 RNG = np.random.default_rng(2027)
 
 
+def slice_of(model, theta, config):
+    """``engine.solve_slice`` of one direction of ``model``."""
+    return engine.solve_slice(engine.direction_free_problem(model, config),
+                              theta, config)
+
+
 def report(num, title, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"\n[{status}] criterion {num}: {title}")
@@ -189,9 +195,9 @@ def test_criterion_3_chance_validity():
         failures.append(f"tight-row empirical violation {worst:.4f} > 0.11")
 
     # both deterministic limits must reproduce the margin-free objective
-    alpha_half = engine.solve_slice(dataclasses.replace(model, alpha=0.5),
-                                    0.0, cfg)
-    sigma_zero = engine.solve_slice(
+    alpha_half = slice_of(dataclasses.replace(model, alpha=0.5),
+                          0.0, cfg)
+    sigma_zero = slice_of(
         twelve_node(alpha=0.1, sigma_pv2=0.0, sigma_load2=0.0), 0.0, cfg)
     if abs(alpha_half.objective - sigma_zero.objective) > 1e-9 * max(
             1.0, abs(alpha_half.objective)):
@@ -212,7 +218,7 @@ def test_criterion_4_direction_oracle():
     # S0 = 0 at pi/2 (forecast covers the load); S0 = forecast - load at pi
     hand = {0.0: 3600.0 * 0.5, math.pi / 2: 0.0, math.pi: 3600.0 * 0.2}
     for theta, want in hand.items():
-        got = engine.solve_slice(model, theta, cfg)
+        got = slice_of(model, theta, cfg)
         if got.status != "optimal" or abs(got.objective - want) > 1e-6:
             failures.append(
                 f"A({theta:.4f}) = "
@@ -226,7 +232,7 @@ def test_criterion_4_direction_oracle():
                 for i in range(len(edges) - 1))
     upper = sum(load(edges[i + 1]) * (edges[i + 1] - edges[i])
                 for i in range(len(edges) - 1))
-    a0 = engine.solve_slice(model, 0.0, cfg).objective
+    a0 = slice_of(model, 0.0, cfg).objective
     if not lower - 1e-9 <= a0 <= upper + 1e-9:
         failures.append(f"A(0) = {a0} outside bracket [{lower}, {upper}]")
     report(4, "hand-LP direction oracle and fine-grid brackets", failures)
@@ -244,8 +250,8 @@ def test_criterion_5_ct_dt_dominance_and_distinction():
     for model, name in ((ess_symmetric(), "ess-symmetric"),
                         (three_node(ramping=False), "constant toy")):
         for theta in engine.all_directions(2):
-            ct = engine.solve_slice(model, float(theta), cfg)
-            dt = engine.solve_slice(model, float(theta), dt_cfg)
+            ct = slice_of(model, float(theta), cfg)
+            dt = slice_of(model, float(theta), dt_cfg)
             if dt.status != "optimal":
                 continue
             if ct.status != "optimal":
@@ -257,8 +263,8 @@ def test_criterion_5_ct_dt_dominance_and_distinction():
                     f"{dt.objective}")
     # distinction on the within-period ramping instance
     model = three_node(ramping=True)
-    ct = engine.solve_slice(model, 0.0, cfg)
-    dt = engine.solve_slice(model, 0.0, dt_cfg)
+    ct = slice_of(model, 0.0, cfg)
+    dt = slice_of(model, 0.0, dt_cfg)
     ct_traj = CtTrajectory(0.0, 900.0, ct.coeffs)
     dt_traj = CtTrajectory(0.0, 900.0, dt.coeffs)
     gap = max(

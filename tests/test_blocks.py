@@ -94,6 +94,23 @@ def test_axis_direction_rows_have_no_rounding_residue(theta):
     assert tiny == []
 
 
+def test_direction_leaves_the_direction_free_problem_as_built():
+    base = engine.direction_free_problem(twelve_node(),
+                                         engine.AssessmentConfig())
+    p = base.problem
+    built = (list(p._rows), list(p._cols), list(p._vals), p.name)
+    half_pi = base.at(math.pi / 2)
+    assert (p._rows, p._cols, p._vals, p.name) == built
+    assert base.theta is None and half_pi.theta == math.pi / 2
+    assert half_pi.problem.name == "slice@1.570796"
+    assert half_pi.problem.frozen
+    # cos(pi/2) snaps to 0.0: every pdir row loses S0's entry
+    assert len(half_pi.problem._vals) == \
+        len(p._vals) - len(base.direction_entries)
+    with pytest.raises(ValueError, match="direction-free"):
+        half_pi.at(0.0)
+
+
 def test_polygon_bad_side_count():
     with pytest.raises(ValueError):
         circle_polygon(1.0, 3)
@@ -112,9 +129,9 @@ def single_period_model(r=0.0, x=0.0, u0=1.0, u_min=0.25, u_max=1.44,
         alpha=0.5, u0=u0, u_min=u_min, u_max=u_max, **devices)
 
 
-def manual_build(model, theta=None, **kw):
-    """Emit all blocks; leave the TDI direction coupling out unless theta is
-    given, so block relations can be probed without the ray constraint."""
+def manual_build(model, **kw):
+    """Emit all blocks but the TDI direction coupling, so block relations
+    can be probed without the ray constraint."""
     builder = BlockBuilder(model, **kw)
     for m in builder.periods:
         builder.init_period(m)
@@ -130,13 +147,11 @@ def manual_build(model, theta=None, **kw):
         builder.ess_block(ei)
     for m in builder.periods:
         builder.network_block(m)
-        if theta is not None:
-            builder.tdi_block(m, theta)
     builder.problem.set_objective({})
     builder.problem.freeze()
     from ctflex.blocks import AssembledProblem
     return builder, AssembledProblem(
-        problem=builder.problem, model=model, theta=theta or 0.0,
+        problem=builder.problem, model=model, theta=0.0,
         periods=list(builder.periods), layouts=builder.layouts,
         margins=builder.margins,
         fitted=builder.fitted, n_coef=builder.n_coef)
@@ -438,7 +453,7 @@ def test_voltage_margin_wider_than_band_is_error():
     builder = BlockBuilder(single_period_model(),
                            margins=ChanceMargins(u_node={1: 0.6}))
     with pytest.raises(BuildError, match="exceeds the band"):
-        builder.build(0.0)
+        builder.build()
 
 
 def test_ess_minimum_duration_unrepresentable():
@@ -447,7 +462,7 @@ def test_ess_minimum_duration_unrepresentable():
                     t_min_discharge=900.0)
     model = single_period_model(ess_devices=(ess,))
     with pytest.raises(BuildError, match="minimum mode duration"):
-        BlockBuilder(model).build(0.0)
+        BlockBuilder(model).build()
 
 
 def test_ess_mode_flag_keeps_period_one_sided():

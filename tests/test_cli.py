@@ -632,6 +632,20 @@ def test_manifest_keeps_each_assessment_warnings(command, flags, prefixes,
         for theta in ("1.570796", "3.141593", "4.712389")]
 
 
+def test_pqbox_manifest_keeps_the_assessment_warnings(tmp_path):
+    # without --tube pqbox assesses the model itself, and records its gaps
+    # as assess does
+    manifests = []
+    for command, flags in (("assess", []), ("pqbox", ["--time", "900"])):
+        out = tmp_path / command
+        assert run([command, "builtin:two-node", "--directions", "2",
+                    "--workers", "1", *flags, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[1]["warnings"] == manifests[0]["warnings"] == [
+        f"direction {theta}: infeasible (gap)"
+        for theta in ("1.570796", "3.141593", "4.712389")]
+
+
 def test_compare_dt(tmp_path):
     out = str(tmp_path / "cmp")
     rc = run(["compare-dt", "builtin:three-node", "--directions", "2",

@@ -18,13 +18,19 @@ import numpy as np
 import pytest
 
 from ctflex import engine, milp, pqbox
-from ctflex.blocks import ChanceMargins, continuous_time_check
+from ctflex.blocks import BlockBuilder, ChanceMargins, continuous_time_check
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
 )
 from oracles import monte_carlo_validate
 
 CFG1 = engine.AssessmentConfig(directions=2, workers=1)
+
+
+def slice_of(model, theta, config):
+    """``engine.solve_slice`` of one direction of ``model``."""
+    return engine.solve_slice(engine.direction_free_problem(model, config),
+                              theta, config)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +126,7 @@ def test_hand_lp_oracle_three_directions():
     model = three_node()
     cases = {0.0: 3600.0 * 0.5, math.pi / 2: 0.0, math.pi: 3600.0 * 0.2}
     for theta, want in cases.items():
-        s = engine.solve_slice(model, theta, CFG1)
+        s = slice_of(model, theta, CFG1)
         assert s.status == "optimal"
         assert s.objective == pytest.approx(want, abs=1e-6)
 
@@ -128,7 +134,7 @@ def test_hand_lp_oracle_three_directions():
 def test_affine_optimum_reproduced_exactly():
     # theta = 0: S0(t) = load ramp, affine in t, exactly representable
     model = three_node()
-    s = engine.solve_slice(model, 0.0, CFG1)
+    s = slice_of(model, 0.0, CFG1)
     traj = engine.FlexTube((s,), 0.0, 900.0, 4).trajectory(0)
     for t in np.linspace(0.0, 3600.0, 41):
         want = 0.4 + 0.2 * t / 3600.0
@@ -138,15 +144,15 @@ def test_affine_optimum_reproduced_exactly():
 def test_infeasible_direction_recorded():
     # no reactive source: pure reactive import is impossible
     model = two_node()
-    s = engine.solve_slice(model, math.pi / 2, CFG1)
+    s = slice_of(model, math.pi / 2, CFG1)
     assert s.status == "infeasible"
     assert s.coeffs is None
 
 
 def test_deterministic_repeat_solve():
     model = three_node()
-    a = engine.solve_slice(model, 0.0, CFG1)
-    b = engine.solve_slice(model, 0.0, CFG1)
+    a = slice_of(model, 0.0, CFG1)
+    b = slice_of(model, 0.0, CFG1)
     assert np.allclose(a.coeffs, b.coeffs, atol=1e-9)
 
 
@@ -155,7 +161,7 @@ def test_deterministic_repeat_solve():
 
 def test_flex_tube_rejects_duplicates():
     model = three_node()
-    s = engine.solve_slice(model, 0.0, CFG1)
+    s = slice_of(model, 0.0, CFG1)
     hz = model.horizon
     with pytest.raises(ValueError, match="strictly increasing"):
         engine.FlexTube((s, s), hz.t1, hz.period, hz.n_periods)
@@ -302,10 +308,10 @@ def test_margins_monotone_in_alpha():
 
 
 def test_deterministic_limits_reproduce_objective():
-    base = engine.solve_slice(
+    base = slice_of(
         dataclasses.replace(twelve_node(), alpha=0.5), 0.0,
         engine.AssessmentConfig(directions=3, workers=1))
-    zero_sigma = engine.solve_slice(
+    zero_sigma = slice_of(
         twelve_node(sigma_pv2=0.0, sigma_load2=0.0), 0.0,
         engine.AssessmentConfig(directions=3, workers=1))
     assert base.objective == pytest.approx(zero_sigma.objective, abs=1e-9)
@@ -330,8 +336,8 @@ def test_removing_devices_never_increases_objectives():
     base = twelve_node()
     for variant in (twelve_node(sop=False), twelve_node(ess=False)):
         for theta in (0.0, math.pi / 3, math.pi):
-            full = engine.solve_slice(base, theta, cfg)
-            cut = engine.solve_slice(variant, theta, cfg)
+            full = slice_of(base, theta, cfg)
+            cut = slice_of(variant, theta, cfg)
             if cut.status == "optimal" and full.status == "optimal":
                 assert cut.objective <= full.objective + 1e-6
 
@@ -356,8 +362,8 @@ def test_dt_equals_ct_on_piecewise_constant_inputs():
     # constant data: a constant-decision optimum exists, so both agree
     for model in (ess_symmetric(), three_node(ramping=False)):
         for theta in (0.0, math.pi / 2, math.pi):
-            ct = engine.solve_slice(model, theta, CFG1)
-            dt = engine.solve_slice(
+            ct = slice_of(model, theta, CFG1)
+            dt = slice_of(
                 model, theta, dataclasses.replace(CFG1, mode="dt"))
             assert ct.status == dt.status
             if ct.status == "optimal":
@@ -368,8 +374,8 @@ def test_dt_equals_ct_on_piecewise_constant_inputs():
 def test_ct_dominates_dt_on_constant_data():
     for model in (ess_symmetric(), three_node(ramping=False)):
         for theta in engine.all_directions(2):
-            ct = engine.solve_slice(model, float(theta), CFG1)
-            dt = engine.solve_slice(
+            ct = slice_of(model, float(theta), CFG1)
+            dt = slice_of(
                 model, float(theta), dataclasses.replace(CFG1, mode="dt"))
             if dt.status == "optimal":
                 assert ct.status == "optimal"
@@ -378,9 +384,9 @@ def test_ct_dominates_dt_on_constant_data():
 
 def test_ct_tracks_ramp_dt_stays_flat():
     model = three_node(ramping=True)
-    ct = engine.solve_slice(model, 0.0, CFG1)
-    dt = engine.solve_slice(model, 0.0,
-                            dataclasses.replace(CFG1, mode="dt"))
+    ct = slice_of(model, 0.0, CFG1)
+    dt = slice_of(model, 0.0,
+                  dataclasses.replace(CFG1, mode="dt"))
     ct_traj = engine.FlexTube((ct,), 0.0, 900.0, 4).trajectory(0)
     dt_traj = engine.FlexTube((dt,), 0.0, 900.0, 4, mode="dt").trajectory(0)
     rel_gap = []
@@ -589,6 +595,28 @@ def test_storage_keeps_subproblem_whole(part_counts):
     assert part_counts == [1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_build_per_assessment(monkeypatch, tmp_path, workers):
+    # each direction is written into the one direction-free problem; the
+    # file would also show a build in a pool worker.  No solve: each HiGHS
+    # call answers "optimal" at 0
+    builds = tmp_path / "builds"
+    build = BlockBuilder.build
+
+    def counted(self):
+        with open(builds, "a") as fp:
+            fp.write(f"{os.getpid()}\n")
+        return build(self)
+
+    monkeypatch.setattr(BlockBuilder, "build", counted)
+    monkeypatch.setattr(milp, "_run_highs", lambda c, *args, **kw: (
+        "optimal", np.zeros(len(c))))
+    tube = engine.assess(twelve_node(),
+                         engine.AssessmentConfig(workers=workers))
+    assert [s.status for s in tube.slices] == ["optimal"] * 24
+    assert builds.read_text().splitlines() == [str(os.getpid())]
+
+
 def test_assess_parallel_matches_serial():
     model = three_node()
     serial = engine.assess(model, engine.AssessmentConfig(directions=2,
@@ -641,7 +669,7 @@ def test_tube_does_not_depend_on_worker_count(warm_dt):
 def test_warm_started_slices_match_cold_solves(warm_dt):
     gap = warm_dt.config.mip_gap
     for s in warm_dt.serial.slices:
-        cold = engine.solve_slice(warm_dt.model, s.theta, warm_dt.config)
+        cold = slice_of(warm_dt.model, s.theta, warm_dt.config)
         assert s.status == cold.status == "optimal"
         assert s.objective == pytest.approx(cold.objective, rel=gap)
 
@@ -739,9 +767,9 @@ def test_loop_gives_the_serial_tube_in_any_finishing_order(
     starts: dict = {}
     solve_slice = engine.solve_slice
 
-    def traced_slice(model, theta, config, margins, fitted, given):
+    def traced_slice(base, theta, config, given):
         starts.setdefault(theta, []).append(given)
-        return solve_slice(model, theta, config, margins, fitted, given)
+        return solve_slice(base, theta, config, given)
 
     monkeypatch.setattr(engine, "solve_slice", traced_slice)
     serial = engine.assess(model, engine.AssessmentConfig(

@@ -2,12 +2,14 @@
 checks of small integer programs, determinism, post-solve checks, and the
 LP text dump."""
 
+import hashlib
 import importlib.machinery
 import importlib.util
 import io
 import itertools
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -21,6 +23,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 from scipy.optimize._highspy import _core as highs_core
 
 from ctflex import cli, engine, milp
+from ctflex.blocks import _cos_sin
 from ctflex.instances import twelve_node
 from ctflex.milp import (
     FrozenProblemError, MilpProblem, SolveOptions, solve, write_lp,
@@ -629,8 +632,9 @@ def test_twelve_node_split_matches_scipy(mode, ess, n_parts):
 
 
 def _recorded_rows(monkeypatch) -> list:
-    """Record every ``add_constraint`` call as (terms, sense, rhs), with
-    the terms summed per variable and sorted as the builder promises."""
+    """Record every ``add_constraint`` call as (terms, sense, rhs, name),
+    with the terms summed per variable and sorted as the builder
+    promises."""
     calls = []
     add_constraint = MilpProblem.add_constraint
 
@@ -640,7 +644,7 @@ def _recorded_rows(monkeypatch) -> list:
         for var, coef in items:
             if coef != 0.0:
                 acc[int(var)] = acc.get(int(var), 0.0) + float(coef)
-        calls.append((tuple(sorted(acc.items())), sense, float(rhs)))
+        calls.append((tuple(sorted(acc.items())), sense, float(rhs), name))
         return add_constraint(self, items, sense, rhs, name)
 
     monkeypatch.setattr(MilpProblem, "add_constraint", record)
@@ -657,7 +661,7 @@ def _parent_arrays(problem, recorded):
     for v, coef in problem._objective.items():
         c[v] = sign * coef
     rows, cols, data, lo, hi = [], [], [], [], []
-    for r, (terms, sense, rhs) in enumerate(recorded):
+    for r, (terms, sense, rhs, _) in enumerate(recorded):
         for var, coef in terms:
             rows.append(r)
             cols.append(var)
@@ -670,12 +674,28 @@ def _parent_arrays(problem, recorded):
             np.array(lo), np.array(hi))
 
 
+def _directed(recorded, theta) -> list:
+    """``recorded`` with S0's coefficient, the first term of each direction
+    row, set to -cos theta or -sin theta, and left out where it is 0.0."""
+    cos_theta, sin_theta = _cos_sin(theta)
+    out = []
+    for terms, sense, rhs, name in recorded:
+        if re.search(r"_[pq]dir\d+$", name):
+            (s0, _), *rest = terms
+            coef = -cos_theta if "_pdir" in name else -sin_theta
+            terms = tuple(rest) if coef == 0.0 else ((s0, coef), *rest)
+        out.append((terms, sense, rhs, name))
+    return out
+
+
 def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
-    # storage links the periods, so the whole subproblem is one part
+    # storage links the periods, so the whole subproblem is one part; the
+    # rows are recorded as built, before the direction is written in
     config = engine.AssessmentConfig()
     recorded = _recorded_rows(monkeypatch)
     assembled = engine.build_subproblem(twelve_node(), math.pi / 2, config)
     assert len(recorded) == assembled.problem.n_constraints
+    recorded = _directed(recorded, math.pi / 2)
     calls = _spied_highs(monkeypatch, lambda n, c, *args: (
         "optimal", np.zeros(len(c))))
     engine.solve_assembled(assembled, config)
@@ -694,6 +714,50 @@ def test_one_part_problem_reaches_highs_unchanged(monkeypatch):
     indptr, indices, _ = call.a
     assert all((np.diff(indices[start:end]) > 0).all()
                for start, end in zip(indptr[:-1], indptr[1:]))
+
+
+def _sweep_cell(alpha, sop, ess):
+    return lambda: twelve_node(sop=sop, ess=ess, alpha=alpha)
+
+
+# (model, mode, K): the 12-node tubes with and without storage, and the
+# DT cells of the benchmark's sweep
+HIGHS_INPUT_CASES = [
+    *[(twelve_node, mode, 12) for mode in ("ct", "dt")],
+    *[(_sweep_cell(alpha, sop, ess), "dt", 3) for alpha in (0.01, 0.1)
+      for sop in (True, False) for ess in (True, False)],
+    *[(lambda: twelve_node(ess=False), mode, 12) for mode in ("ct", "dt")],
+]
+# sha256 of every part of every direction above, as HiGHS gets it
+HIGHS_INPUT_DIGEST = (
+    "ae442e2279c0f3d91534e328c3bd2a494aef06152c7e4b929e526b618be0c31b")
+
+
+def test_highs_input_is_pinned(monkeypatch):
+    # no solve: each HiGHS call answers "optimal" at 0, so every part of
+    # every direction is handed over once, with no start
+    calls = _spied_highs(monkeypatch, lambda n, c, *args: (
+        "optimal", np.zeros(len(c))))
+    problems = 0
+    for make, mode, directions in HIGHS_INPUT_CASES:
+        model = make()
+        config = engine.AssessmentConfig(directions=directions, mode=mode)
+        margins = engine.compute_margins(model)
+        fitted = engine.fit_profiles(
+            model, degree=engine.N_COEF_BY_MODE[mode] - 1)
+        for theta in engine.all_directions(directions):
+            engine.solve_assembled(engine.build_subproblem(
+                model, float(theta), config, margins, fitted), config)
+            problems += 1
+    digest = hashlib.sha256()
+    for call in calls:
+        digest.update(repr(call.shape).encode())
+        for array in (call.c, call.integrality, call.lb, call.ub, *call.a,
+                      call.lo, call.hi):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+    assert (problems, len(calls)) == (144, 360)
+    assert digest.hexdigest() == HIGHS_INPUT_DIGEST
 
 
 # a CT direction with restarts (the hardest of the 24 at K = 12), and a DT
