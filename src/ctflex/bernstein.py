@@ -26,7 +26,12 @@ __all__ = [
     "basis_matrix",
     "fit",
     "locate",
+    "place_samples",
 ]
+
+# how far outside [t1, t2] a sample time may lie and still count, at the
+# nearer end of the horizon
+SAMPLE_TOL = 1e-9
 
 
 def _binom(n: int, k: int) -> float:
@@ -63,6 +68,21 @@ def locate(t: np.ndarray, t1: float, period: float,
     s = np.where(on_boundary, 1.0, s)
     idx = np.minimum(idx, n_periods - 1)
     return idx, s
+
+
+def place_samples(t, t1: float, period: float,
+                  n_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """(period index, local coordinate s) of each sample time as ``fit``
+    places it on the grid of ``n_periods`` periods from ``t1``: a sample
+    on an interior boundary opens the right period, t2 closes the last
+    one, and a sample up to SAMPLE_TOL outside [t1, t2] counts at the
+    nearer end.  A sample further outside gets period index -1."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= t1 - SAMPLE_TOL) \
+        & (t <= t1 + n_periods * period + SAMPLE_TOL)
+    rel = np.clip((np.where(inside, t, t1) - t1) / period, 0.0, n_periods)
+    idx = np.minimum(np.floor(rel).astype(int), n_periods - 1)
+    return np.where(inside, idx, -1), rel - idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +144,9 @@ def fit(times, values, period: float, t1: float, n_periods: int,
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    horizon = n_periods * period
-    if np.any(t < t1 - 1e-9) or np.any(t > t1 + horizon + 1e-9):
+    idx, s = place_samples(t, t1, period, n_periods)
+    if np.any(idx < 0):
         raise ValueError("samples outside the horizon")
-    rel = np.clip((t - t1) / period, 0.0, n_periods)
-    idx = np.minimum(np.floor(rel).astype(int), n_periods - 1)
-    s = rel - idx
 
     counts = np.bincount(idx, minlength=n_periods)
     if np.any(counts < degree + 1):

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bernstein
+from .chance import ChanceMargins
 from .milp import MilpProblem
 from .netmodel import NetworkModel
 
 __all__ = [
-    "BuildError", "circle_polygon",
-    "ChanceMargins", "PeriodLayout", "BlockBuilder",
+    "BuildError", "circle_polygon", "PeriodLayout", "BlockBuilder",
     "AssembledProblem", "FittedProfiles", "fit_profiles",
-    "scalar_response_system", "ResponseSystem",
     "continuous_time_check",
 ]
 
@@ -64,28 +63,6 @@ def circle_polygon(s_max: float, n_sides: int = 12) -> tuple:
     return tuple(
         (*_cos_sin(2 * math.pi * k / n_sides), rhs) for k in range(n_sides)
     )
-
-
-# -- chance margins -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChanceMargins:
-    """Per-row-family tightening amounts (one margin covers all Bernstein
-    coefficients of a family because the offsets are constant in time)."""
-
-    u_node: dict = field(default_factory=dict)   # node -> voltage margin
-    pv_cap: dict = field(default_factory=dict)   # pv index -> forecast margin
-    svc: dict = field(default_factory=dict)      # svc index -> output margin
-
-    def for_node(self, node: int) -> float:
-        return self.u_node.get(node, 0.0)
-
-    def for_pv(self, idx: int) -> float:
-        return self.pv_cap.get(idx, 0.0)
-
-    def for_svc(self, idx: int) -> float:
-        return self.svc.get(idx, 0.0)
 
 
 # -- fitted input data --------------------------------------------------------
@@ -187,12 +164,11 @@ class BlockBuilder:
     """Emits device and network blocks for the direction-free problem over
     every scheduling period of the horizon."""
 
-    def __init__(self, model: NetworkModel, *,
-                 margins: ChanceMargins | None = None,
-                 fitted: FittedProfiles | None = None):
+    def __init__(self, model: NetworkModel, *, margins: ChanceMargins,
+                 fitted: FittedProfiles):
         self.model = model
-        self.margins = margins or ChanceMargins()
-        self.fitted = fitted if fitted is not None else fit_profiles(model)
+        self.margins = margins
+        self.fitted = fitted
         # the fitted degree fixes the transcription: cubic CT or one-value DT
         self.n_coef = self.fitted.degree + 1
         self.periods = list(range(model.horizon.n_periods))
@@ -619,125 +595,27 @@ class BlockBuilder:
         )
 
 
-# -- scalar uncertainty response ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResponseSystem:
-    """Equality system B y + F u = 0 for the network's response to the
-    constant-in-time offsets, at one device-selection pattern.
-
-    Unknowns y: node voltages (1..N), branch P flows, branch Q flows, SVC
-    outputs.  Sources u: one per PV unit (forecast offsets; zero columns
-    here since they touch no equality) followed by one per load.
-    """
-
-    b: np.ndarray
-    f: np.ndarray
-    u_index: dict          # node -> row/col of its voltage unknown
-    svc_index: dict
-    sigma2: np.ndarray     # per source, pv first then loads
-    n_pv: int
-
-
-def scalar_response_system(model: NetworkModel, *,
-                           cap_steps: dict | None = None,
-                           oltc_a2: dict | None = None,
-                           reg_ratio2: dict | None = None) -> ResponseSystem:
-    """Network response to load offsets at a fixed selection pattern.
-
-    Defaults form the conservative reference pattern used for margin
-    computation: the largest capacitor step (strongest destabilizing
-    voltage feedback), the smallest OLTC tap and regulator ratio (largest
-    downstream amplification), and no PV reactive response (the scheduled
-    reactive trajectory is held, not re-tracked, under offsets).
-    """
-    n = model.n_nodes - 1
-    nb = len(model.branches)
-    ns = len(model.svc_devices)
-    size = n + 2 * nb + ns
-    u_index = {node: node - 1 for node in range(1, model.n_nodes)}
-    pbr = {bi: n + bi for bi in range(nb)}
-    qbr = {bi: n + nb + bi for bi in range(nb)}
-    svc_index = {si: n + 2 * nb + si for si in range(ns)}
-
-    n_pv = len(model.pv_units)
-    n_src = n_pv + len(model.loads)
-    b = np.zeros((size, size))
-    f = np.zeros((size, n_src))
-
-    cap_at: dict = {}
-    for ci, cap in enumerate(model.cap_banks):
-        default = max(cap.steps, key=abs) if cap.steps else 0.0
-        q_sel = (cap_steps or {}).get(ci, default)
-        cap_at[cap.node] = cap_at.get(cap.node, 0.0) + q_sel
-    svc_at: dict = {}
-    for si, svc in enumerate(model.svc_devices):
-        svc_at.setdefault(svc.node, []).append(si)
-
-    children = model.child_branches()
-    parent = model.parent_branch()
-    row = 0
-    for node in range(1, model.n_nodes):
-        # active balance
-        for bi in children[node]:
-            b[row, pbr[bi]] += 1.0
-        b[row, pbr[parent[node]]] -= 1.0
-        for s, ld in enumerate(model.loads):
-            if ld.node == node:
-                f[row, n_pv + s] += 1.0
-        row += 1
-        # reactive balance
-        for bi in children[node]:
-            b[row, qbr[bi]] += 1.0
-        b[row, qbr[parent[node]]] -= 1.0
-        for si in svc_at.get(node, ()):
-            b[row, svc_index[si]] -= 1.0
-        if node in cap_at:
-            b[row, u_index[node]] -= cap_at[node]
-        for s, ld in enumerate(model.loads):
-            if ld.node == node:
-                f[row, n_pv + s] += ld.phi
-        row += 1
-    for bi, br in enumerate(model.branches):
-        if br.from_node != 0:
-            b[row, u_index[br.from_node]] += 1.0
-        if br.kind == "plain":
-            ratio = 1.0
-        elif br.kind == "regulator":
-            ratio = (reg_ratio2 or {}).get(bi, min(br.tau_min, 1.0) ** 2)
-        else:
-            ratio = (oltc_a2 or {}).get(bi, min(a * a for a in br.taps))
-        b[row, u_index[br.to_node]] -= ratio
-        b[row, pbr[bi]] -= 2.0 * br.r
-        b[row, qbr[bi]] -= 2.0 * br.x
-        row += 1
-    for si, svc in enumerate(model.svc_devices):
-        b[row, svc_index[si]] += 1.0
-        b[row, u_index[svc.node]] -= 0.5 * svc.slope
-        row += 1
-    assert row == size
-
-    sigma2 = np.array([pv.sigma2 for pv in model.pv_units]
-                      + [ld.sigma2 for ld in model.loads])
-    return ResponseSystem(b, f, u_index, svc_index, sigma2, n_pv)
-
-
 # -- continuous-time sampling checker -----------------------------------------
 
 
+# the continuous-time check samples N_TIMES random times per period; an
+# affine relation must hold to EQ_TOL there, and a limit must not be broken
+# by more than FEAS_TOL, the backend's feasibility tolerance
+N_TIMES = 200
+EQ_TOL = 1e-8
+FEAS_TOL = 1e-7
+
+
 def continuous_time_check(assembled: AssembledProblem, values,
-                          n_times: int = 200, rng=None,
-                          eq_tol: float = 1e-8,
-                          feas_tol: float = 1e-7) -> dict:
+                          rng=None) -> dict:
     """Sample every device relation in continuous time at a solution.
 
     Affine relations (balances, voltage drops, droops, direction coupling)
-    are evaluated at random times per period and must agree to ``eq_tol``;
-    inequality-type limits (voltage band, capacity polygons vs. the exact
-    disk, D in [0, 1], stored-energy bounds, forecast cap) must never be
-    violated beyond the backend feasibility tolerance.  Returns a dict with
-    the max equality residual and the list of inequality violations.
+    are evaluated at N_TIMES random times per period and must agree to
+    EQ_TOL; inequality-type limits (voltage band, capacity polygons vs. the
+    exact disk, D in [0, 1], stored-energy bounds, forecast cap) must never
+    be violated beyond FEAS_TOL.  Returns a dict with the max equality
+    residual and the list of inequality violations.
     """
     rng = rng or np.random.default_rng(0)
     model = assembled.model
@@ -751,7 +629,7 @@ def continuous_time_check(assembled: AssembledProblem, values,
 
     for m in assembled.periods:
         layout = assembled.layouts[m]
-        s = rng.random(n_times)
+        s = rng.random(N_TIMES)
         bz_dec = basis(assembled.n_coef - 1, s)
         bz_soe = basis(assembled.n_coef, s)
 
@@ -759,7 +637,7 @@ def continuous_time_check(assembled: AssembledProblem, values,
             return (bz_dec if b is None else b) @ traj(ids)
 
         u_t = {node: at(ids) for node, ids in layout.u.items()}
-        u_t[0] = np.full(n_times, model.u0)
+        u_t[0] = np.full(N_TIMES, model.u0)
         p_br = {bi: at(ids) for bi, ids in layout.p_br.items()}
         q_br = {bi: at(ids) for bi, ids in layout.q_br.items()}
 
@@ -767,27 +645,27 @@ def continuous_time_check(assembled: AssembledProblem, values,
             mu = assembled.margins.for_node(node)
             lo, hi = model.u_min + mu, model.u_max - mu
             bad = np.maximum(u_t[node] - hi, lo - u_t[node])
-            if np.any(bad > feas_tol):
+            if np.any(bad > FEAS_TOL):
                 violations.append(
                     f"period {m} node {node}: voltage branch outside "
                     f"[{lo}, {hi}] by {bad.max():.3e}")
 
-        inj_p = {node: np.zeros(n_times) for node in range(1, model.n_nodes)}
-        inj_q = {node: np.zeros(n_times) for node in range(1, model.n_nodes)}
+        inj_p = {node: np.zeros(N_TIMES) for node in range(1, model.n_nodes)}
+        inj_q = {node: np.zeros(N_TIMES) for node in range(1, model.n_nodes)}
         for pi, pv in enumerate(model.pv_units):
             p_t, q_t = at(layout.p_pv[pi]), at(layout.q_pv[pi])
             inj_p[pv.node] += p_t
             inj_q[pv.node] += q_t
             r_t = np.hypot(p_t, q_t)
-            if np.any(r_t > pv.s_max + feas_tol):
+            if np.any(r_t > pv.s_max + FEAS_TOL):
                 violations.append(
                     f"period {m} pv {pi}: apparent power {r_t.max():.6f} "
                     f"outside the {pv.s_max} disk")
             fc_t = bz_dec @ assembled.fitted.pv[pi][m]
             margin = assembled.margins.for_pv(pi)
-            if np.any(p_t > fc_t - margin + feas_tol):
+            if np.any(p_t > fc_t - margin + FEAS_TOL):
                 violations.append(f"period {m} pv {pi}: forecast cap violated")
-            if np.any(p_t < -feas_tol):
+            if np.any(p_t < -FEAS_TOL):
                 violations.append(f"period {m} pv {pi}: negative output")
             if pv.q_max > 0.0:
                 u1, u2, u3, u4 = pv.u_breaks
@@ -795,14 +673,14 @@ def continuous_time_check(assembled: AssembledProblem, values,
                 b1, b2 = (values[b] for b in layout.pv_segment[pi])
                 u_pv = u_t[pv.node]
                 if b1 < 0.5:
-                    q_expect = np.full(n_times, pv.q_max)
-                    band_bad = u_pv > u2 + feas_tol
+                    q_expect = np.full(N_TIMES, pv.q_max)
+                    band_bad = u_pv > u2 + FEAS_TOL
                 elif b2 < 0.5:
                     q_expect = pv.q_max - beta * (u_pv - u2)
-                    band_bad = (u_pv < u2 - feas_tol) | (u_pv > u3 + feas_tol)
+                    band_bad = (u_pv < u2 - FEAS_TOL) | (u_pv > u3 + FEAS_TOL)
                 else:
-                    q_expect = np.full(n_times, -pv.q_max)
-                    band_bad = u_pv < u3 - feas_tol
+                    q_expect = np.full(N_TIMES, -pv.q_max)
+                    band_bad = u_pv < u3 - FEAS_TOL
                 if np.any(band_bad):
                     violations.append(
                         f"period {m} pv {pi}: voltage leaves the selected "
@@ -814,26 +692,26 @@ def continuous_time_check(assembled: AssembledProblem, values,
             inj_q[ld.node] -= ld.phi * p_t
         for ei, ess in enumerate(model.ess_devices):
             d_t = at(layout.d_ess[ei])
-            if np.any((d_t < -feas_tol) | (d_t > 1 + feas_tol)):
+            if np.any((d_t < -FEAS_TOL) | (d_t > 1 + FEAS_TOL)):
                 violations.append(f"period {m} ess {ei}: D outside [0, 1]")
             soe_t = at(layout.soe[ei], bz_soe)
-            if np.any((soe_t < -feas_tol * max(1.0, ess.e_max))
-                      | (soe_t > ess.e_max * (1 + feas_tol) + feas_tol)):
+            if np.any((soe_t < -FEAS_TOL * max(1.0, ess.e_max))
+                      | (soe_t > ess.e_max * (1 + FEAS_TOL) + FEAS_TOL)):
                 violations.append(f"period {m} ess {ei}: SoE outside bounds")
             inj_p[ess.node] += d_t * (ess.p_d + ess.p_c) - ess.p_c
         for si, sop in enumerate(model.sop_devices):
-            total = np.zeros(n_times)
+            total = np.zeros(N_TIMES)
             for t, node in enumerate(sop.nodes):
                 p_t = at(layout.p_sop[(si, t)])
                 q_t = at(layout.q_sop[(si, t)])
                 inj_p[node] += p_t
                 inj_q[node] += q_t
                 total += p_t
-                if np.any(np.hypot(p_t, q_t) > sop.s_max + feas_tol):
+                if np.any(np.hypot(p_t, q_t) > sop.s_max + FEAS_TOL):
                     violations.append(
                         f"period {m} sop {si} terminal {t}: capacity disk")
-                if np.any((p_t < sop.p_min - feas_tol)
-                          | (p_t > sop.p_max + feas_tol)):
+                if np.any((p_t < sop.p_min - FEAS_TOL)
+                          | (p_t > sop.p_max + FEAS_TOL)):
                     violations.append(
                         f"period {m} sop {si} terminal {t}: P box")
             if sop.loss == 0.0:
@@ -867,7 +745,7 @@ def continuous_time_check(assembled: AssembledProblem, values,
                 resid = u_t[br.from_node] - u_reg_t - drop
                 band_lo = br.tau_min ** 2 * u_t[br.to_node] - u_reg_t
                 band_hi = u_reg_t - br.tau_max ** 2 * u_t[br.to_node]
-                if np.any(band_lo > feas_tol) or np.any(band_hi > feas_tol):
+                if np.any(band_lo > FEAS_TOL) or np.any(band_hi > FEAS_TOL):
                     violations.append(f"period {m} branch {bi}: regulator band")
             else:
                 lam = traj(layout.lam_oltc[bi])
@@ -879,7 +757,7 @@ def continuous_time_check(assembled: AssembledProblem, values,
         s0_t = at(layout.s0)
         p0_t = at(layout.p0)
         q0_t = at(layout.q0)
-        if np.any(s0_t < -feas_tol):
+        if np.any(s0_t < -FEAS_TOL):
             violations.append(f"period {m}: S0 negative")
         max_eq = max(max_eq, float(np.abs(
             p0_t - math.cos(assembled.theta) * s0_t).max()))
@@ -890,5 +768,5 @@ def continuous_time_check(assembled: AssembledProblem, values,
         max_eq = max(max_eq, float(np.abs(p0_t - root_p).max()))
         max_eq = max(max_eq, float(np.abs(q0_t - root_q).max()))
 
-    ok = max_eq <= eq_tol and not violations
+    ok = max_eq <= EQ_TOL and not violations
     return {"max_equality_residual": max_eq, "violations": violations, "ok": ok}

@@ -25,10 +25,11 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, engine, pqbox
+from .blocks import BuildError
 from .instances import ess_symmetric, three_node, twelve_node, two_node
 from .milp import BackendError
 from .netmodel import (
-    ModelError, NetworkModel, ValidationError, load_model, validate,
+    NetworkModel, ParseError, ValidationError, load_model, validate,
 )
 
 EXIT_OK = 0
@@ -44,10 +45,13 @@ _BUILTIN = {
 }
 
 
+_DEFAULT_CONFIG = engine.AssessmentConfig()
 # the flags that only shape an assessment, at their defaults; pqbox --tube
 # reads a tube assessed earlier and refuses them set otherwise
-_ASSESS_DEFAULTS = {"directions": 12, "alpha": None, "gap": 1e-6,
-                    "time_limit": 300.0, "workers": None, "seed": 0}
+_ASSESS_DEFAULTS = {
+    "directions": _DEFAULT_CONFIG.directions, "alpha": None,
+    "gap": _DEFAULT_CONFIG.mip_gap, "time_limit": _DEFAULT_CONFIG.time_limit,
+    "workers": _DEFAULT_CONFIG.workers, "seed": _DEFAULT_CONFIG.seed}
 
 
 class CliError(Exception):
@@ -56,18 +60,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _load(path: str, alpha: float | None = None) -> NetworkModel:
+def _read(path: str) -> NetworkModel:
+    """The builtin model named ``path``, or the model file at ``path``;
+    CliError when there is no such file or it does not parse, and the
+    ValidationError of a file that breaks the model's rules."""
     if path in _BUILTIN:
-        model = _BUILTIN[path]()
-    elif not os.path.exists(path):
+        return _BUILTIN[path]()
+    if not os.path.exists(path):
         raise CliError(f"model file not found: {path}")
-    else:
-        try:
-            model = load_model(path)
-        except ValidationError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-        except ModelError as exc:       # a ParseError names the file
-            raise CliError(str(exc)) from exc
+    try:
+        return load_model(path)
+    except ParseError as exc:           # it names the file
+        raise CliError(str(exc)) from exc
+
+
+def _load(path: str, alpha: float | None = None) -> NetworkModel:
+    try:
+        model = _read(path)
+    except ValidationError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     if alpha is not None:
         model = _with_alpha(model, alpha)
     return model
@@ -132,7 +143,7 @@ def _config_from_args(args) -> engine.AssessmentConfig:
             mip_gap=args.gap,
             time_limit=args.time_limit,
             workers=args.workers,
-            mode=getattr(args, "mode", None) or "ct",
+            mode=getattr(args, "mode", None) or _DEFAULT_CONFIG.mode,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -392,19 +403,10 @@ def cmd_compare_dt(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.model in _BUILTIN:
-        model = _BUILTIN[args.model]()
-        violations = validate(model)
-    else:
-        if not os.path.exists(args.model):
-            raise CliError(f"model file not found: {args.model}")
-        try:
-            model = load_model(args.model)
-            violations = []
-        except ValidationError as exc:
-            violations = exc.violations
-        except ModelError as exc:
-            raise CliError(str(exc)) from exc
+    try:
+        violations = validate(_read(args.model))
+    except ValidationError as exc:
+        violations = exc.violations
     if violations:
         for v in violations:
             print(f"violation: {v}")
@@ -419,10 +421,11 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True,
                    f"({', '.join(sorted(_BUILTIN))})")
     p.add_argument("--directions", type=int,
                    default=_ASSESS_DEFAULTS["directions"], metavar="K",
-                   help="direction samples over the half plane (default 12)")
+                   help="direction samples over the half plane "
+                   "(default %(default)s)")
     if with_mode:
         p.add_argument("--mode", choices=tuple(engine.N_COEF_BY_MODE),
-                       default="ct")
+                       default=_DEFAULT_CONFIG.mode)
     if with_theta_set:
         p.add_argument("--theta-set", default=None,
                        help="directions for the M metric, each one sampled, "
@@ -499,6 +502,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BuildError as exc:           # a model the builder cannot lower
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except BackendError as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND

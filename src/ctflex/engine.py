@@ -24,17 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chance
 from .bernstein import CtTrajectory, basis_matrix, locate
-from .blocks import (
-    AssembledProblem,
-    BlockBuilder,
-    ChanceMargins,
-    FittedProfiles,
-    fit_profiles,
-    scalar_response_system,
-    N_COEF,
-)
+# compute_margins and fit_profiles are called through this module's names,
+# so a wrapper set on engine.compute_margins or engine.fit_profiles sees
+# every call
+from .blocks import AssembledProblem, BlockBuilder, fit_profiles, N_COEF
+from .chance import compute_margins
 from .milp import MilpSolution, SolveOptions, load_solver, solve as milp_solve
 from .netmodel import NetworkModel, read_text
 
@@ -56,12 +51,15 @@ N_COEF_BY_MODE = {"ct": N_COEF, "dt": 1}
 
 @dataclass(frozen=True)
 class AssessmentConfig:
+    """How an assessment samples and solves; its solver settings default
+    to ``SolveOptions``' and the CLI's flags to these."""
+
     directions: int = 12          # K; antipodes double it to 2K slices
-    mip_gap: float = 1e-6
-    time_limit: float = 300.0
+    mip_gap: float = SolveOptions.mip_gap
+    time_limit: float = SolveOptions.time_limit
     workers: int | None = None
     mode: str = "ct"              # "ct" | "dt"
-    seed: int = 0                 # HiGHS random_seed
+    seed: int = SolveOptions.seed  # HiGHS random_seed
 
     def __post_init__(self):
         if self.directions < 2:
@@ -161,53 +159,21 @@ def all_directions(count: int) -> np.ndarray:
     return np.arange(2 * count) * math.pi / count
 
 
-def compute_margins(model: NetworkModel) -> ChanceMargins:
-    """Chance-constraint margins per tightened row family.
-
-    Load offsets propagate through the network equalities (at the
-    conservative reference response pattern); PV forecast offsets hit the
-    forecast-cap rows directly.  One margin covers every Bernstein
-    coefficient of a family because the offsets are constant in time.
-    """
-    z = chance.norm_quantile(1.0 - model.alpha)
-    system = scalar_response_system(model)
-    if z <= 0.0 or not np.any(system.sigma2 > 0.0):
-        return ChanceMargins()
-
-    response = chance.propagate(system.b, system.f)
-
-    def margin(yi: int) -> float:
-        return chance.gaussian_margin(model.alpha, response[yi], system.sigma2)
-
-    u_node = {node: margin(yi) for node, yi in system.u_index.items()}
-    svc = {si: margin(system.svc_index[si])
-           for si, dev in enumerate(model.svc_devices)
-           if dev.q_min is not None or dev.q_max is not None}
-    pv_cap = {
-        pi: z * math.sqrt(pv.sigma2) for pi, pv in enumerate(model.pv_units)
-    }
-    return ChanceMargins(u_node=u_node, pv_cap=pv_cap, svc=svc)
-
-
-def direction_free_problem(model: NetworkModel, config: AssessmentConfig,
-                           margins: ChanceMargins | None = None,
-                           fitted: FittedProfiles | None = None
-                           ) -> AssembledProblem:
-    """The MILP of every direction; ``at(theta)`` gives direction theta's."""
+def direction_free_problem(model: NetworkModel,
+                           config: AssessmentConfig) -> AssembledProblem:
+    """The MILP of every direction, tightened by the model's chance
+    margins over its profiles fitted at the mode's degree; ``at(theta)``
+    gives direction theta's."""
     return BlockBuilder(
-        model,
-        margins=margins if margins is not None else compute_margins(model),
-        fitted=fitted if fitted is not None
-        else fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
+        model, margins=compute_margins(model),
+        fitted=fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
     ).build()
 
 
 def build_subproblem(model: NetworkModel, theta: float,
-                     config: AssessmentConfig,
-                     margins: ChanceMargins | None = None,
-                     fitted: FittedProfiles | None = None) -> AssembledProblem:
+                     config: AssessmentConfig) -> AssembledProblem:
     """Assemble the MILP for one direction over the whole horizon."""
-    return direction_free_problem(model, config, margins, fitted).at(theta)
+    return direction_free_problem(model, config).at(theta)
 
 
 def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,

@@ -22,6 +22,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from . import bernstein
+
 __all__ = [
     "Profile", "Branch", "PvUnit", "LoadPoint", "EssDevice", "SopDevice",
     "SvcDevice", "CapacitorBank", "Horizon",
@@ -252,20 +254,26 @@ def _profile_violations(owner: str, profile: Profile, horizon: Horizon,
         out.append(f"{owner}: profile needs at least 2 samples")
         return out
     t = np.asarray(profile.times) + horizon.t1
-    if t[0] > horizon.t1 + 1e-9 or t[-1] < horizon.t2 - 1e-9:
+    tol = bernstein.SAMPLE_TOL
+    if t[0] > horizon.t1 + tol or t[-1] < horizon.t2 - tol:
         out.append(f"{owner}: profile does not cover the horizon "
                    f"[{horizon.t1}, {horizon.t2}]")
     if np.any(np.diff(t) <= 0):
         out.append(f"{owner}: profile times not strictly increasing")
-    # the cubic fit needs >= 4 samples in every period
-    for m in range(n_periods):
-        lo = horizon.t1 + m * horizon.period
-        hi = lo + horizon.period
-        last = m == n_periods - 1
-        below = (t <= hi + 1e-9) if last else (t < hi - 1e-9)
-        count = int(np.sum((t >= lo - 1e-9) & below))
-        if count < 4:
-            out.append(f"{owner}: period {m} holds {count} samples; need >= 4")
+    if n_periods >= 1:
+        # the periods that the fit places each sample in; the cubic fit
+        # needs >= 4 samples in every period
+        idx, _ = bernstein.place_samples(t, horizon.t1, horizon.period,
+                                         n_periods)
+        outside = int(np.sum(idx < 0))
+        if outside:
+            out.append(f"{owner}: {outside} profile samples outside the "
+                       f"horizon [{horizon.t1}, {horizon.t2}]")
+        counts = np.bincount(idx[idx >= 0], minlength=n_periods)
+        for m, count in enumerate(counts.tolist()):
+            if count < 4:
+                out.append(f"{owner}: period {m} holds {count} samples; "
+                           "need >= 4")
     if nonnegative and any(v < 0 for v in profile.values):
         out.append(f"{owner}: forecast samples must be nonnegative")
     return out

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 _ANGLE_TOL = 1e-9
+# a point within this of the boundary radius, relative above radius 1,
+# is a member of a tube section
+_RADIUS_TOL = 1e-9
+# rounds that expand_box runs before it gives up
+_MAX_ROUNDS = 1_000_000
 
 
 class FunctionOracle:
@@ -59,11 +64,10 @@ class TubeSectionOracle:
     test is a bisection and a few ``math`` operations.
     """
 
-    def __init__(self, tube: FlexTube, t0: float, tol: float = 1e-9):
+    def __init__(self, tube: FlexTube, t0: float):
         if not tube.t1 - 1e-9 <= t0 <= tube.t2 + 1e-9:
             raise ValueError(f"time {t0} outside horizon [{tube.t1}, {tube.t2}]")
         self.t0 = float(t0)
-        self.tol = tol
         self.thetas = tube.directions
         self.radii = tube.radii(t0)
         self.feasible = ~np.isnan(self.radii)
@@ -91,6 +95,7 @@ class TubeSectionOracle:
             sectors.append((th_lo, th_hi, r_lo, r_hi,
                             r_lo * r_hi * math.sin(th_hi - th_lo)))
         sin, hypot, atan2 = math.sin, math.hypot, math.atan2
+        tol = _RADIUS_TOL
 
         def boundary_radius(theta):
             """Radius of the section boundary along direction theta, or
@@ -247,8 +252,7 @@ _SIDE_NAMES = ("P1", "P2", "Q1", "Q2")
 
 
 def expand_box(oracle, start, delta: float, eps: float,
-               t0: float = 0.0, edge_samples: int = 0,
-               max_rounds: int = 1_000_000) -> PqBox:
+               t0: float = 0.0, edge_samples: int = 0) -> PqBox:
     """Grow the largest locally-maximal axis-aligned box around ``start``.
 
     ``oracle`` is any object whose ``contains(p, q)`` tests membership in
@@ -315,7 +319,7 @@ def expand_box(oracle, start, delta: float, eps: float,
 
     def run_rounds():
         nonlocal sides, iterations
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             if all(frozen):
                 return
             iterations += 1

@@ -7,7 +7,7 @@ import numpy as np
 
 from ctflex import chance
 from ctflex.bernstein import CtTrajectory
-from ctflex.blocks import AssembledProblem, scalar_response_system
+from ctflex.blocks import AssembledProblem
 
 
 def antiderivative(traj: CtTrajectory, initial: float = 0.0) -> CtTrajectory:
@@ -77,7 +77,7 @@ def monte_carlo_validate(assembled: AssembledProblem, values,
                 u_reg = values[np.asarray(layout.u_reg[bi])]
                 u_child = values[np.asarray(layout.u[br.to_node])]
                 reg_ratio2[bi] = float(np.mean(u_reg) / np.mean(u_child))
-        system = scalar_response_system(
+        system = chance.scalar_response_system(
             model, cap_steps=cap_steps, oltc_a2=oltc_a2,
             reg_ratio2=reg_ratio2)
         n_src = system.f.shape[1]

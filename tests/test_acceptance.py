@@ -128,7 +128,7 @@ def test_criterion_2_transcription_soundness():
     failures = []
     model = twelve_node()
     cfg = engine.AssessmentConfig(directions=3, workers=1)
-    margins = engine.compute_margins(model)
+    base = engine.direction_free_problem(model, cfg)
     rng = np.random.default_rng(42)
     thetas = engine.all_directions(3)
     found = 0
@@ -137,7 +137,7 @@ def test_criterion_2_transcription_soundness():
     while found < 20 and attempts < 40:
         attempts += 1
         theta = float(thetas[attempts % len(thetas)])
-        asm = engine.build_subproblem(model, theta, cfg, margins)
+        asm = base.at(theta)
         p = asm.problem
         steer = {}
         for m in asm.periods:
@@ -158,7 +158,7 @@ def test_criterion_2_transcription_soundness():
         if bad_rows:
             failures.append(f"solution {found}: {len(bad_rows)} row "
                             f"violations, e.g. {bad_rows[0]}")
-        rep = continuous_time_check(asm, sol.values, n_times=200, rng=rng)
+        rep = continuous_time_check(asm, sol.values, rng=rng)
         worst_eq = max(worst_eq, rep["max_equality_residual"])
         if rep["violations"]:
             failures.append(f"solution {found}: {rep['violations'][0]}")

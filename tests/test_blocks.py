@@ -15,8 +15,11 @@ import pytest
 
 from ctflex import engine
 from ctflex.blocks import (
-    BlockBuilder, BuildError, ChanceMargins, circle_polygon,
-    continuous_time_check, fit_profiles, scalar_response_system,
+    BlockBuilder, BuildError, circle_polygon, continuous_time_check,
+    fit_profiles,
+)
+from ctflex.chance import (
+    ChanceMargins, compute_margins, scalar_response_system,
 )
 from ctflex.instances import _sampled, ess_symmetric, twelve_node
 from ctflex.milp import SolveOptions, solve
@@ -85,9 +88,7 @@ def test_polygon_axis_normals_exact():
 def test_axis_direction_rows_have_no_rounding_residue(theta):
     model = twelve_node()
     config = engine.AssessmentConfig(directions=12, workers=1)
-    assembled = engine.build_subproblem(
-        model, theta, config, engine.compute_margins(model),
-        engine.fit_profiles(model, degree=3))
+    assembled = engine.direction_free_problem(model, config).at(theta)
     tiny = [(name, c)
             for name, (terms, _, _) in rows_by_name(assembled.problem).items()
             for _, c in terms if 0.0 < abs(c) < 1e-12]
@@ -129,10 +130,11 @@ def single_period_model(r=0.0, x=0.0, u0=1.0, u_min=0.25, u_max=1.44,
         alpha=0.5, u0=u0, u_min=u_min, u_max=u_max, **devices)
 
 
-def manual_build(model, **kw):
+def manual_build(model):
     """Emit all blocks but the TDI direction coupling, so block relations
     can be probed without the ray constraint."""
-    builder = BlockBuilder(model, **kw)
+    builder = BlockBuilder(model, margins=compute_margins(model),
+                           fitted=fit_profiles(model))
     for m in builder.periods:
         builder.init_period(m)
         for pi in range(len(model.pv_units)):
@@ -450,8 +452,9 @@ def test_ess_empty_store_cannot_discharge():
 
 def test_voltage_margin_wider_than_band_is_error():
     # a 0.6 margin on each side of the [0.25, 1.44] band leaves nothing
-    builder = BlockBuilder(single_period_model(),
-                           margins=ChanceMargins(u_node={1: 0.6}))
+    model = single_period_model()
+    builder = BlockBuilder(model, margins=ChanceMargins(u_node={1: 0.6}),
+                           fitted=fit_profiles(model))
     with pytest.raises(BuildError, match="exceeds the band"):
         builder.build()
 
@@ -462,7 +465,7 @@ def test_ess_minimum_duration_unrepresentable():
                     t_min_discharge=900.0)
     model = single_period_model(ess_devices=(ess,))
     with pytest.raises(BuildError, match="minimum mode duration"):
-        BlockBuilder(model).build()
+        engine.direction_free_problem(model, engine.AssessmentConfig())
 
 
 def test_ess_mode_flag_keeps_period_one_sided():
@@ -519,12 +522,10 @@ def test_dt_without_ess_mode_flag_matches_flagged_model(build, directions):
     model = build()
     config = engine.AssessmentConfig(mode="dt", directions=directions,
                                      workers=1)
-    margins = engine.compute_margins(model)
+    base = engine.direction_free_problem(model, config)
     for theta in engine.all_directions(directions):
-        got = engine.solve_assembled(engine.build_subproblem(
-            model, float(theta), config, margins), config)
-        flagged = with_ess_mode_flags(engine.build_subproblem(
-            model, float(theta), config, margins))
+        got = engine.solve_assembled(base.at(float(theta)), config)
+        flagged = with_ess_mode_flags(base.at(float(theta)))
         assert len(ess_mode_flags(flagged.problem)) == \
             len(model.ess_devices) * model.horizon.n_periods
         want = engine.solve_assembled(flagged, config)
@@ -648,9 +649,9 @@ def test_response_oltc_reference_amplifies():
 def random_feasible_solutions(model, theta, count, seed=0):
     rng = np.random.default_rng(seed)
     cfg = engine.AssessmentConfig(directions=3, workers=1)
-    margins = engine.compute_margins(model)
+    base = engine.direction_free_problem(model, cfg)
     out = []
-    asm = engine.build_subproblem(model, theta, cfg, margins)
+    asm = base.at(theta)
     layout_vars = []
     for m in asm.periods:
         lay = asm.layouts[m]
@@ -662,7 +663,7 @@ def random_feasible_solutions(model, theta, count, seed=0):
         for ids in lay.q_pv.values():
             layout_vars.extend(ids)
     for _ in range(count):
-        asm_i = engine.build_subproblem(model, theta, cfg, margins)
+        asm_i = base.at(theta)
         weights = rng.normal(size=len(layout_vars))
         p = asm_i.problem
         p._frozen = False
@@ -687,7 +688,7 @@ def test_continuous_time_safety_sampling():
     sols = random_feasible_solutions(model, 0.0, 5, seed=6)
     rng = np.random.default_rng(1)
     for asm, sol in sols:
-        report = continuous_time_check(asm, sol.values, n_times=200, rng=rng)
+        report = continuous_time_check(asm, sol.values, rng=rng)
         assert report["max_equality_residual"] <= 1e-8
         assert report["violations"] == []
 

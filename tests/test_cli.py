@@ -2,18 +2,21 @@
 parser, and byte-determinism across reruns."""
 
 import copy
+import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import random
 
+import numpy as np
 import pytest
 
 from ctflex import engine, pqbox
 from ctflex.cli import CliError, main, parse_theta_set
 from ctflex.instances import three_node, two_node
-from ctflex.netmodel import serialize
+from ctflex.netmodel import EssDevice, serialize
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +298,33 @@ def test_pqbox_stored_tube_boxes_are_pinned(t0, edge_samples, sides,
     assert box["iterations"] == iterations
     assert box["t0"] == t0 and sorted(box["frozen_reasons"]) \
         == ["P1", "P2", "Q1", "Q2"]
+
+
+@pytest.mark.parametrize("model, flags, t0", [
+    ("builtin:twelve-node", ["--tube", CT12_TUBE, "--summary", CT12_SUMMARY],
+     1800.0),
+    ("builtin:two-node", ["--directions", "2", "--workers", "1"], 900.0),
+], ids=["ct12-stored", "two-node-gaps"])
+def test_pqbox_boundary_csv(model, flags, t0, tmp_path):
+    # one row per theta of the 721-point grid whose boundary radius is
+    # not None (two-node: every direction but 0 is a gap), with its value
+    out = tmp_path / "b"
+    assert run(["pqbox", model, *flags, "--time", str(t0), "--boundary-csv",
+                "--out", str(out)]) == 0
+    if "--tube" in flags:
+        tube = engine.read_tube(CT12_TUBE, CT12_SUMMARY)
+    else:
+        tube = engine.assess(two_node(), engine.AssessmentConfig(
+            directions=2, workers=1))
+    section = pqbox.cross_section(tube, t0)
+    radii = {th: section.boundary_radius(th)
+             for th in np.linspace(0, 2 * math.pi, 721).tolist()}
+    want = [(th, r) for th, r in radii.items() if r is not None]
+    with open(out / "boundary.csv", newline="") as fp:
+        rows = list(csv.reader(fp))
+    assert rows[0] == ["theta", "radius"]
+    assert [(float(th), float(r)) for th, r in rows[1:]] == want
+    assert len(want) == (721 if "--tube" in flags else 2)
 
 
 def test_stored_tube_query_and_validate_never_load_the_solver(
@@ -735,6 +765,54 @@ def test_bad_model_file_names_its_path_once(command, edit, message, tmp_path,
     else:
         assert message in err
         assert (out + err).count(str(path)) == 1
+
+
+# load sample times on the two-node model's two 900 s periods that the
+# profile fit refuses: one before t1, one past t2, and one 5e-10 s short of
+# the period boundary, which the fit places in period 0
+REFUSED_LOAD_TIMES = [
+    ([-100.0, 0.0, 200.0, 400.0, 600.0, 900.0, 1200.0, 1500.0, 1800.0],
+     "load 0: 1 profile samples outside the horizon [0.0, 1800.0]"),
+    ([0.0, 200.0, 400.0, 600.0, 900.0, 1200.0, 1500.0, 1800.0, 1900.0],
+     "load 0: 1 profile samples outside the horizon [0.0, 1800.0]"),
+    ([0.0, 200.0, 400.0, 600.0, 900.0 - 5e-10, 1200.0, 1500.0, 1800.0],
+     "load 0: period 1 holds 3 samples; need >= 4"),
+]
+
+
+@pytest.mark.parametrize("times, message", REFUSED_LOAD_TIMES,
+                         ids=["before-t1", "past-t2", "boundary"])
+@pytest.mark.parametrize("command", ["validate", "assess"])
+def test_profile_the_fit_refuses_is_input_error(command, times, message,
+                                                tmp_path, capsys):
+    path = tmp_path / "m.json"
+    serialize(two_node(), str(path))
+    edit_model(lambda doc: doc["loads"][0].update(
+        profile={"t": times, "value": [0.5] * len(times)}))(path)
+    args = [] if command == "validate" else [
+        "--directions", "2", "--workers", "1", "--out", str(tmp_path / "o")]
+    assert run([command, str(path), *args]) == 2
+    out, err = capsys.readouterr()
+    assert message in out + err
+
+
+@pytest.mark.parametrize("model, flags, message", [
+    (dataclasses.replace(two_node(), loads=(dataclasses.replace(
+        two_node().loads[0], sigma2=50.0),)), ["--alpha", "0.01"],
+     "error: voltage margin 0.329 at node 1 exceeds the band"),
+    (dataclasses.replace(two_node(), ess_devices=(EssDevice(
+        1, e_max=1.0, e_init=0.5, eta_c=1.0, eta_d=1.0, p_c=0.1, p_d=0.1,
+        t_min_charge=1800.0),)), [],
+     "error: ess 0: minimum mode duration 1800.0s exceeds the scheduling "
+     "period 900.0s"),
+], ids=["margin-wider-than-band", "ess-mode-longer-than-period"])
+def test_model_the_builder_refuses_is_input_error(model, flags, message,
+                                                  tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    serialize(model, path)
+    assert run(["assess", path, "--directions", "2", "--workers", "1",
+                *flags, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_validate_good_and_bad(tmp_path, capsys):

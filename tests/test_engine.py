@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from ctflex import engine, milp, pqbox
-from ctflex.blocks import BlockBuilder, ChanceMargins, continuous_time_check
+from ctflex.blocks import BlockBuilder, continuous_time_check
+from ctflex.chance import ChanceMargins
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
 )
@@ -562,11 +563,11 @@ def test_periods_solved_apart_match_linked_problem(mode, part_counts):
     # period's S0 makes the same subproblem one part again
     model = twelve_node(ess=False)
     config = engine.AssessmentConfig(directions=3, workers=1, mode=mode)
-    margins = engine.compute_margins(model)
+    base = engine.direction_free_problem(model, config)
     rng = np.random.default_rng(3)
     statuses = []
     for theta in engine.all_directions(3):
-        asm = engine.build_subproblem(model, float(theta), config, margins)
+        asm = base.at(float(theta))
         split = engine.solve_assembled(asm, config)
         linked = copy.deepcopy(asm.problem)
         linked._frozen = False

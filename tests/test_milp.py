@@ -624,10 +624,9 @@ def test_twelve_node_split_matches_scipy(mode, ess, n_parts):
     # by csgraph and the matrix cut by scipy.sparse handed HiGHS
     model = twelve_node(ess=ess)
     config = engine.AssessmentConfig(mode=mode)
-    margins = engine.compute_margins(model)
+    base = engine.direction_free_problem(model, config)
     for theta in engine.all_directions(config.directions):
-        assembled = engine.build_subproblem(model, float(theta), config,
-                                            margins)
+        assembled = base.at(float(theta))
         assert _assert_parts_match_scipy(assembled.problem) == n_parts
 
 
@@ -742,12 +741,9 @@ def test_highs_input_is_pinned(monkeypatch):
     for make, mode, directions in HIGHS_INPUT_CASES:
         model = make()
         config = engine.AssessmentConfig(directions=directions, mode=mode)
-        margins = engine.compute_margins(model)
-        fitted = engine.fit_profiles(
-            model, degree=engine.N_COEF_BY_MODE[mode] - 1)
+        base = engine.direction_free_problem(model, config)
         for theta in engine.all_directions(directions):
-            engine.solve_assembled(engine.build_subproblem(
-                model, float(theta), config, margins, fitted), config)
+            engine.solve_assembled(base.at(float(theta)), config)
             problems += 1
     digest = hashlib.sha256()
     for call in calls:

@@ -11,7 +11,8 @@ import pytest
 from ctflex import engine
 from ctflex.instances import ess_symmetric, twelve_node, two_node
 from ctflex.pqbox import (
-    _ANGLE_TOL, FunctionOracle, cross_section, expand_box, initial_point,
+    _ANGLE_TOL, _RADIUS_TOL, FunctionOracle, cross_section, expand_box,
+    initial_point,
 )
 
 
@@ -169,12 +170,12 @@ def reference_boundary_radius(section, theta):
 
 def reference_contains(section, p, q):
     r = math.hypot(p, q)
-    if r <= section.tol:
+    if r <= _RADIUS_TOL:
         return bool(np.any(section.feasible))
     bound = reference_boundary_radius(section, math.atan2(q, p))
     if bound is None:
         return False
-    return r <= bound + section.tol * max(1.0, bound)
+    return r <= bound + _RADIUS_TOL * max(1.0, bound)
 
 
 def gap_and_zero_tube():
