@@ -53,10 +53,12 @@ def locate(t: np.ndarray, t1: float, period: float,
            n_periods: int) -> tuple[np.ndarray, np.ndarray]:
     """Map times to (period index, local coordinate s in [0, 1]) on the
     grid of ``n_periods`` periods of length ``period`` from ``t1``.  An
-    exact interior boundary point belongs to the left period."""
+    exact interior boundary point belongs to the left period.  A time up
+    to 1e-12 * n_periods periods outside the grid counts at the nearer end;
+    one further outside, or NaN, is a ValueError."""
     rel = (t - t1) / period
     eps = 1e-12 * max(1.0, n_periods)
-    if np.any(rel < -eps) or np.any(rel > n_periods + eps):
+    if not np.all((rel >= -eps) & (rel <= n_periods + eps)):
         raise ValueError(
             f"time outside horizon [{t1}, {t1 + n_periods * period}]"
         )

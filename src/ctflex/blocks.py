@@ -28,16 +28,12 @@ from .milp import MilpProblem
 from .netmodel import NetworkModel
 
 __all__ = [
-    "BuildError", "circle_polygon", "PeriodLayout", "BlockBuilder",
+    "circle_polygon", "PeriodLayout", "BlockBuilder",
     "AssembledProblem", "FittedProfiles", "fit_profiles",
     "continuous_time_check",
 ]
 
 N_COEF = 4  # cubic decision trajectories in continuous time
-
-
-class BuildError(RuntimeError):
-    """The model cannot be lowered into a MILP as configured."""
 
 
 # -- capacity polygons --------------------------------------------------------
@@ -203,14 +199,8 @@ class BlockBuilder:
         self.layouts[m] = layout
         for node in range(1, model.n_nodes):
             mu = self.margins.for_node(node)
-            lb, ub = model.u_min + mu, model.u_max - mu
-            if lb > ub:
-                raise BuildError(
-                    f"voltage margin {mu:.3g} at node {node} exceeds the "
-                    f"band [{model.u_min}, {model.u_max}]"
-                )
-            layout.u[node] = self._coef_vars(self.n_coef, lb, ub,
-                                             f"U{node}_m{m}")
+            layout.u[node] = self._coef_vars(self.n_coef, model.u_min + mu,
+                                             model.u_max - mu, f"U{node}_m{m}")
         for bi in range(len(model.branches)):
             layout.p_br[bi] = self._coef_vars(self.n_coef, -np.inf,
                                               np.inf, f"Pbr{bi}_m{m}")
@@ -390,7 +380,7 @@ class BlockBuilder:
         energy is its running integral, a degree-4 trajectory whose
         coefficients are confined to [0, E_max].  A per-period binary mode
         flag keeps each period on one side of D = 0.5, which realizes the
-        minimum mode duration whenever the period is at least that long.
+        minimum mode duration (``validate`` holds it to the period).
         With a single coefficient per period (DT) the flag is vacuous: one
         value of D always lies on one side of 0.5, and the flag's rows admit
         [0, 0.5] or [0.5, 1], whose union is D's own bound, so neither the
@@ -398,13 +388,6 @@ class BlockBuilder:
         """
         model = self.model
         ess = model.ess_devices[ei]
-        t_min = max(ess.t_min_charge, ess.t_min_discharge)
-        if model.horizon.period < t_min - 1e-9:
-            raise BuildError(
-                f"ess {ei}: minimum mode duration {t_min}s exceeds the "
-                f"scheduling period {model.horizon.period}s; the per-period "
-                "mode decision cannot represent it"
-            )
         step = model.horizon.period / self.n_coef
         kappa = ess.p_d / ess.eta_d + ess.eta_c * ess.p_c
         charge_gain = ess.eta_c * ess.p_c
@@ -585,7 +568,6 @@ class BlockBuilder:
             for vid in self.layouts[m].s0:
                 objective[vid] = weight
         self.problem.set_objective(objective, sense="max")
-        self.problem.freeze()
         return AssembledProblem(
             problem=self.problem, model=model, theta=None,
             periods=list(self.periods), layouts=self.layouts,

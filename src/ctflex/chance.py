@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .netmodel import NetworkModel
+if TYPE_CHECKING:               # netmodel imports this module
+    from .netmodel import NetworkModel
 
 __all__ = [
     "SingularSystemError", "norm_quantile", "gaussian_margin", "propagate",

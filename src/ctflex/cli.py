@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, engine, pqbox
-from .blocks import BuildError
+from .bernstein import locate
 from .instances import ess_symmetric, three_node, twelve_node, two_node
 from .milp import BackendError
 from .netmodel import (
@@ -183,7 +183,7 @@ def cmd_assess(args) -> int:
     model = _load(args.model, args.alpha)
     config = _config_from_args(args)
     theta_set = _theta_set(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     stages = {}
     t0 = time.perf_counter()
     tube = engine.assess(model, config)
@@ -234,8 +234,14 @@ def cmd_pqbox(args) -> int:
                            "but --tube reads one assessed earlier")
     elif args.summary:
         raise CliError("--summary is read only with --tube")
+    model = _load(args.model, args.alpha)
+    hz = model.horizon
+    try:
+        locate(np.array([args.time]), hz.t1, hz.period, hz.n_periods)
+    except ValueError as exc:
+        raise CliError(f"--time {args.time}: {exc}") from None
     stages = {}
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     if args.tube:
         try:
             tube = engine.read_tube(args.tube, args.summary)
@@ -246,21 +252,17 @@ def cmd_pqbox(args) -> int:
                            f"which holds a {tube.mode} tube")
         declared = {key: getattr(tube, key) for key in
                     ("t1", "period", "n_periods")}
-        horizon = _load(args.model).horizon
-        got = {key: getattr(horizon, key) for key in declared}
+        got = {key: getattr(hz, key) for key in declared}
         if got != declared:
             raise CliError(f"{args.model} has horizon {got}, but "
                            f"{args.summary} declares {declared}")
     else:
-        model = _load(args.model, args.alpha)
         config = _config_from_args(args)
         t0 = time.perf_counter()
         tube = engine.assess(model, config)
         stages["assess"] = time.perf_counter() - t0
     args.mode = tube.mode            # the manifest records the mode used
     t0_q = args.time
-    if not tube.t1 - 1e-9 <= t0_q <= tube.t2 + 1e-9:
-        raise CliError(f"--time {t0_q} outside horizon [{tube.t1}, {tube.t2}]")
     section = pqbox.cross_section(tube, t0_q)
     if not np.any(section.feasible):
         print(f"no feasible direction at t = {t0_q}", file=sys.stderr)
@@ -299,6 +301,15 @@ def cmd_pqbox(args) -> int:
     return EXIT_OK
 
 
+def _make_out(path: str):
+    """Make the output directory ``path``, or CliError when it cannot be
+    made, such as when a file holds its name."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out {path}: {exc}") from None
+
+
 def _parse_grid(text: str | None, name: str):
     if text is None:
         return [None]
@@ -332,7 +343,7 @@ def cmd_metrics(args) -> int:
         if alpha is not None:
             _with_alpha(base, alpha)   # reject a bad grid value before solving
     theta_set = _theta_set(args, engine.DEFAULT_THETA_SET)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     rows, warnings = [], []
     for alpha in alphas:
         for sop_on in sop_states:
@@ -382,7 +393,7 @@ def cmd_compare_dt(args) -> int:
 
     model = _load(args.model, args.alpha)
     config = _config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     ct = engine.assess(model, dataclasses.replace(config, mode="ct"))
     dt = engine.assess(model, dataclasses.replace(config, mode="dt"))
     out_path = os.path.join(args.out, "compare_dt.csv")
@@ -502,7 +513,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BuildError as exc:           # a model the builder cannot lower
+    except ValidationError as exc:      # a model the build refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BackendError as exc:

@@ -31,7 +31,7 @@ from .bernstein import CtTrajectory, basis_matrix, locate
 from .blocks import AssembledProblem, BlockBuilder, fit_profiles, N_COEF
 from .chance import compute_margins
 from .milp import MilpSolution, SolveOptions, load_solver, solve as milp_solve
-from .netmodel import NetworkModel, read_text
+from .netmodel import NetworkModel, ValidationError, read_text, validate
 
 __all__ = [
     "AssessmentConfig", "Slice", "FlexTube",
@@ -135,12 +135,13 @@ class FlexTube:
     def radii(self, t: float) -> np.ndarray:
         """Every slice's radius at time t, NaN in a gap: the values of
         ``trajectory(k).evaluate(t)``, with t located on the period grid
-        once and the feasible slices' rows evaluated together."""
+        once and the feasible slices' rows evaluated together.  ValueError
+        when ``locate`` puts t outside the horizon."""
+        idx, s = locate(np.array([float(t)]), self.t1, self.period,
+                        self.n_periods)
         out = np.full(len(self.slices), np.nan)
-        feasible = [k for k, s in enumerate(self.slices) if s.feasible]
+        feasible = [k for k, slc in enumerate(self.slices) if slc.feasible]
         if feasible:
-            idx, s = locate(np.array([float(t)]), self.t1, self.period,
-                            self.n_periods)
             rows = np.array([self.slices[k].coeffs[idx[0]]
                              for k in feasible], dtype=float)
             basis = basis_matrix(rows.shape[1] - 1, s)
@@ -163,7 +164,11 @@ def direction_free_problem(model: NetworkModel,
                            config: AssessmentConfig) -> AssembledProblem:
     """The MILP of every direction, tightened by the model's chance
     margins over its profiles fitted at the mode's degree; ``at(theta)``
-    gives direction theta's."""
+    gives direction theta's.  ValidationError for a model that
+    ``validate`` refuses."""
+    violations = validate(model)
+    if violations:
+        raise ValidationError(violations)
     return BlockBuilder(
         model, margins=compute_margins(model),
         fitted=fit_profiles(model, degree=N_COEF_BY_MODE[config.mode] - 1),
@@ -326,10 +331,9 @@ def query_point(tube: FlexTube, theta: float, t: float):
 
     Exactly sampled directions return the slice point; directions in
     between return the affine combination of the two neighbouring slices.
-    Returns None (a gap) when a needed neighbour is infeasible.
+    Returns None (a gap) when a needed neighbour is infeasible, and
+    ValueError when t lies outside the horizon (see ``FlexTube.radii``).
     """
-    if not tube.t1 - 1e-9 <= t <= tube.t2 + 1e-9:
-        raise ValueError(f"time {t} outside horizon [{tube.t1}, {tube.t2}]")
     lo, hi, frac = _bracket(tube, theta)
     radii = tube.radii(t)
 

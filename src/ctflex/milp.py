@@ -1,9 +1,9 @@
 """MILP container solved by the HiGHS that ships with scipy.
 
 The builder collects continuous and binary variables, linear constraints
-and a linear objective, then freezes.  It keeps the rows as HiGHS takes
-them, as matrix triplets and a range [lo, hi] per row.  The backend splits
-the frozen problem into the connected components of its variable-row
+and a linear objective.  It keeps the rows as HiGHS takes them, as
+matrix triplets and a range [lo, hi] per row.  The backend splits
+the problem into the connected components of its variable-row
 graph and hands each one to HiGHS as a problem of its own, with its matrix
 in CSC arrays built from the triplets by numpy; a problem whose rows all
 link up, such as any model with storage, reaches HiGHS as it stands.  The
@@ -35,7 +35,6 @@ __all__ = [
     "MilpSolution",
     "SolveOptions",
     "BackendError",
-    "FrozenProblemError",
     "load_solver",
     "solve",
     "sos_fallback",
@@ -45,10 +44,6 @@ __all__ = [
 _SENSES = ("<=", ">=", "==")
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _log = logging.getLogger(__name__)
-
-
-class FrozenProblemError(RuntimeError):
-    """Mutation attempted after the problem was frozen."""
 
 
 class BackendError(RuntimeError):
@@ -67,7 +62,7 @@ class MilpSolution:
 
 
 class MilpProblem:
-    """Mutable MILP builder; freeze() makes it immutable and solvable."""
+    """MILP builder; ``solve`` takes it as it stands."""
 
     def __init__(self, name: str = "problem"):
         self.name = name
@@ -85,17 +80,11 @@ class MilpProblem:
         self._row_names: list[str] = []
         self._objective: dict[int, float] = {}
         self._sense = "max"
-        self._frozen = False
 
     # -- construction ------------------------------------------------------
 
-    def _check_mutable(self):
-        if self._frozen:
-            raise FrozenProblemError("problem is frozen")
-
     def add_variable(self, lb: float = 0.0, ub: float = np.inf, *,
                      binary: bool = False, name: str | None = None) -> int:
-        self._check_mutable()
         if binary:
             lb, ub = 0.0, 1.0
         if lb > ub:
@@ -120,7 +109,6 @@ class MilpProblem:
 
     def add_constraint(self, coeffs, sense: str, rhs: float,
                        name: str | None = None) -> int:
-        self._check_mutable()
         if sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
         idx = len(self._row_names)
@@ -135,18 +123,17 @@ class MilpProblem:
         return idx
 
     def set_objective(self, coeffs, sense: str = "max"):
-        self._check_mutable()
         if sense not in ("max", "min"):
             raise ValueError("objective sense must be 'max' or 'min'")
         self._objective = dict(self._as_terms(coeffs))
         self._sense = sense
 
     def freeze(self) -> "MilpProblem":
-        self._frozen = True
+        """The problem itself; only the ``perfbench/`` harness calls this."""
         return self
 
     def with_entries(self, entries: dict, name: str) -> "MilpProblem":
-        """A frozen copy named ``name`` whose matrix entry at each triplet
+        """A copy named ``name`` whose matrix entry at each triplet
         index of ``entries`` holds the value given there; an entry set to
         0.0 is left out, as ``add_constraint`` leaves out a zero term."""
         out = copy.copy(self)
@@ -159,13 +146,9 @@ class MilpProblem:
                         reverse=True):
             del out._rows[i], out._cols[i], out._vals[i]
         out.name = name
-        return out.freeze()
+        return out
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def n_variables(self) -> int:
@@ -532,7 +515,7 @@ def _completion(part, starts, left):
 
 def solve(problem: MilpProblem, options: SolveOptions | None = None,
           starts=()) -> MilpSolution:
-    """Solve a frozen problem with HiGHS.
+    """Solve a problem with HiGHS.
 
     Each of ``starts``, a full-length vector whose binary columns hold 0
     or 1, is a candidate first incumbent: on each part with integer
@@ -540,8 +523,6 @@ def solve(problem: MilpProblem, options: SolveOptions | None = None,
     LP, and the best completion starts HiGHS's search.  A start that
     completes nowhere changes nothing.
     """
-    if not problem.frozen:
-        raise ValueError("freeze() the problem before solving")
     return ScipyHighsBackend().solve(problem, options or SolveOptions(),
                                      starts)
 

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import bernstein
+from . import bernstein, chance
 
 __all__ = [
     "Profile", "Branch", "PvUnit", "LoadPoint", "EssDevice", "SopDevice",
@@ -347,6 +347,11 @@ def validate(model: NetworkModel) -> list[str]:
                 out.append(f"{owner}: efficiencies must lie in (0, 1]")
             if e.p_c < 0 or e.p_d < 0:
                 out.append(f"{owner}: negative power rating")
+            t_min = max(e.t_min_charge, e.t_min_discharge)
+            if hz.period < t_min - 1e-9:
+                out.append(f"{owner}: minimum mode duration {t_min}s exceeds "
+                           f"the scheduling period {hz.period}s; the "
+                           "per-period mode decision cannot represent it")
         if isinstance(e, SopDevice):
             if len(e.nodes) != 2 or e.nodes[0] == e.nodes[1]:
                 out.append(f"{owner}: SOP terminals must be two distinct nodes")
@@ -361,6 +366,30 @@ def validate(model: NetworkModel) -> list[str]:
         out.append(f"uncertainty: alpha {model.alpha} outside (0, 0.5]")
     if not model.u_min < model.u_max:
         out.append(f"voltage: u_min {model.u_min} must be below u_max {model.u_max}")
+    # the chance margins need a sound tree and alpha in (0, 0.5]
+    return out or _margin_violations(model)
+
+
+def _margin_violations(model: NetworkModel) -> list[str]:
+    """Each chance margin that leaves no room in the voltage band or the
+    SVC output limits it tightens, or the response system that gives no
+    margins at all."""
+    try:
+        margins = chance.compute_margins(model)
+    except chance.SingularSystemError as exc:
+        return [f"uncertainty: {exc}"]
+    out = []
+    for node in range(1, model.n_nodes):
+        mu = margins.for_node(node)
+        if model.u_min + mu > model.u_max - mu:
+            out.append(f"voltage margin {mu:.3g} at node {node} exceeds the "
+                       f"band [{model.u_min}, {model.u_max}]")
+    for si, svc in enumerate(model.svc_devices):
+        ms = margins.for_svc(si)
+        if svc.q_min is not None and svc.q_max is not None \
+                and svc.q_min + ms > svc.q_max - ms:
+            out.append(f"svc {si}: output margin {ms:.3g} exceeds half the "
+                       f"span of its limits [{svc.q_min}, {svc.q_max}]")
     return out
 
 

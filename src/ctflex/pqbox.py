@@ -65,8 +65,6 @@ class TubeSectionOracle:
     """
 
     def __init__(self, tube: FlexTube, t0: float):
-        if not tube.t1 - 1e-9 <= t0 <= tube.t2 + 1e-9:
-            raise ValueError(f"time {t0} outside horizon [{tube.t1}, {tube.t2}]")
         self.t0 = float(t0)
         self.thetas = tube.directions
         self.radii = tube.radii(t0)

@@ -147,9 +147,7 @@ def test_criterion_2_transcription_soundness():
                     + [v for ids in lay.q_pv.values() for v in ids])
             for v in pool:
                 steer[v] = float(rng.normal())
-        p._frozen = False
         p.set_objective(steer)
-        p.freeze()
         sol = solve(p, SolveOptions(mip_gap=1e-3, time_limit=120.0))
         if sol.status != "optimal":
             continue

@@ -8,6 +8,7 @@ violation, the capacity polygon never admits a point outside the true
 disk, and the McCormick products are exact at integral selections.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,17 +16,14 @@ import pytest
 
 from ctflex import engine
 from ctflex.blocks import (
-    BlockBuilder, BuildError, circle_polygon, continuous_time_check,
-    fit_profiles,
+    BlockBuilder, circle_polygon, continuous_time_check, fit_profiles,
 )
-from ctflex.chance import (
-    ChanceMargins, compute_margins, scalar_response_system,
-)
+from ctflex.chance import compute_margins, scalar_response_system
 from ctflex.instances import _sampled, ess_symmetric, twelve_node
 from ctflex.milp import SolveOptions, solve
 from ctflex.netmodel import (
     Branch, CapacitorBank, EssDevice, Horizon, LoadPoint, NetworkModel,
-    PvUnit, SopDevice, SvcDevice,
+    PvUnit, SopDevice, SvcDevice, ValidationError, validate,
 )
 
 RNG = np.random.default_rng(99)
@@ -104,7 +102,6 @@ def test_direction_leaves_the_direction_free_problem_as_built():
     assert (p._rows, p._cols, p._vals, p.name) == built
     assert base.theta is None and half_pi.theta == math.pi / 2
     assert half_pi.problem.name == "slice@1.570796"
-    assert half_pi.problem.frozen
     # cos(pi/2) snaps to 0.0: every pdir row loses S0's entry
     assert len(half_pi.problem._vals) == \
         len(p._vals) - len(base.direction_entries)
@@ -150,7 +147,6 @@ def manual_build(model):
     for m in builder.periods:
         builder.network_block(m)
     builder.problem.set_objective({})
-    builder.problem.freeze()
     from ctflex.blocks import AssembledProblem
     return builder, AssembledProblem(
         problem=builder.problem, model=model, theta=0.0,
@@ -160,18 +156,14 @@ def manual_build(model):
 
 
 def pin(problem, ids, value):
-    problem._frozen = False
     for vid in ids:
         problem.add_constraint([(vid, 1.0)], "==", value)
-    problem.freeze()
 
 
 def resolve(assembled, objective=None, sense="max"):
     p = assembled.problem
     if objective is not None:
-        p._frozen = False
         p.set_objective(objective, sense)
-        p.freeze()
     return solve(p)
 
 
@@ -220,12 +212,10 @@ def test_pv_capacity_polygon_rejects_corner():
     builder, asm = manual_build(model)
     layout = asm.layouts[0]
     p = asm.problem
-    p._frozen = False
     for vid in layout.p_pv[0]:
         p.add_constraint([(vid, 1.0)], "==", 0.35)
     for vid in layout.q_pv[0]:
         p.add_constraint([(vid, 1.0)], "==", 0.25)
-    p.freeze()
     assert solve(p).status == "infeasible"
     assert math.hypot(0.35, 0.25) > 0.35  # the disk oracle agrees
 
@@ -374,9 +364,7 @@ def test_capbank_selected_step_product():
     builder, asm = manual_build(model)
     layout = asm.layouts[0]
     p = asm.problem
-    p._frozen = False
     p.add_constraint([(layout.lam_cap[0][1], 1.0)], "==", 1.0)
-    p.freeze()
     sol = solve(p)
     assert sol.status == "optimal"
     for vid in layout.q_cap[0]:
@@ -388,9 +376,7 @@ def test_capbank_zero_step_gives_zero_q():
     builder, asm = manual_build(model)
     layout = asm.layouts[0]
     p = asm.problem
-    p._frozen = False
     p.add_constraint([(layout.lam_cap[0][0], 1.0)], "==", 1.0)
-    p.freeze()
     sol = solve(p)
     for vid in layout.q_cap[0]:
         assert sol.values[vid] == pytest.approx(0.0, abs=1e-9)
@@ -451,12 +437,16 @@ def test_ess_empty_store_cannot_discharge():
 
 
 def test_voltage_margin_wider_than_band_is_error():
-    # a 0.6 margin on each side of the [0.25, 1.44] band leaves nothing
-    model = single_period_model()
-    builder = BlockBuilder(model, margins=ChanceMargins(u_node={1: 0.6}),
-                           fitted=fit_profiles(model))
-    with pytest.raises(BuildError, match="exceeds the band"):
-        builder.build()
+    # a load sigma of 20 through r = 0.01 at alpha 0.01 puts a 0.93 margin
+    # on each side of the [0.25, 1.44] band, which leaves nothing
+    load = LoadPoint(1, _sampled(lambda tau: 0.5, horizon=900.0),
+                     sigma2=400.0)
+    model = dataclasses.replace(
+        single_period_model(r=0.01, x=0.01, loads=(load,)), alpha=0.01)
+    assert validate(model) == [
+        "voltage margin 0.931 at node 1 exceeds the band [0.25, 1.44]"]
+    with pytest.raises(ValidationError, match="exceeds the band"):
+        engine.direction_free_problem(model, engine.AssessmentConfig())
 
 
 def test_ess_minimum_duration_unrepresentable():
@@ -464,7 +454,7 @@ def test_ess_minimum_duration_unrepresentable():
                     p_c=0.1, p_d=0.1, t_min_charge=1800.0,
                     t_min_discharge=900.0)
     model = single_period_model(ess_devices=(ess,))
-    with pytest.raises(BuildError, match="minimum mode duration"):
+    with pytest.raises(ValidationError, match="minimum mode duration"):
         engine.direction_free_problem(model, engine.AssessmentConfig())
 
 
@@ -473,10 +463,8 @@ def test_ess_mode_flag_keeps_period_one_sided():
     builder, asm = manual_build(model)
     layout = asm.layouts[0]
     p = asm.problem
-    p._frozen = False
     p.add_constraint([(layout.d_ess[0][0], 1.0)], "==", 0.9)
     p.add_constraint([(layout.d_ess[0][3], 1.0)], "==", 0.1)
-    p.freeze()
     assert solve(p).status == "infeasible"
 
 
@@ -503,7 +491,6 @@ def with_ess_mode_flags(assembled):
     """Put the per-period mode binary and its two rows back by hand, as the
     builder emits them when a period has several coefficients."""
     p = assembled.problem
-    p._frozen = False
     for m in assembled.periods:
         for ei, d_ids in assembled.layouts[m].d_ess.items():
             flag = p.add_variable(binary=True, name=f"ess{ei}_m{m}_mode")
@@ -512,7 +499,6 @@ def with_ess_mode_flags(assembled):
                                  f"ess{ei}_m{m}_dis{k}")
                 p.add_constraint([(d, 1.0), (flag, -0.5)], "<=", 0.5,
                                  f"ess{ei}_m{m}_chg{k}")
-    p.freeze()
     return assembled
 
 
@@ -585,9 +571,7 @@ def test_oltc_tap_product():
     builder, asm = manual_build(model)
     layout = asm.layouts[0]
     p = asm.problem
-    p._frozen = False
     p.add_constraint([(layout.lam_oltc[0][1], 1.0)], "==", 1.0)  # a = 1.05
-    p.freeze()
     sol = resolve(asm, {layout.u[1][0]: 1.0})
     # zero-impedance branch: u0 = a^2 U1 -> U1 = 1 / 1.1025
     assert sol.values[layout.u[1][0]] == pytest.approx(1.0 / 1.1025, abs=1e-8)
@@ -666,9 +650,7 @@ def random_feasible_solutions(model, theta, count, seed=0):
         asm_i = base.at(theta)
         weights = rng.normal(size=len(layout_vars))
         p = asm_i.problem
-        p._frozen = False
         p.set_objective({v: float(w) for v, w in zip(layout_vars, weights)})
-        p.freeze()
         sol = solve(p, SolveOptions(mip_gap=1e-3, time_limit=60.0))
         if sol.status == "optimal":
             out.append((asm_i, sol))

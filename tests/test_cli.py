@@ -9,14 +9,17 @@ import json
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
 
 from ctflex import engine, pqbox
 from ctflex.cli import CliError, main, parse_theta_set
-from ctflex.instances import three_node, two_node
-from ctflex.netmodel import EssDevice, serialize
+from ctflex.instances import _sampled, three_node, twelve_node, two_node
+from ctflex.netmodel import (
+    CapacitorBank, EssDevice, Horizon, ValidationError, serialize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +130,12 @@ def test_pqbox_symmetric_toy(tmp_path):
     assert box["t0"] == 1800.0
 
 
-def test_pqbox_time_outside_horizon(tmp_path, capsys):
-    rc = run(["pqbox", "builtin:ess-symmetric", "--directions", "2",
-              "--workers", "1", "--time", "99999",
-              "--out", str(tmp_path / "b")])
+def test_pqbox_time_outside_horizon(tmp_path, capsys, no_assess):
+    rc = run(["pqbox", "builtin:twelve-node", "--workers", "2", "--time",
+              "99999", "--out", str(tmp_path / "b")])
     assert rc == 2
-    assert "horizon" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "horizon" in err and "error: --time 99999" in err
 
 
 @pytest.fixture
@@ -141,6 +144,38 @@ def no_assess(monkeypatch):
         raise AssertionError("assessed before the input was checked")
 
     monkeypatch.setattr(engine, "assess", fail)
+
+
+def test_pqbox_time_past_the_slack_of_a_stored_tube(tmp_path, capsys):
+    # four 60 s periods: locate takes times up to 1e-12 * 4 * 60 s past t2,
+    # and 5e-10 s is past that
+    model = two_node()
+    model = dataclasses.replace(
+        model, horizon=Horizon(0.0, 240.0, 60.0),
+        loads=(dataclasses.replace(model.loads[0], profile=_sampled(
+            lambda tau: 0.5, horizon=240.0, period=60.0)),))
+    path, out = str(tmp_path / "m.json"), tmp_path / "run"
+    serialize(model, path)
+    assert run(["assess", path, "--directions", "2", "--workers", "1",
+                "--out", str(out)]) == 0
+    rc = run(["pqbox", path, "--tube", str(out / "tube.csv"), "--summary",
+              str(out / "summary.json"), "--time", "240.0000000005",
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert "error: --time 240.0000000005" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("assess", []), ("pqbox", ["--time", "900"]), ("metrics", []),
+    ("compare-dt", [])])
+def test_out_naming_a_file_is_input_error(command, flags, tmp_path, capsys,
+                                          no_assess):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = run([command, "builtin:two-node", "--directions", "3", "--workers",
+              "1", *flags, "--out", str(out)])
+    assert rc == 2
+    assert f"error: --out {out}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--delta", "-1"], ["--eps", "0"],
@@ -360,6 +395,18 @@ def test_metrics_empty_grid_rejected(tmp_path, capsys):
     rc = run(["metrics", "builtin:three-node", "--alpha-grid", ",",
               "--out", str(tmp_path / "m")])
     assert rc == 2
+
+
+def test_metrics_alpha_grid_margin_wider_than_band_rejected(tmp_path, capsys,
+                                                           no_assess):
+    # the 0.1 cell is sound; at 1e-12 the voltage margins leave no band
+    out = tmp_path / "m"
+    rc = run(["metrics", "builtin:twelve-node", "--directions", "3",
+              "--alpha-grid", "0.1,1e-12", "--sop", "off", "--ess", "off",
+              "--out", str(out)])
+    assert rc == 2
+    assert "voltage margin" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_metrics_alpha_grid_outside_range_rejected(tmp_path, capsys):
@@ -796,23 +843,46 @@ def test_profile_the_fit_refuses_is_input_error(command, times, message,
     assert message in out + err
 
 
-@pytest.mark.parametrize("model, flags, message", [
-    (dataclasses.replace(two_node(), loads=(dataclasses.replace(
-        two_node().loads[0], sigma2=50.0),)), ["--alpha", "0.01"],
-     "error: voltage margin 0.329 at node 1 exceeds the band"),
+def svc_limited_twelve_node():
+    """The storage-free 12-node feeder with both SVCs held to +-0.001,
+    less than their output margins."""
+    model = twelve_node(ess=False)
+    return dataclasses.replace(model, svc_devices=tuple(
+        dataclasses.replace(svc, q_min=-0.001, q_max=0.001)
+        for svc in model.svc_devices))
+
+
+@pytest.mark.parametrize("model, message", [
+    (dataclasses.replace(two_node(), alpha=0.01, loads=(dataclasses.replace(
+        two_node().loads[0], sigma2=50.0),)),
+     "voltage margin 0.329 at node 1 exceeds the band"),
     (dataclasses.replace(two_node(), ess_devices=(EssDevice(
         1, e_max=1.0, e_init=0.5, eta_c=1.0, eta_d=1.0, p_c=0.1, p_d=0.1,
-        t_min_charge=1800.0),)), [],
-     "error: ess 0: minimum mode duration 1800.0s exceeds the scheduling "
+        t_min_charge=1800.0),)),
+     "ess 0: minimum mode duration 1800.0s exceeds the scheduling "
      "period 900.0s"),
-], ids=["margin-wider-than-band", "ess-mode-longer-than-period"])
-def test_model_the_builder_refuses_is_input_error(model, flags, message,
+    (svc_limited_twelve_node(),
+     "svc 0: output margin 0.0149 exceeds half the span of its limits "
+     "[-0.001, 0.001]"),
+    # a capacitor step of 1/(2x) cancels the voltage's reactive feedback
+    (dataclasses.replace(two_node(), alpha=0.1, loads=(dataclasses.replace(
+        two_node().loads[0], sigma2=0.001),), cap_banks=(
+            CapacitorBank(1, steps=(50.0,)),)),
+     "uncertainty: dependent system is singular"),
+], ids=["margin-wider-than-band", "ess-mode-longer-than-period",
+        "svc-margin-wider-than-limits", "singular-response"])
+@pytest.mark.parametrize("command", ["validate", "assess"])
+def test_model_the_builder_refuses_is_input_error(command, model, message,
                                                   tmp_path, capsys):
     path = str(tmp_path / "m.json")
     serialize(model, path)
-    assert run(["assess", path, "--directions", "2", "--workers", "1",
-                *flags, "--out", str(tmp_path / "o")]) == 2
-    assert message in capsys.readouterr().err
+    args = [] if command == "validate" else [
+        "--directions", "2", "--workers", "1", "--out", str(tmp_path / "o")]
+    assert run([command, path, *args]) == 2
+    out, err = capsys.readouterr()
+    assert message in (out if command == "validate" else err)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        engine.direction_free_problem(model, engine.AssessmentConfig())
 
 
 def test_validate_good_and_bad(tmp_path, capsys):

@@ -570,11 +570,10 @@ def test_periods_solved_apart_match_linked_problem(mode, part_counts):
         asm = base.at(float(theta))
         split = engine.solve_assembled(asm, config)
         linked = copy.deepcopy(asm.problem)
-        linked._frozen = False
         linked.add_constraint({v: 1.0 for m in asm.periods
                                for v in asm.layouts[m].s0}, "<=", 1e6)
         whole = engine.solve_assembled(
-            dataclasses.replace(asm, problem=linked.freeze()), config)
+            dataclasses.replace(asm, problem=linked), config)
         statuses.append(split.status)
         assert split.status == whole.status
         if split.status != "optimal":

@@ -25,16 +25,14 @@ from scipy.optimize._highspy import _core as highs_core
 from ctflex import cli, engine, milp
 from ctflex.blocks import _cos_sin
 from ctflex.instances import twelve_node
-from ctflex.milp import (
-    FrozenProblemError, MilpProblem, SolveOptions, solve, write_lp,
-)
+from ctflex.milp import MilpProblem, SolveOptions, solve, write_lp
 
 
 def test_bounded_variable_maximize():
     p = MilpProblem()
     x = p.add_variable(0.0, 3.0)
     p.set_objective({x: 1.0})
-    sol = solve(p.freeze())
+    sol = solve(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0)
 
@@ -45,7 +43,7 @@ def test_infeasible_bounds_detected():
     p.add_constraint({x: 1.0}, ">=", 1.0)
     p.add_constraint({x: 1.0}, "<=", 0.0)
     p.set_objective({x: 1.0})
-    sol = solve(p.freeze())
+    sol = solve(p)
     assert sol.status == "infeasible"
     assert sol.values is None
 
@@ -54,7 +52,7 @@ def test_unbounded_detected():
     p = MilpProblem()
     x = p.add_variable(0.0, np.inf)
     p.set_objective({x: 1.0})
-    assert solve(p.freeze()).status == "unbounded"
+    assert solve(p).status == "unbounded"
 
 
 def test_knapsack_matches_enumeration():
@@ -70,7 +68,7 @@ def test_knapsack_matches_enumeration():
     xs = [p.add_variable(binary=True) for _ in range(3)]
     p.add_constraint([(x, w) for x, w in zip(xs, weights)], "<=", cap)
     p.set_objective({x: v for x, v in zip(xs, values)})
-    sol = solve(p.freeze())
+    sol = solve(p)
     assert sol.objective == pytest.approx(best)
     assert best == 9.0
 
@@ -83,7 +81,7 @@ def test_lp_relaxation_matches_closed_form_vertex():
     p.add_constraint({x: 1.0, y: 2.0}, "<=", 4.0)
     p.add_constraint({x: 3.0, y: 1.0}, "<=", 6.0)
     p.set_objective({x: 1.0, y: 1.0})
-    sol = solve(p.freeze())
+    sol = solve(p)
     assert sol.objective == pytest.approx(2.8, abs=1e-9)
     assert sol.values == pytest.approx([1.6, 1.2], abs=1e-8)
 
@@ -96,21 +94,10 @@ def test_repeat_solve_is_deterministic():
     v = rng.uniform(1, 5, 12)
     p.add_constraint([(x, wi) for x, wi in zip(xs, w)], "<=", 12.0)
     p.set_objective({x: vi for x, vi in zip(xs, v)})
-    p.freeze()
     a = solve(p, SolveOptions(seed=0))
     b = solve(p, SolveOptions(seed=0))
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
     assert np.allclose(a.values, b.values)
-
-
-def test_mutation_after_freeze():
-    p = MilpProblem()
-    p.add_variable()
-    p.freeze()
-    with pytest.raises(FrozenProblemError):
-        p.add_variable()
-    with pytest.raises(FrozenProblemError):
-        p.add_constraint({0: 1.0}, "<=", 1.0)
 
 
 def test_unknown_handles_rejected():
@@ -136,7 +123,7 @@ def _stubbed_options(monkeypatch, seed=0):
     p = MilpProblem()
     x = p.add_variable(0.0, 1.0)
     p.set_objective({x: 1.0})
-    sol = solve(p.freeze(), SolveOptions(seed=seed))
+    sol = solve(p, SolveOptions(seed=seed))
     # an infeasible verdict is re-checked with presolve off
     assert sol.status == "infeasible"
     assert [o["presolve"] for o in calls] == ["on", "off"]
@@ -188,7 +175,7 @@ def test_rejected_option_raises(monkeypatch, name, value):
     p.add_constraint({x: 1.0}, "<=", 1.0)
     p.set_objective({x: 1.0})
     with pytest.raises(milp.BackendError, match=f"option {name} = "):
-        solve(p.freeze())
+        solve(p)
 
 
 def test_missing_highs_extension_is_a_backend_failure(monkeypatch, tmp_path,
@@ -309,7 +296,6 @@ def test_disjoint_knapsacks_solved_apart(monkeypatch):
     p.add_constraint({xs[0]: 1.0, xs[2]: 1.0}, "<=", 1.0)
     p.add_constraint({ys[1]: 1.0, ys[3]: 1.0}, "<=", 1.0)
     p.set_objective({**dict(zip(xs, values_a)), **dict(zip(ys, values_b))})
-    p.freeze()
     best = max(p.objective_value(pick)
                for pick in itertools.product((0.0, 1.0), repeat=7)
                if p.check_solution(pick) == [])
@@ -340,7 +326,7 @@ def _three_parts():
     p.add_constraint({y: 1.0}, ">=", 2.0)
     p.add_constraint({z: 1.0}, "<=", 1.0)
     p.set_objective({x: 1.0, y: 1.0, z: 1.0})
-    return p.freeze()
+    return p
 
 
 def test_infeasible_part_decides_and_stops(monkeypatch):
@@ -359,7 +345,7 @@ def _two_parts():
     p.add_constraint({x: 1.0}, "<=", 1.0)
     p.add_constraint({y: 1.0}, "<=", 2.0)
     p.set_objective({x: 1.0, y: 1.0})
-    return p.freeze()
+    return p
 
 
 @pytest.mark.parametrize("incumbent", [True, False])
@@ -416,7 +402,7 @@ def _two_binary_parts():
         b, u = p.add_variable(binary=True), p.add_variable(0.0, 2.0)
         p.add_constraint({u: 1.0, b: -1.0}, "<=", 0.0)
     p.set_objective({v: 1.0 for v in range(4)})
-    return p.freeze()
+    return p
 
 
 def _knapsack():
@@ -424,7 +410,7 @@ def _knapsack():
     xs = [p.add_variable(binary=True) for _ in range(3)]
     p.add_constraint(list(zip(xs, [2.0, 3.0, 4.0])), "<=", 5.0)
     p.set_objective(dict(zip(xs, [4.0, 5.0, 6.0])))
-    return p.freeze()
+    return p
 
 
 def _dt_direction():
@@ -457,7 +443,6 @@ def test_start_whose_completion_is_infeasible_is_ignored(monkeypatch):
     p.add_constraint({x: 1.0}, ">=", 1.0)
     p.add_constraint({x: 1.0, b: -10.0}, "<=", 0.0)
     p.set_objective({b: -1.0, x: -1.0})
-    p.freeze()
     cold = solve(p)
     calls = _spied_highs(monkeypatch)
     warm = solve(p, starts=([0.0, 5.0],))
@@ -525,7 +510,7 @@ def test_empty_row_keeps_problem_infeasible(monkeypatch):
     p.add_constraint({y: 1.0}, "<=", 1.0)
     p.set_objective({x: 1.0, y: 1.0})
     calls = _spied_highs(monkeypatch)
-    assert solve(p.freeze()).status == "infeasible"
+    assert solve(p).status == "infeasible"
     # the empty row rides with the first part, whose retry agrees
     assert [call.options["presolve"] for call in calls] == ["on", "off"]
     assert _dense_rows(calls[0])[1].tolist() == [-np.inf, 1.0]
@@ -538,7 +523,7 @@ def test_variable_in_no_row_costs_no_call(monkeypatch):
     p.add_constraint({x: 1.0, y: 1.0}, "<=", 3.0)
     p.set_objective({free: 1.0, x: 1.0, y: 2.0})
     calls = _spied_highs(monkeypatch)
-    sol = solve(p.freeze())
+    sol = solve(p)
     assert sol.status == "optimal"
     assert sol.values.tolist() == pytest.approx([2.0, 0.0, 3.0])
     assert len(calls) == 1 and len(calls[0].c) == 3
@@ -589,14 +574,14 @@ def _cancelled_term():
     x, y, z = (p.add_variable(0.0, 1.0) for _ in range(3))
     p.add_constraint([(y, 1.0), (x, 1.0), (x, -1.0)], "<=", 1.0)
     p.add_constraint({z: 1.0}, "<=", 1.0)
-    return p.freeze()
+    return p
 
 
 def _no_rows():
     p = MilpProblem()
     p.add_variable(0.0, 1.0)
     p.add_variable(0.0, 1.0)
-    return p.freeze()
+    return p
 
 
 def _empty_rows_only():
@@ -604,7 +589,7 @@ def _empty_rows_only():
     p.add_variable(0.0, 1.0)
     p.add_constraint({}, "<=", 1.0)
     p.add_constraint({}, ">=", -1.0)
-    return p.freeze()
+    return p
 
 
 @pytest.mark.parametrize("make, n_parts", [
@@ -871,10 +856,3 @@ def test_write_lp_stable():
         "Binaries\n"
         " flag\n"
         "End\n")
-
-
-def test_solve_requires_freeze():
-    p = MilpProblem()
-    p.add_variable()
-    with pytest.raises(ValueError, match="freeze"):
-        solve(p)

@@ -201,7 +201,7 @@ def test_every_optional_field_roundtrips(tmp_path):
         sop_devices=(dataclasses.replace(base.sop_devices[0], loss=0.02),),
         ess_devices=(dataclasses.replace(base.ess_devices[0],
                                          t_min_charge=450.0,
-                                         t_min_discharge=1800.0),))
+                                         t_min_discharge=600.0),))
     assert {b.kind for b in model.branches} == {"plain", "oltc", "regulator"}
     assert validate(model) == []
     path = tmp_path / "full.json"
