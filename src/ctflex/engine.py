@@ -221,9 +221,29 @@ def _objective(coeffs: np.ndarray, period: float, n_coef: int) -> float:
     return float(sum(weight * float(row.sum()) for row in coeffs))
 
 
+# the direction-free problem of the running assessment, set by the pool
+# initializer in each worker, or in this process while ``assess`` runs
+# with one worker
+_held: list = []
+
+
+def _hold(base: AssembledProblem):
+    _held[:] = [base]
+
+
+def _solve_held(theta: float, config: AssessmentConfig, starts) -> Slice:
+    """``solve_slice`` of the held direction-free problem."""
+    return solve_slice(_held[0], theta, config, starts)
+
+
 class InProcessExecutor(Executor):
-    """An executor for one worker: ``submit`` runs the call in the calling
-    process and returns its finished Future."""
+    """An executor for one worker: ``initializer(*initargs)`` runs when it
+    is made, and ``submit`` runs the call in the calling process and
+    returns its finished Future."""
+
+    def __init__(self, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
 
     def submit(self, fn, /, *args, **kwargs):
         fut = Future()
@@ -246,7 +266,11 @@ def assess(model: NetworkModel,
     storage modes) is often optimal for it too.  One loop submits them to
     a process pool, or to an in-process executor for one worker, and takes
     each batch of finished solves in direction order, so the tube does not
-    depend on the worker count.
+    depend on the worker count.  The pool initializer hands each worker
+    the direction-free problem once; under fork it is inherited, not
+    pickled, and each task carries only its direction, the config and its
+    starts.  With one worker this process holds the problem until the
+    loop ends, however it ends.
     """
     config = config or AssessmentConfig()
     base = direction_free_problem(model, config)
@@ -263,27 +287,32 @@ def assess(model: NetworkModel,
     def args(i: int) -> tuple:
         starts = () if i % 2 == 0 else tuple(
             results[j].values for j in neighbours(i) if results[j].feasible)
-        return base, float(thetas[i]), config, starts
+        return float(thetas[i]), config, starts
 
     if workers > 1:
         # separate processes: the bundled backend holds the GIL while
         # solving; the solver is loaded first so the forked workers inherit it
         load_solver()
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_hold, initargs=(base,))
     else:
-        executor = InProcessExecutor()
-    with executor as pool:
-        pending = {pool.submit(solve_slice, *args(i)): i
-                   for i in range(0, n, 2)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in sorted(done, key=pending.get):
-                i = pending.pop(fut)
-                results[i] = fut.result()
-                # an odd neighbour whose other neighbour is solved
-                for k in neighbours(i):
-                    if k % 2 and all(j in results for j in neighbours(k)):
-                        pending[pool.submit(solve_slice, *args(k))] = k
+        executor = InProcessExecutor(initializer=_hold, initargs=(base,))
+    try:
+        with executor as pool:
+            pending = {pool.submit(_solve_held, *args(i)): i
+                       for i in range(0, n, 2)}
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=pending.get):
+                    i = pending.pop(fut)
+                    results[i] = fut.result()
+                    # an odd neighbour whose other neighbour is solved
+                    for k in neighbours(i):
+                        if k % 2 and all(j in results
+                                         for j in neighbours(k)):
+                            pending[pool.submit(_solve_held, *args(k))] = k
+    finally:
+        _held.clear()
     slices = tuple(results[i] for i in range(n))
     gap = {"limit": "solver limit reached; treated as a gap",
            "infeasible": "infeasible (gap)"}

@@ -402,7 +402,10 @@ class ScipyHighsBackend:
     problem's relative gap whenever the parts' objectives share a sign, as
     the builder's (a positive weight times S0 >= 0) do.  Every HiGHS call
     gets ``OPTIONS`` and the solve's gap, time and seed; an option HiGHS
-    rejects raises BackendError.
+    rejects raises BackendError.  A part that a start gives a first
+    incumbent also gets ``STARTED``, on its MIP run and on its
+    presolve-off retry; a cold part, or one whose starts complete nowhere,
+    gets ``OPTIONS`` alone.
     """
 
     OPTIONS = {
@@ -421,6 +424,14 @@ class ScipyHighsBackend:
         "primal_feasibility_tolerance": 1e-9,
         "dual_feasibility_tolerance": 1e-9,
         "mip_feasibility_tolerance": 1e-9,
+    }
+    # RENS and feasibility jump only look for a first incumbent, which a
+    # started part already has, and RENS's sub-MIP is the largest
+    # allocation of a started solve.  Cold parts keep both: RENS finds
+    # their optimum at the root
+    STARTED = {
+        "mip_heuristic_run_rens": False,
+        "mip_heuristic_run_feasibility_jump": False,
     }
 
     def solve(self, problem: MilpProblem, options: SolveOptions,
@@ -454,7 +465,8 @@ class ScipyHighsBackend:
             incumbent = None
             if starts and integrality[cols].any():
                 incumbent = _completion(part, [x[cols] for x in starts], left)
-            part_opts = left()
+            part_opts = left() if incumbent is None else {
+                **left(), **_defined(self.STARTED)}
             part_status, x = _run_highs(*part, part_opts, start=incumbent)
             if part_status in ("infeasible", "unbounded"):
                 # the bundled HiGHS presolve can misreport infeasibility
@@ -475,6 +487,16 @@ class ScipyHighsBackend:
 
         objective = problem.objective_value(values) if values is not None else None
         return MilpSolution(status, objective, values, wall)
+
+
+def _defined(options: dict) -> dict:
+    """The entries of ``options`` that name an option this HiGHS has.  A
+    HiGHS older than a heuristic has no option to switch it off, and no
+    heuristic to run: feasibility jump came with HiGHS 1.10."""
+    highs = _highs({"log_to_console": False})
+    ok = load_solver().HighsStatus.kOk
+    return {name: value for name, value in options.items()
+            if highs.getOptionType(name)[0] == ok}
 
 
 def _checked_start(x, integrality) -> np.ndarray:
@@ -520,7 +542,8 @@ def solve(problem: MilpProblem, options: SolveOptions | None = None,
     Each of ``starts``, a full-length vector whose binary columns hold 0
     or 1, is a candidate first incumbent: on each part with integer
     columns, its integer values are fixed and the rest completed by an
-    LP, and the best completion starts HiGHS's search.  A start that
+    LP, and the best completion starts HiGHS's search, which then skips
+    the heuristics that look for a first incumbent.  A start that
     completes nowhere changes nothing.
     """
     return ScipyHighsBackend().solve(problem, options or SolveOptions(),

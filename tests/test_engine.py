@@ -7,18 +7,22 @@ import concurrent.futures
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
 import random
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ctflex import engine, milp, pqbox
-from ctflex.blocks import BlockBuilder, continuous_time_check
+from ctflex.blocks import (
+    AssembledProblem, BlockBuilder, continuous_time_check,
+)
 from ctflex.chance import ChanceMargins
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
@@ -690,15 +694,115 @@ def test_only_odd_directions_start_from_their_neighbours(warm_dt):
             assert lps == [] and not any(mips)
 
 
+def test_ct_root_gap_direction_started_from_its_neighbours_matches_cold(
+        monkeypatch):
+    # 5pi/12 of the 12-node CT model at K = 12 has a root gap; assess
+    # starts it from pi/3 and pi/2, both solved cold
+    config = engine.AssessmentConfig()
+    base = engine.direction_free_problem(twelve_node(), config)
+    thetas = engine.all_directions(config.directions)
+    before, after = (engine.solve_slice(base, thetas[k], config)
+                     for k in (4, 6))
+    assert before.feasible and after.feasible
+    cold = engine.solve_slice(base, thetas[5], config)
+    run_highs, started = milp._run_highs, []
+
+    def spy(*args, start=None):
+        started.append(start is not None and args[-1] == {
+            **args[-1], **milp._defined(milp.ScipyHighsBackend.STARTED)})
+        return run_highs(*args, start=start)
+
+    monkeypatch.setattr(milp, "_run_highs", spy)
+    warm = engine.solve_slice(base, thetas[5], config,
+                              (before.values, after.values))
+    # two completion LPs, then the started MIP with RENS off
+    assert started == [False, False, True]
+    assert warm.status == cold.status
+    assert warm.objective == pytest.approx(cold.objective,
+                                           rel=config.mip_gap)
+
+
+def test_pooled_tasks_carry_no_problem(monkeypatch, tmp_path, toy_tube):
+    # the initializer hands each worker the direction-free problem once,
+    # and each task only its direction, the config and its starts
+    made, tasks, inits = [], [], tmp_path / "inits"
+    real = engine.ProcessPoolExecutor
+
+    class Spied(real):
+        def __init__(self, max_workers, initializer, initargs):
+            made.append(initargs)
+
+            def counted(*args):
+                with open(inits, "a") as fp:
+                    fp.write(f"{os.getpid()}\n")
+                initializer(*args)
+
+            super().__init__(max_workers, initializer=counted,
+                             initargs=initargs)
+
+        def submit(self, fn, *args, **kwargs):
+            tasks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Spied)
+    config = engine.AssessmentConfig(directions=2, workers=2)
+    tube = engine.assess(three_node(), config)
+    assert tube_files(tube, three_node()) == tube_files(toy_tube,
+                                                        three_node())
+    [[base]] = made
+    assert isinstance(base, AssembledProblem) and base.theta is None
+    assert sorted(theta for theta, _, _ in tasks) == \
+        engine.all_directions(2).tolist()
+    for theta, given, starts in tasks:
+        assert type(theta) is float and given is config
+        assert all(isinstance(x, np.ndarray) for x in starts)
+    assert not any(isinstance(arg, AssembledProblem)
+                   for args in tasks for arg in args)
+    # once in each worker, never in this process
+    pids = inits.read_text().split()
+    assert 1 <= len(pids) == len(set(pids)) <= 2
+    assert str(os.getpid()) not in pids
+    assert engine._held == []
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_one_worker_holds_nothing_after_assess(monkeypatch, fails):
+    # with one worker this process holds the direction-free problem while
+    # the loop runs, and no reference to it outlives assess
+    bases = []
+    build, solve_slice = engine.direction_free_problem, engine.solve_slice
+
+    def kept(model, config):
+        base = build(model, config)
+        bases.append(weakref.ref(base))
+        return base
+
+    def traced_slice(base, theta, *args):
+        assert engine._held == [base] and base is bases[0]()
+        if fails:
+            raise RuntimeError("the solve failed")
+        return solve_slice(base, theta, *args)
+
+    monkeypatch.setattr(engine, "direction_free_problem", kept)
+    monkeypatch.setattr(engine, "solve_slice", traced_slice)
+    if fails:
+        with pytest.raises(RuntimeError, match="the solve failed"):
+            engine.assess(three_node(), CFG1)
+    else:
+        assert len(engine.assess(three_node(), CFG1).slices) == 4
+    gc.collect()
+    assert engine._held == [] and len(bases) == 1 and bases[0]() is None
+
+
 @pytest.mark.parametrize("workers, pool_size", [(500, 4), (3, 3)])
 def test_explicit_workers_capped_at_direction_count(monkeypatch, toy_tube,
                                                     workers, pool_size):
     # the stub runs every submitted solve in this process
     sizes = []
 
-    def pool(max_workers):
+    def pool(max_workers, initializer, initargs):
         sizes.append(max_workers)
-        return engine.InProcessExecutor()
+        return engine.InProcessExecutor(initializer, initargs)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     tube = engine.assess(three_node(), engine.AssessmentConfig(
@@ -738,21 +842,27 @@ def tube_files(tube, model) -> tuple:
 
 class HeldPool(concurrent.futures.Executor):
     """A pool that runs no call until the stubbed ``wait`` finishes it,
-    and logs each submit and each finish by direction index."""
+    and logs each submit and each finish by direction index.  Made as
+    ``assess`` makes a process pool, it runs the initializer in this
+    process, as the one worker it stands for."""
 
     def __init__(self, thetas):
         self.thetas, self.events, self.held = thetas, [], {}
 
+    def __call__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        return self
+
     def submit(self, fn, *args):
         fut = concurrent.futures.Future()
         self.held[fut] = (fn, args)
-        self.events.append(("submit", self.thetas.index(args[1])))
+        self.events.append(("submit", self.thetas.index(args[0])))
         return fut
 
     def finish(self, fut):
         fn, args = self.held.pop(fut)
         fut.set_result(fn(*args))
-        self.events.append(("finish", self.thetas.index(args[1])))
+        self.events.append(("finish", self.thetas.index(args[0])))
 
 
 @pytest.mark.parametrize("directions", [2, 3])
@@ -784,8 +894,7 @@ def test_loop_gives_the_serial_tube_in_any_finishing_order(
         pool.finish(fut)
         return {fut}, set(held) - {fut}
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor",
-                        lambda max_workers: pool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(engine, "wait", finish_one)
     tube = engine.assess(model, engine.AssessmentConfig(
         directions=directions, workers=2))

@@ -452,6 +452,105 @@ def test_start_whose_completion_is_infeasible_is_ignored(monkeypatch):
     assert lp.lb[0] == lp.ub[0] == 0.0
     assert lp.result == ("infeasible", None)
     assert mip.start is None
+    # without an incumbent the MIP keeps every heuristic
+    assert _untimed(mip.options) == _untimed(lp.options) == _cold_options()
+
+
+def _untimed(options: dict) -> dict:
+    """``options`` without the time limit, which is what is left of the
+    solve's budget when the call is made."""
+    return {k: v for k, v in options.items() if k != "time_limit"}
+
+
+def _cold_options(**solve) -> dict:
+    """The untimed options of a HiGHS call on a part with no incumbent."""
+    opts = SolveOptions(**solve)
+    return {**milp.ScipyHighsBackend.OPTIONS, "presolve": "on",
+            "mip_rel_gap": opts.mip_gap, "random_seed": opts.seed}
+
+
+def _started_options(**solve) -> dict:
+    """The untimed options of a HiGHS call on a part that a start gives a
+    first incumbent."""
+    return {**_cold_options(**solve),
+            **milp._defined(milp.ScipyHighsBackend.STARTED)}
+
+
+def test_installed_highs_has_every_started_option():
+    # scipy 1.15's HiGHS predates feasibility jump; the installed one may
+    # lack no other started option
+    defined = milp._defined(milp.ScipyHighsBackend.STARTED)
+    assert defined["mip_heuristic_run_rens"] is False
+    assert set(milp.ScipyHighsBackend.STARTED) - set(defined) <= \
+        {"mip_heuristic_run_feasibility_jump"}
+    for name, value in defined.items():
+        assert _read_back(defined, name) == value
+    assert milp._defined({"mip_heuristic_run_renss": False}) == {}
+
+
+def test_started_mip_and_its_retry_skip_rens_and_feasibility_jump(
+        monkeypatch):
+    # every MIP run answers infeasible, so each is retried with presolve
+    # off; the completion LPs are solved for real
+    def answer(k, c, integrality, *args):
+        if integrality.any():
+            return "infeasible", None
+        return _run_highs(c, integrality, *args)
+
+    cold_calls = _spied_highs(monkeypatch, answer)
+    assert solve(_knapsack(), SolveOptions(seed=3)).status == "infeasible"
+    started_calls = _spied_highs(monkeypatch, answer)
+    assert solve(_knapsack(), SolveOptions(seed=3),
+                 starts=([1.0, 1.0, 0.0],)).status == "infeasible"
+    lp, *started = started_calls
+    assert not lp.integrality.any() and lp.result[0] == "optimal"
+    assert [c.start is lp.result[1] for c in started] == [True, True]
+    assert [c.options["presolve"] for c in started] == ["on", "off"]
+    assert [c.options["presolve"] for c in cold_calls] == ["on", "off"]
+    for cold, warm in zip(cold_calls, started):
+        presolve = {"presolve": cold.options["presolve"]}
+        assert cold.start is None
+        assert _untimed(cold.options) == {**_cold_options(seed=3),
+                                          **presolve}
+        assert _untimed(warm.options) == {**_started_options(seed=3),
+                                          **presolve}
+    assert _untimed(lp.options) == _cold_options(seed=3)
+    for warm in started:
+        for name in ("mip_heuristic_run_rens",
+                     "mip_heuristic_run_feasibility_jump"):
+            assert warm.options.get(name, False) is False
+        for name in milp._defined(milp.ScipyHighsBackend.STARTED):
+            assert _read_back(warm.options, name) is False
+
+
+def test_only_parts_with_an_incumbent_skip_heuristics(monkeypatch):
+    # three parts: a binary b with u <= b, whose start completes, a binary
+    # d whose start completes nowhere (x >= 1 needs b = 1, as x <= 10 b), and a
+    # continuous part, which is solved once with no completion
+    p = MilpProblem()
+    b, u = p.add_variable(binary=True), p.add_variable(0.0, 2.0)
+    p.add_constraint({u: 1.0, b: -1.0}, "<=", 0.0)
+    d, x = p.add_variable(binary=True), p.add_variable(0.0, 20.0)
+    p.add_constraint({x: 1.0}, ">=", 1.0)
+    p.add_constraint({x: 1.0, d: -10.0}, "<=", 0.0)
+    y = p.add_variable(0.0, 3.0)
+    p.add_constraint({y: 1.0}, "<=", 2.0)
+    p.set_objective({b: 1.0, u: 1.0, d: -1.0, x: -1.0, y: 1.0})
+    cold = solve(p)
+    calls = _spied_highs(monkeypatch)
+    warm = solve(p, starts=([1.0, 1.0, 0.0, 5.0, 0.0],))
+    assert (warm.status, warm.objective) == (cold.status, cold.objective)
+    assert [c.shape for c in calls] == [(1, 2)] * 2 + [(2, 2)] * 2 + \
+        [(1, 1)]
+    assert [c.integrality.any() for c in calls] == \
+        [False, True, False, True, False]
+    assert [c.result[0] for c in calls[::2]] == ["optimal", "infeasible",
+                                                 "optimal"]
+    assert [c.start is not None for c in calls] == \
+        [False, True, False, False, False]
+    assert [_untimed(c.options) for c in calls] == [
+        _cold_options(), _started_options(), _cold_options(),
+        _cold_options(), _cold_options()]
 
 
 def test_each_part_gets_its_own_columns_of_the_start(monkeypatch):
