@@ -116,6 +116,9 @@ class PeriodLayout:
     q_cap: dict = field(default_factory=dict)
     z_cap: dict = field(default_factory=dict)      # (cap, step) -> [4 ids]
     lam_cap: dict = field(default_factory=dict)
+    # node -> [(P ids, P coefficient, Q ids, constant)]: each device
+    # terminal there injects P coefficient * P + constant and Q
+    injections: dict = field(default_factory=dict)
     s0: list = field(default_factory=list)
     p0: list = field(default_factory=list)
     q0: list = field(default_factory=list)
@@ -190,6 +193,13 @@ class BlockBuilder:
         self._row([(l, 1.0) for l in lam], "==", 1.0, row)
         return lam
 
+    def _inject(self, m: int, node: int, p_ids=(), q_ids=(),
+                p_coef: float = 1.0, constant: float = 0.0):
+        """Record a device's injection at ``node`` in period m, as
+        ``PeriodLayout.injections`` holds it; either id list may be empty."""
+        self.layouts[m].injections.setdefault(node, []).append(
+            (p_ids, p_coef, q_ids, constant))
+
     # -- per-period scaffolding ---------------------------------------------
 
     def init_period(self, m: int) -> PeriodLayout:
@@ -234,6 +244,7 @@ class BlockBuilder:
                                 f"Qpv{pi}_m{m}")
         layout.p_pv[pi] = p_ids
         layout.q_pv[pi] = q_ids
+        self._inject(m, pv.node, p_ids, q_ids)
 
         margin = self.margins.for_pv(pi)
         fc = self.fitted.pv[pi][m]
@@ -291,13 +302,14 @@ class BlockBuilder:
         layout = self.layouts[m]
         poly = circle_polygon(sop.s_max)
         term_p = []
-        for t in range(2):
+        for t, node in enumerate(sop.nodes):
             p_ids = self._coef_vars(self.n_coef, sop.p_min, sop.p_max,
                                     f"Psop{si}t{t}_m{m}")
             q_ids = self._coef_vars(self.n_coef, -sop.s_max, sop.s_max,
                                     f"Qsop{si}t{t}_m{m}")
             layout.p_sop[(si, t)] = p_ids
             layout.q_sop[(si, t)] = q_ids
+            self._inject(m, node, p_ids, q_ids)
             term_p.append(p_ids)
             for k in range(self.n_coef):
                 for h, (c, s, rhs) in enumerate(poly):
@@ -330,6 +342,7 @@ class BlockBuilder:
         ub = np.inf if svc.q_max is None else svc.q_max - ms
         q_ids = self._coef_vars(self.n_coef, lb, ub, f"Qsvc{si}_m{m}")
         layout.q_svc[si] = q_ids
+        self._inject(m, svc.node, q_ids=q_ids)
         half_k = 0.5 * svc.slope
         for k in range(self.n_coef):
             self._row([(q_ids[k], 1.0), (u_ids[k], -half_k)], "==",
@@ -361,6 +374,7 @@ class BlockBuilder:
         q_ids = self._coef_vars(self.n_coef, -np.inf, np.inf,
                                 f"Qcap{ci}_m{m}")
         layout.q_cap[ci] = q_ids
+        self._inject(m, cap.node, q_ids=q_ids)
         z_all = []
         for j in range(len(cap.steps)):
             z_ids = self._coef_vars(self.n_coef, 0.0, self.model.u_max,
@@ -396,6 +410,8 @@ class BlockBuilder:
             layout = self.layouts[m]
             d_ids = self._coef_vars(self.n_coef, 0.0, 1.0, f"D{ei}_m{m}")
             layout.d_ess[ei] = d_ids
+            self._inject(m, ess.node, d_ids, p_coef=ess.p_d + ess.p_c,
+                         constant=-ess.p_c)
             soe = self._coef_vars(self.n_coef + 1, 0.0, ess.e_max,
                                   f"SoE{ei}_m{m}")
             layout.soe[ei] = soe
@@ -420,63 +436,60 @@ class BlockBuilder:
                               f"ess{ei}_m{m}_chg{k}")
 
     def network_block(self, m: int):
-        """Linearized Distflow: nodal balances, branch voltage drops,
-        regulator bands, OLTC tap products, and the TDI coupling."""
+        """Linearized Distflow: nodal balances over the injections that the
+        device blocks recorded and the loads, branch voltage drops,
+        regulator bands, and OLTC tap products."""
         model = self.model
         layout = self.layouts[m]
-        pv_at, load_at, svc_at, cap_at = {}, {}, {}, {}
-        for pi, pv in enumerate(model.pv_units):
-            pv_at.setdefault(pv.node, []).append(pi)
+        nodes = range(1, model.n_nodes)
+        # minus each balance's right-hand side: the recorded constants,
+        # negated, then the loads (data; Q at the load's power factor)
+        p_rhs = {node: np.zeros(self.n_coef) for node in nodes}
+        q_rhs = {node: np.zeros(self.n_coef) for node in nodes}
+        for node, injections in layout.injections.items():
+            for *_, constant in injections:
+                p_rhs[node] -= constant
         for li, ld in enumerate(model.loads):
-            load_at.setdefault(ld.node, []).append(li)
-        for si, svc in enumerate(model.svc_devices):
-            svc_at.setdefault(svc.node, []).append(si)
-        for ci, cap in enumerate(model.cap_banks):
-            cap_at.setdefault(cap.node, []).append(ci)
-        ess_at, sop_at = {}, {}
-        for ei, ess in enumerate(model.ess_devices):
-            ess_at.setdefault(ess.node, []).append(ei)
-        for si, sop in enumerate(model.sop_devices):
-            for t, node in enumerate(sop.nodes):
-                sop_at.setdefault(node, []).append((si, t))
+            p = self.fitted.load[li][m]
+            p_rhs[ld.node] += p
+            q_rhs[ld.node] += ld.phi * p
 
-        for node in range(1, model.n_nodes):
+        for node in nodes:
             child = self._children[node]
             parent = self._parent[node]
+            injections = layout.injections.get(node, ())
             for k in range(self.n_coef):
-                # active: child flows - parent flow = net injection
+                # child flows - parent flow - injections = -load
                 p_terms = [(layout.p_br[bi][k], 1.0) for bi in child]
                 p_terms.append((layout.p_br[parent][k], -1.0))
                 q_terms = [(layout.q_br[bi][k], 1.0) for bi in child]
                 q_terms.append((layout.q_br[parent][k], -1.0))
-                p_rhs, q_rhs = 0.0, 0.0
-                for pi in pv_at.get(node, ()):
-                    p_terms.append((layout.p_pv[pi][k], -1.0))
-                    q_terms.append((layout.q_pv[pi][k], -1.0))
-                for ei in ess_at.get(node, ()):
-                    ess = model.ess_devices[ei]
-                    # injection D (P_D + P_C) - P_C; the constant joins the
-                    # load on the right-hand side
-                    p_terms.append((layout.d_ess[ei][k],
-                                    -(ess.p_d + ess.p_c)))
-                    p_rhs += ess.p_c
-                for (si, t) in sop_at.get(node, ()):
-                    p_terms.append((layout.p_sop[(si, t)][k], -1.0))
-                    q_terms.append((layout.q_sop[(si, t)][k], -1.0))
-                for si in svc_at.get(node, ()):
-                    q_terms.append((layout.q_svc[si][k], -1.0))
-                for ci in cap_at.get(node, ()):
-                    q_terms.append((layout.q_cap[ci][k], -1.0))
-                for li in load_at.get(node, ()):
-                    # loads are data; Q follows the fixed power factor
-                    p_k = self.fitted.load[li][m][k]
-                    p_rhs += p_k
-                    q_rhs += model.loads[li].phi * p_k
-                self._row(p_terms, "==", -p_rhs, f"net_m{m}_pbal{node}_{k}")
-                self._row(q_terms, "==", -q_rhs, f"net_m{m}_qbal{node}_{k}")
+                for p_ids, p_coef, q_ids, _ in injections:
+                    if p_ids:
+                        p_terms.append((p_ids[k], -p_coef))
+                    if q_ids:
+                        q_terms.append((q_ids[k], -1.0))
+                self._row(p_terms, "==", -p_rhs[node][k],
+                          f"net_m{m}_pbal{node}_{k}")
+                self._row(q_terms, "==", -q_rhs[node][k],
+                          f"net_m{m}_qbal{node}_{k}")
 
         for bi, br in enumerate(model.branches):
             from_root = br.from_node == 0
+            if br.kind == "regulator":
+                layout.u_reg[bi] = self._coef_vars(
+                    self.n_coef, br.tau_min ** 2 * model.u_min,
+                    br.tau_max ** 2 * model.u_max, f"Ureg{bi}_m{m}")
+            elif br.kind == "oltc":
+                lam = self._one_hot(len(br.taps), f"LamOltc{bi}_m{m}",
+                                    f"oltc{bi}_m{m}_onehot")
+                layout.lam_oltc[bi] = lam
+                for j in range(len(br.taps)):
+                    z_ids = self._coef_vars(self.n_coef, 0.0, model.u_max,
+                                            f"Zoltc{bi}t{j}_m{m}")
+                    layout.z_oltc[(bi, j)] = z_ids
+                    self._mccormick(z_ids, lam[j], layout.u[br.to_node],
+                                    f"oltc{bi}t{j}_m{m}")
             for k in range(self.n_coef):
                 terms = [(layout.p_br[bi][k], -2.0 * br.r),
                          (layout.q_br[bi][k], -2.0 * br.x)]
@@ -486,28 +499,10 @@ class BlockBuilder:
                 if br.kind == "plain":
                     terms.append((layout.u[br.to_node][k], -1.0))
                 elif br.kind == "regulator":
-                    if bi not in layout.u_reg:
-                        layout.u_reg[bi] = self._coef_vars(
-                            self.n_coef,
-                            br.tau_min ** 2 * model.u_min,
-                            br.tau_max ** 2 * model.u_max,
-                            f"Ureg{bi}_m{m}")
                     terms.append((layout.u_reg[bi][k], -1.0))
                 else:  # oltc
-                    if bi not in layout.lam_oltc:
-                        lam = self._one_hot(len(br.taps), f"LamOltc{bi}_m{m}",
-                                            f"oltc{bi}_m{m}_onehot")
-                        layout.lam_oltc[bi] = lam
-                        for j in range(len(br.taps)):
-                            z_ids = self._coef_vars(self.n_coef, 0.0,
-                                                    model.u_max,
-                                                    f"Zoltc{bi}t{j}_m{m}")
-                            layout.z_oltc[(bi, j)] = z_ids
-                            self._mccormick(z_ids, lam[j],
-                                            layout.u[br.to_node],
-                                            f"oltc{bi}t{j}_m{m}")
-                    for j, a in enumerate(br.taps):
-                        terms.append((layout.z_oltc[(bi, j)][k], -a * a))
+                    terms += [(layout.z_oltc[(bi, j)][k], -a * a)
+                              for j, a in enumerate(br.taps)]
                 self._row(terms, "==", rhs, f"net_m{m}_drop{bi}_{k}")
 
             if br.kind == "regulator":

@@ -124,39 +124,27 @@ def scalar_response_system(model: NetworkModel, *,
     b = np.zeros((size, size))
     f = np.zeros((size, n_src))
 
-    cap_at: dict = {}
-    for ci, cap in enumerate(model.cap_banks):
-        default = max(cap.steps, key=abs) if cap.steps else 0.0
-        q_sel = (cap_steps or {}).get(ci, default)
-        cap_at[cap.node] = cap_at.get(cap.node, 0.0) + q_sel
-    svc_at: dict = {}
-    for si, svc in enumerate(model.svc_devices):
-        svc_at.setdefault(svc.node, []).append(si)
-
     children = model.child_branches()
     parent = model.parent_branch()
     row = 0
     for node in range(1, model.n_nodes):
-        # active balance
-        for bi in children[node]:
-            b[row, pbr[bi]] += 1.0
-        b[row, pbr[parent[node]]] -= 1.0
-        for s, ld in enumerate(model.loads):
-            if ld.node == node:
-                f[row, n_pv + s] += 1.0
-        row += 1
-        # reactive balance
-        for bi in children[node]:
-            b[row, qbr[bi]] += 1.0
-        b[row, qbr[parent[node]]] -= 1.0
-        for si in svc_at.get(node, ()):
-            b[row, svc_index[si]] -= 1.0
-        if node in cap_at:
-            b[row, u_index[node]] -= cap_at[node]
-        for s, ld in enumerate(model.loads):
-            if ld.node == node:
-                f[row, n_pv + s] += ld.phi
-        row += 1
+        # active, then reactive balance: child flows - parent flow
+        for flow in (pbr, qbr):
+            for bi in children[node]:
+                b[row, flow[bi]] += 1.0
+            b[row, flow[parent[node]]] -= 1.0
+            row += 1
+    # each device and load writes into its node's active balance, row
+    # 2 (node - 1), and reactive balance, the row after it
+    for si, svc in enumerate(model.svc_devices):
+        b[2 * svc.node - 1, svc_index[si]] -= 1.0
+    for ci, cap in enumerate(model.cap_banks):
+        default = max(cap.steps, key=abs) if cap.steps else 0.0
+        b[2 * cap.node - 1, u_index[cap.node]] -= \
+            (cap_steps or {}).get(ci, default)
+    for s, ld in enumerate(model.loads):
+        f[2 * ld.node - 2, n_pv + s] += 1.0
+        f[2 * ld.node - 1, n_pv + s] += ld.phi
     for bi, br in enumerate(model.branches):
         if br.from_node != 0:
             b[row, u_index[br.from_node]] += 1.0

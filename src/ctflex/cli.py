@@ -95,20 +95,21 @@ def _with_alpha(model: NetworkModel, alpha: float) -> NetworkModel:
 
 
 def parse_theta_set(text: str) -> tuple:
-    """Comma-separated directions in radians; 'pi' fractions like
-    ``0,pi/3,2pi/3,pi`` are accepted."""
+    """Comma-separated directions in radians; signed 'pi' fractions like
+    ``0,pi/3,2pi/3,-pi/2`` are accepted."""
     out = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        m = re.fullmatch(r"(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi(?:\s*/\s*(\d+(?:\.\d+)?))?",
-                         token)
+        m = re.fullmatch(r"([+-]?)\s*(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi"
+                         r"(?:\s*/\s*(\d+(?:\.\d+)?))?", token)
         try:
             if m:
-                num = float(m.group(1)) if m.group(1) else 1.0
-                den = float(m.group(2)) if m.group(2) else 1.0
-                out.append(num * math.pi / den)
+                num = float(m.group(2)) if m.group(2) else 1.0
+                den = float(m.group(3)) if m.group(3) else 1.0
+                sign = -1.0 if m.group(1) == "-" else 1.0
+                out.append(sign * num * math.pi / den)
             else:
                 out.append(float(token))
         except (ValueError, ZeroDivisionError):

@@ -425,7 +425,8 @@ def metric_M(tube: FlexTube, theta_set=None) -> float:
 
 def penetration_metrics(model: NetworkModel):
     """PV penetration K1 and ESS capacity ratio K2 over the fitted
-    forecast coefficients."""
+    forecast coefficients.  K2 is None for storage without PV generation;
+    ValueError when K1 is undefined (no nonzero load)."""
     fitted = fit_profiles(model)
     load_sum = float(sum(np.sum(c) for c in fitted.load))
     pv_sum = float(sum(np.sum(c) for c in fitted.pv))
@@ -435,7 +436,7 @@ def penetration_metrics(model: NetworkModel):
     if not model.ess_devices:
         return k1, 0.0
     if pv_sum <= 0.0:
-        raise ValueError("K2 undefined without PV generation")
+        return k1, None
     rating = sum(max(e.p_d, e.p_c) for e in model.ess_devices)
     k2 = 4.0 * model.horizon.n_periods * rating / pv_sum
     return k1, k2

@@ -263,6 +263,57 @@ def test_load_zero_phi_and_ramp_linearity():
     assert np.allclose(p_rhs, [0.0, -1 / 3, -2 / 3, -1.0], atol=1e-9)
 
 
+def crowded_node_model():
+    """Node 1 holds a PV unit, two ESS, an SOP terminal, an SVC, a
+    capacitor and two loads; the SOP's other terminal is node 2."""
+    def flat(value):
+        return _sampled(lambda tau: value, horizon=900.0)
+
+    ess = tuple(EssDevice(1, e_max=540.0, e_init=270.0, eta_c=0.9,
+                          eta_d=0.8, p_c=p_c, p_d=p_d)
+                for p_c, p_d in ((0.1, 0.3), (0.2, 0.25)))
+    return NetworkModel(
+        n_nodes=3, branches=(Branch(0, 1, 0.01, 0.01),
+                             Branch(1, 2, 0.01, 0.01)),
+        horizon=Horizon(0.0, 900.0, 900.0), alpha=0.5,
+        pv_units=(PvUnit(1, s_max=0.35, q_max=0.25, u_breaks=PV_BREAKS,
+                         forecast=flat(0.3)),),
+        loads=(LoadPoint(1, flat(0.3), phi=0.5),
+               LoadPoint(1, flat(0.7), phi=0.25)),
+        ess_devices=ess,
+        sop_devices=(SopDevice((1, 2), 0.3, -0.3, 0.3),),
+        svc_devices=(SvcDevice(1, slope=10.0),),
+        cap_banks=(CapacitorBank(1, steps=(0.0, 0.3)),))
+
+
+def test_crowded_node_balances_pinned():
+    _, asm = manual_build(crowded_node_model())
+    lay = asm.layouts[0]
+    rows = rows_by_name(asm.problem)
+    l0, l1 = asm.fitted.load[0][0], asm.fitted.load[1][0]
+    order_seen = False
+    for k in range(asm.n_coef):
+        # child flow - parent flow - injections; ESS i injects
+        # D (P_D + P_C) - P_C
+        p_terms = sorted([(lay.p_br[1][k], 1.0), (lay.p_br[0][k], -1.0),
+                          (lay.p_pv[0][k], -1.0), (lay.d_ess[0][k], -0.4),
+                          (lay.d_ess[1][k], -0.45),
+                          (lay.p_sop[(0, 0)][k], -1.0)])
+        q_terms = sorted([(lay.q_br[1][k], 1.0), (lay.q_br[0][k], -1.0),
+                          (lay.q_pv[0][k], -1.0), (lay.q_sop[(0, 0)][k], -1.0),
+                          (lay.q_svc[0][k], -1.0), (lay.q_cap[0][k], -1.0)])
+        # the ESS constants in model order, then the loads in model order
+        p_rhs = -((((0.0 + 0.1) + 0.2) + l0[k]) + l1[k])
+        q_rhs = -((0.0 + 0.5 * l0[k]) + 0.25 * l1[k])
+        assert rows[f"net_m0_pbal1_{k}"] == (tuple(p_terms), p_rhs, p_rhs)
+        assert rows[f"net_m0_qbal1_{k}"] == (tuple(q_terms), q_rhs, q_rhs)
+        order_seen |= p_rhs != -((((0.0 + l0[k]) + l1[k]) + 0.1) + 0.2)
+    # the data tell the two summation orders apart
+    assert order_seen
+    p_terms = ((lay.p_br[1][0], -1.0), (lay.p_sop[(0, 1)][0], -1.0))
+    assert rows["net_m0_pbal2_0"] == (p_terms, 0.0, 0.0)
+
+
 # -- sop block ---------------------------------------------------------------------
 
 
@@ -625,6 +676,42 @@ def test_response_oltc_reference_amplifies():
     mid = scalar_response_system(model, oltc_a2={0: 1.0})
     du_mid = np.linalg.solve(mid.b, -mid.f)[mid.u_index[1], 0]
     assert abs(du_ref) >= abs(du_mid)  # smallest tap is the worst case
+
+
+def test_response_crowded_node_entries():
+    # node 1: two capacitors, two SVCs, two loads; node 2: a load and a PV
+    # unit, whose forecast offset touches no equality
+    def flat(value):
+        return _sampled(lambda tau: value, horizon=900.0)
+
+    model = NetworkModel(
+        n_nodes=3, branches=(Branch(0, 1, 0.01, 0.02),
+                             Branch(1, 2, 0.01, 0.02)),
+        horizon=Horizon(0.0, 900.0, 900.0), alpha=0.1,
+        pv_units=(PvUnit(2, s_max=0.35, q_max=0.0, u_breaks=PV_BREAKS,
+                         forecast=flat(0.3), sigma2=0.01),),
+        loads=(LoadPoint(1, flat(0.3), phi=0.5, sigma2=0.01),
+               LoadPoint(1, flat(0.2), phi=0.25, sigma2=0.01),
+               LoadPoint(2, flat(0.1), phi=0.125, sigma2=0.01)),
+        svc_devices=(SvcDevice(1, slope=10.0), SvcDevice(1, slope=6.0)),
+        cap_banks=(CapacitorBank(1, steps=(0.0, 0.3)),
+                   CapacitorBank(1, steps=(0.2,))))
+    # unknowns: U1, U2, Pbr0, Pbr1, Qbr0, Qbr1, Qsvc0, Qsvc1;
+    # sources: the PV unit, then loads 0, 1, 2
+    system = scalar_response_system(model)
+    assert np.array_equal(system.b[:4], [
+        [0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],     # P balance, node 1
+        [-0.5, 0.0, 0.0, 0.0, -1.0, 1.0, -1.0, -1.0],  # Q balance, node 1
+        [0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0],     # P balance, node 2
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0]])    # Q balance, node 2
+    assert np.array_equal(system.f[:4], [
+        [0.0, 1.0, 1.0, 0.0], [0.0, 0.5, 0.25, 0.0],
+        [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.125]])
+    # each capacitor subtracts its own selected step
+    picked = scalar_response_system(model, cap_steps={0: 0.1})
+    assert picked.b[1, 0] == -0.30000000000000004 == -(0.1 + 0.2)
+    assert np.array_equal(np.delete(picked.b, 1, axis=0),
+                          np.delete(system.b, 1, axis=0))
 
 
 # -- dual-route feasibility invariants -------------------------------------------------

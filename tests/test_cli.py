@@ -40,6 +40,9 @@ def test_theta_set_parser():
     assert parse_theta_set("1.5708")[0] == pytest.approx(1.5708)
     with pytest.raises(CliError, match="cannot parse direction 'pi/0'"):
         parse_theta_set("0,pi/0")
+    assert parse_theta_set("-pi/3") == (-math.pi / 3,)
+    assert parse_theta_set("+2pi/3, -2 * pi / 3") == (2 * math.pi / 3,
+                                                      -2 * math.pi / 3)
     with pytest.raises(SystemExit):
         raise SystemExit(0)
 
@@ -378,6 +381,39 @@ print(json.dumps([codes, [name for name in ("scipy.optimize", "scipy.sparse")
                           if name in sys.modules]]))
 """)
     assert json.loads(out.splitlines()[-1]) == [[0, 0], []]
+
+
+@pytest.mark.parametrize("negative, positive", [
+    ("-pi/2", "3pi/2"), ("0,-pi/2", "0,3pi/2")])
+def test_signed_pi_direction_wraps(negative, positive, tmp_path):
+    m = []
+    for theta_set in (negative, positive):
+        out = str(tmp_path / theta_set)
+        assert run(["assess", "builtin:two-node", "--directions", "2",
+                    "--workers", "1", f"--theta-set={theta_set}",
+                    "--out", out]) == 0
+        m.append(json.load(open(os.path.join(out, "summary.json")))["M"])
+    assert m[0] == m[1]
+
+
+def test_metrics_pv_free_storage_cell_keeps_k1(tmp_path, monkeypatch):
+    # each cell's tube is a stub: only the K1 and K2 columns are under test
+    def assess(model, config):
+        return engine.FlexTube(tuple(
+            engine.Slice(float(theta), "optimal", np.ones((1, 4)), 1.0)
+            for theta in engine.all_directions(config.directions)),
+            0.0, 900.0, 1, diagnostics={"warnings": []})
+
+    monkeypatch.setattr(engine, "assess", assess)
+    out = str(tmp_path / "metrics")
+    assert run(["metrics", "builtin:twelve-node", "--directions", "3",
+                "--alpha-grid", "0.1", "--pv-scale-grid", "0,1",
+                "--workers", "1", "--out", out]) == 0
+    rows = list(csv.DictReader(open(os.path.join(out, "metrics.csv"))))
+    k1, k2 = engine.penetration_metrics(twelve_node())
+    # the PV-free cell has storage: K2 is undefined there, K1 is 0
+    assert [(r["pv_scale"], r["K1"], r["K2"]) for r in rows] == [
+        ("0.0", "0.0", ""), ("1.0", repr(k1), repr(k2))]
 
 
 def test_metrics_sweep(tmp_path):

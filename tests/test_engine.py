@@ -292,6 +292,17 @@ def test_penetration_metrics_errors():
         engine.penetration_metrics(ess_symmetric())  # no loads
 
 
+def test_pv_free_storage_keeps_k1():
+    model = twelve_node(pv_scale=0.0)
+    assert model.ess_devices and not model.pv_units
+    assert engine.penetration_metrics(model) == (0.0, None)
+    tube = engine.FlexTube(
+        (engine.Slice(0.0, "optimal", np.ones((1, 4)), 900.0),),
+        0.0, 900.0, 1)
+    summary = engine.tube_summary(tube, model, (0.0,))
+    assert (summary["K1"], summary["K2"]) == (0.0, None)
+
+
 # -- chance margins ------------------------------------------------------------------
 
 
