@@ -12,6 +12,7 @@ timestamps).  Exit codes: 0 success, 2 input error, 3 empty assessment,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_BACKEND = 4
+_SIGNED_FLAGS = ("--theta-set", "--alpha-grid", "--pv-scale-grid")
 
 _BUILTIN = {
     "builtin:twelve-node": twelve_node,
@@ -286,10 +288,9 @@ def cmd_pqbox(args) -> int:
         json.dump(box.as_dict(), fp, indent=1, sort_keys=True)
         fp.write("\n")
     if args.boundary_csv:
-        import csv as _csv
         with open(os.path.join(args.out, "boundary.csv"), "w",
                   newline="") as fp:
-            w = _csv.writer(fp)
+            w = csv.writer(fp)
             w.writerow(["theta", "radius"])
             for th in np.linspace(0, 2 * math.pi, 721):
                 r = section.boundary_radius(float(th))
@@ -324,8 +325,6 @@ def _parse_grid(text: str | None, name: str):
 
 
 def cmd_metrics(args) -> int:
-    import csv as _csv
-
     config = _config_from_args(args)
     alphas = _parse_grid(args.alpha_grid, "alpha")
     sop_states = {"on": [True], "off": [False], "both": [True, False]}[args.sop]
@@ -380,7 +379,7 @@ def cmd_metrics(args) -> int:
                                  for w in tube.diagnostics["warnings"]]
     out_path = os.path.join(args.out, "metrics.csv")
     with open(out_path, "w", newline="") as fp:
-        w = _csv.DictWriter(fp, fieldnames=list(rows[0].keys()))
+        w = csv.DictWriter(fp, fieldnames=list(rows[0].keys()))
         w.writeheader()
         for row in rows:
             w.writerow(row)
@@ -390,8 +389,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_compare_dt(args) -> int:
-    import csv as _csv
-
     model = _load(args.model, args.alpha)
     config = _config_from_args(args)
     _make_out(args.out)
@@ -399,7 +396,7 @@ def cmd_compare_dt(args) -> int:
     dt = engine.assess(model, dataclasses.replace(config, mode="dt"))
     out_path = os.path.join(args.out, "compare_dt.csv")
     with open(out_path, "w", newline="") as fp:
-        w = _csv.writer(fp)
+        w = csv.writer(fp)
         w.writerow(["theta", "ct_objective", "dt_objective", "ct_status",
                     "dt_status"])
         for s_ct, s_dt in zip(ct.slices, dt.slices):
@@ -508,6 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -pi/2 as an option unless '=' joins it
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _SIGNED_FLAGS and re.match("-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

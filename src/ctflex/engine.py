@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import CtTrajectory, basis_matrix, locate
+from .bernstein import basis_matrix, locate
 # compute_margins and fit_profiles are called through this module's names,
 # so a wrapper set on engine.compute_margins or engine.fit_profiles sees
 # every call
@@ -47,6 +47,7 @@ DEFAULT_THETA_SET = tuple(k * math.pi / 3.0 for k in range(6))
 # Bernstein coefficients per period: cubic trajectories in the
 # continuous-time model, one period value in the discrete-time baseline
 N_COEF_BY_MODE = {"ct": N_COEF, "dt": 1}
+GRID_THETAS, GRID_TIMES = 96, 33  # directions and times of the plot grid
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,10 @@ class FlexTube:
     def t2(self) -> float:
         return self.t1 + self.n_periods * self.period
 
-    def trajectory(self, k: int) -> CtTrajectory | None:
-        s = self.slices[k]
-        if not s.feasible:
-            return None
-        return CtTrajectory(self.t1, self.period, s.coeffs)
-
     def radii(self, t: float) -> np.ndarray:
-        """Every slice's radius at time t, NaN in a gap: the values of
-        ``trajectory(k).evaluate(t)``, with t located on the period grid
-        once and the feasible slices' rows evaluated together.  ValueError
-        when ``locate`` puts t outside the horizon."""
+        """Every slice's radius at time t, NaN in a gap, with t located on
+        the period grid once and the feasible rows evaluated together;
+        ValueError when ``locate`` puts t outside the horizon."""
         idx, s = locate(np.array([float(t)]), self.t1, self.period,
                         self.n_periods)
         out = np.full(len(self.slices), np.nan)
@@ -355,32 +349,33 @@ def _bracket(tube: FlexTube, theta: float):
     return lo, hi, float(frac)
 
 
+def _skin(tube: FlexTube, t: float) -> list:
+    """Every slice's (P0, Q0) at time t, None in a gap."""
+    return [(r * math.cos(s.theta), r * math.sin(s.theta)) if s.feasible
+            else None for s, r in zip(tube.slices, tube.radii(t).tolist())]
+
+
+def _chord_point(skin: list, lo: int, hi: int, frac: float):
+    """The point at ``frac`` along the chord from skin[lo] to skin[hi]:
+    skin[lo] itself when lo == hi, None next to a gap."""
+    a, b = skin[lo], skin[hi]
+    if a is None or b is None:
+        return None
+    if lo == hi:
+        return a
+    return tuple((1.0 - frac) * x + frac * y for x, y in zip(a, b))
+
+
 def query_point(tube: FlexTube, theta: float, t: float):
     """(P0, Q0) of the tube skin at direction theta and time t.
 
-    Exactly sampled directions return the slice point; directions in
-    between return the affine combination of the two neighbouring slices.
-    Returns None (a gap) when a needed neighbour is infeasible, and
-    ValueError when t lies outside the horizon (see ``FlexTube.radii``).
+    Exactly sampled directions return the slice point.  Between two, theta
+    is an angle weight along the chord between their points, so the point
+    lies on that chord, not on the ray at theta (which ``pqbox``'s section
+    and ``boundary.csv`` use).  None (a gap) when a needed neighbour is
+    infeasible; ValueError when t lies outside the horizon.
     """
-    lo, hi, frac = _bracket(tube, theta)
-    radii = tube.radii(t)
-
-    def point(k):
-        if not tube.slices[k].feasible:
-            return None
-        r = float(radii[k])
-        th = tube.slices[k].theta
-        return np.array([r * math.cos(th), r * math.sin(th)])
-
-    if lo == hi:
-        p = point(lo)
-        return None if p is None else (float(p[0]), float(p[1]))
-    a, b = point(lo), point(hi)
-    if a is None or b is None:
-        return None
-    p = (1.0 - frac) * a + frac * b
-    return (float(p[0]), float(p[1]))
+    return _chord_point(_skin(tube, t), *_bracket(tube, theta))
 
 
 def match_direction(thetas: np.ndarray, theta: float) -> int | None:
@@ -625,36 +620,19 @@ def read_tube(tube_path: str, summary_path: str) -> FlexTube:
     return tube
 
 
-def dense_grid_csv(tube: FlexTube, fp, n_theta: int = 96, n_t: int = 33):
-    """(theta, t, P, Q) grid for external charting; gaps are skipped.
-
-    Row for row the same as ``query_point`` at each (theta, t), with each
-    slice's trajectory evaluated once over the grid times and each theta
-    bracketed once.
-    """
-    times = np.linspace(tube.t1, tube.t2, n_t)
-    # per slice: (P, Q) skin points at every grid time, None in a gap
-    skins = []
-    for k, s in enumerate(tube.slices):
-        traj = tube.trajectory(k)
-        if traj is None:
-            skins.append(None)
-            continue
-        cos_th, sin_th = math.cos(s.theta), math.sin(s.theta)
-        skins.append([(r * cos_th, r * sin_th)
-                      for r in traj.evaluate(times).tolist()])
-    times = times.tolist()
+def dense_grid_csv(tube: FlexTube, fp):
+    """(theta, t, P, Q) rows for external charting: ``query_point``, a
+    point on a chord between sampled directions, at GRID_THETAS directions
+    over [0, 2pi) and GRID_TIMES times over the horizon, ends included;
+    gaps are skipped.  The skin is taken once per time."""
+    times = np.linspace(tube.t1, tube.t2, GRID_TIMES).tolist()
+    skins = [_skin(tube, t) for t in times]
     w = csv.writer(fp)
     w.writerow(["theta", "t", "p", "q"])
-    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False).tolist():
-        lo, hi, frac = _bracket(tube, th)
-        a, b = skins[lo], skins[hi]
-        if a is None or b is None:
-            continue
-        for t, (pa, qa), (pb, qb) in zip(times, a, b):
-            if lo == hi:
-                p, q = pa, qa
-            else:
-                p = (1.0 - frac) * pa + frac * pb
-                q = (1.0 - frac) * qa + frac * qb
-            w.writerow([repr(th), repr(t), repr(p), repr(q)])
+    for th in np.linspace(0.0, 2 * math.pi, GRID_THETAS,
+                          endpoint=False).tolist():
+        bracket = _bracket(tube, th)
+        for t, skin in zip(times, skins):
+            pq = _chord_point(skin, *bracket)
+            if pq is not None:
+                w.writerow([repr(th), repr(t), repr(pq[0]), repr(pq[1])])

@@ -1,7 +1,10 @@
 """Independent oracles that the acceptance criteria check the program
-against: the running integral of a Bernstein trajectory (criterion 1) and
-Monte Carlo violation rates of the chance-constrained rows (criterion 3).
-No command runs them, so they live with the tests."""
+against: the running integral of a Bernstein trajectory (criterion 1),
+Monte Carlo violation rates of the chance-constrained rows (criterion 3),
+and the tube point at a direction and time that the dense plot grid
+writes.  No command runs them, so they live with the tests."""
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,35 @@ def antiderivative(traj: CtTrajectory, initial: float = 0.0) -> CtTrajectory:
         out[m, 1:] = running + step * np.cumsum(traj.coeffs[m])
         running = out[m, -1]
     return CtTrajectory(traj.t1, traj.period, out)
+
+
+def skin_point(tube, theta: float, t: float):
+    """(P0, Q0) of ``tube`` at direction theta and time t, or None next to
+    a gap.  A sampled direction within 1e-9 of theta around the circle
+    gives its own point; any other theta lies between two circular
+    neighbours and gives the point at its angle's share of the way along
+    the chord between theirs.  Each slice is evaluated as a
+    ``CtTrajectory``."""
+    two_pi = 2 * math.pi
+    theta %= two_pi
+    slices = tube.slices
+
+    def point(s):
+        if s.status != "optimal":
+            return None
+        r = float(CtTrajectory(tube.t1, tube.period, s.coeffs).evaluate(t))
+        return r * math.cos(s.theta), r * math.sin(s.theta)
+
+    for s in slices:
+        if min(abs(s.theta - theta), two_pi - abs(s.theta - theta)) <= 1e-9:
+            return point(s)
+    hi = next((i for i, s in enumerate(slices) if s.theta > theta), 0)
+    lo, hi = slices[hi - 1], slices[hi]
+    a, b = point(lo), point(hi)
+    if a is None or b is None:
+        return None
+    w = ((theta - lo.theta) % two_pi) / ((hi.theta - lo.theta) % two_pi)
+    return ((1 - w) * a[0] + w * b[0], (1 - w) * a[1] + w * b[1])
 
 
 def monte_carlo_check(nominal_lhs, g, rhs, sigma2,

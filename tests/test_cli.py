@@ -396,6 +396,30 @@ def test_signed_pi_direction_wraps(negative, positive, tmp_path):
     assert m[0] == m[1]
 
 
+def test_signed_theta_set_space_form(tmp_path):
+    # argparse alone takes -pi/2 for an option and exits 2
+    m = []
+    for form in (["--theta-set", "-pi/2"], ["--theta-set=-pi/2"]):
+        out = str(tmp_path / str(len(m)))
+        assert run(["assess", "builtin:two-node", "--directions", "2",
+                    "--workers", "1", *form, "--out", out]) == 0
+        m.append(json.load(open(os.path.join(out, "summary.json")))["M"])
+    assert m[0] == m[1]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--pv-scale-grid", "-1,1",
+     "error: --pv-scale-grid -1.0 must be >= 0 and finite"),
+    ("--alpha-grid", "-0.1,0.2", "error: uncertainty: alpha -0.1 outside")])
+def test_signed_grid_space_form_reaches_its_check(flag, value, message,
+                                                  tmp_path, capsys,
+                                                  no_assess):
+    rc = run(["metrics", "builtin:twelve-node", "--directions", "2",
+              "--workers", "1", flag, value, "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_metrics_pv_free_storage_cell_keeps_k1(tmp_path, monkeypatch):
     # each cell's tube is a stub: only the K1 and K2 columns are under test
     def assess(model, config):

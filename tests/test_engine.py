@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ctflex import engine, milp, pqbox
+from ctflex.bernstein import CtTrajectory
 from ctflex.blocks import (
     AssembledProblem, BlockBuilder, continuous_time_check,
 )
@@ -27,7 +28,7 @@ from ctflex.chance import ChanceMargins
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
 )
-from oracles import monte_carlo_validate
+from oracles import monte_carlo_validate, skin_point
 
 CFG1 = engine.AssessmentConfig(directions=2, workers=1)
 
@@ -140,7 +141,7 @@ def test_affine_optimum_reproduced_exactly():
     # theta = 0: S0(t) = load ramp, affine in t, exactly representable
     model = three_node()
     s = slice_of(model, 0.0, CFG1)
-    traj = engine.FlexTube((s,), 0.0, 900.0, 4).trajectory(0)
+    traj = CtTrajectory(0.0, 900.0, s.coeffs)
     for t in np.linspace(0.0, 3600.0, 41):
         want = 0.4 + 0.2 * t / 3600.0
         assert traj.evaluate(t) == pytest.approx(want, abs=1e-7)
@@ -403,8 +404,8 @@ def test_ct_tracks_ramp_dt_stays_flat():
     ct = slice_of(model, 0.0, CFG1)
     dt = slice_of(model, 0.0,
                   dataclasses.replace(CFG1, mode="dt"))
-    ct_traj = engine.FlexTube((ct,), 0.0, 900.0, 4).trajectory(0)
-    dt_traj = engine.FlexTube((dt,), 0.0, 900.0, 4, mode="dt").trajectory(0)
+    ct_traj = CtTrajectory(0.0, 900.0, ct.coeffs)
+    dt_traj = CtTrajectory(0.0, 900.0, dt.coeffs)
     rel_gap = []
     for t in np.linspace(0.0, 3600.0, 65):
         c, d = ct_traj.evaluate(t), dt_traj.evaluate(t)
@@ -476,10 +477,10 @@ def test_tube_csv_repeated_optimal_cell_rejected(tmp_path):
 
 def test_dense_grid_emission(sym_tube):
     buf = io.StringIO()
-    engine.dense_grid_csv(sym_tube, buf, n_theta=8, n_t=3)
+    engine.dense_grid_csv(sym_tube, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "theta,t,p,q"
-    assert len(lines) == 1 + 8 * 3
+    assert len(lines) == 1 + 96 * 33
 
 
 def synthetic_tube(mode, gap):
@@ -507,10 +508,14 @@ def stored_ct12_tube():
                             os.path.join(data, "ct12_summary.json"))
 
 
-@pytest.mark.parametrize("make", [lambda: synthetic_tube("ct", gap=5),
-                                  lambda: synthetic_tube("dt", gap=2),
-                                  stored_ct12_tube],
-                         ids=["ct-gap", "dt-gap", "stored-ct12"])
+# two synthetic tubes with a gap and the stored 12-node one
+each_tube = pytest.mark.parametrize(
+    "make", [lambda: synthetic_tube("ct", gap=5),
+             lambda: synthetic_tube("dt", gap=2), stored_ct12_tube],
+    ids=["ct-gap", "dt-gap", "stored-ct12"])
+
+
+@each_tube
 def test_radii_equal_each_trajectory_bit_for_bit(make):
     tube = make()
     rng = np.random.default_rng(23)
@@ -521,22 +526,27 @@ def test_radii_equal_each_trajectory_bit_for_bit(make):
         assert radii.shape == (len(tube.slices),)
         for k, s in enumerate(tube.slices):
             if s.feasible:
-                assert repr(float(radii[k])) \
-                    == repr(tube.trajectory(k).evaluate(t)), (t, k)
+                traj = CtTrajectory(tube.t1, tube.period, s.coeffs)
+                assert repr(float(radii[k])) == repr(traj.evaluate(t)), (t, k)
             else:
                 assert math.isnan(radii[k])
 
 
-def query_point_rows(tube, n_theta, n_t):
+def grid_points(tube):
+    """The (theta, t) pairs of the dense grid, in its row order."""
+    return [(float(th), float(t))
+            for th in np.linspace(0.0, 2 * math.pi, 96, endpoint=False)
+            for t in np.linspace(tube.t1, tube.t2, 33)]
+
+
+def query_point_rows(tube):
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["theta", "t", "p", "q"])
-    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
-        for t in np.linspace(tube.t1, tube.t2, n_t):
-            pq = engine.query_point(tube, float(th), float(t))
-            if pq is not None:
-                w.writerow([repr(float(th)), repr(float(t)),
-                            repr(pq[0]), repr(pq[1])])
+    for th, t in grid_points(tube):
+        pq = engine.query_point(tube, th, t)
+        if pq is not None:
+            w.writerow([repr(th), repr(t), repr(pq[0]), repr(pq[1])])
     return buf.getvalue()
 
 
@@ -544,17 +554,36 @@ def query_point_rows(tube, n_theta, n_t):
 def test_dense_grid_matches_query_point(mode):
     tube = synthetic_tube(mode, gap=5)
     buf = io.StringIO()
-    engine.dense_grid_csv(tube, buf, n_theta=40, n_t=13)
-    want = query_point_rows(tube, 40, 13)
+    engine.dense_grid_csv(tube, buf)
+    want = query_point_rows(tube)
     assert buf.getvalue() == want
     # the gap drops the rows at 5 pi / 4 and in the two sectors beside it
-    assert len(want.splitlines()) == 1 + (40 - 1 - 2 * 4) * 13
+    assert len(want.splitlines()) == 1 + (96 - 1 - 2 * 11) * 33
 
 
 def test_dense_grid_matches_query_point_on_solved_gaps(gap_tube):
     buf = io.StringIO()
-    engine.dense_grid_csv(gap_tube, buf, n_theta=16, n_t=9)
-    assert buf.getvalue() == query_point_rows(gap_tube, 16, 9)
+    engine.dense_grid_csv(gap_tube, buf)
+    assert buf.getvalue() == query_point_rows(gap_tube)
+
+
+@each_tube
+def test_dense_grid_matches_skin_oracle(make):
+    # the oracle is written apart from engine: each slice a CtTrajectory,
+    # its own neighbour search, the chord weighted by angle
+    tube = make()
+    buf = io.StringIO()
+    engine.dense_grid_csv(tube, buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    for row in rows:
+        th, t = float(row["theta"]), float(row["t"])
+        want = skin_point(tube, th, t)
+        assert want is not None, (th, t)
+        got = (float(row["p"]), float(row["q"]))
+        assert math.dist(got, want) <= 1e-12 * max(1.0, math.hypot(*want)), \
+            (th, t, got, want)
+    assert [(float(r["theta"]), float(r["t"])) for r in rows] == [
+        pt for pt in grid_points(tube) if skin_point(tube, *pt) is not None]
 
 
 @pytest.fixture
