@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__, engine, pqbox
 from .bernstein import locate
 from .instances import ess_symmetric, three_node, twelve_node, two_node
-from .milp import BackendError
+from .milp import BackendError, SolveOptions
 from .netmodel import (
     NetworkModel, ParseError, ValidationError, load_model, validate,
 )
@@ -52,8 +53,9 @@ _DEFAULT_CONFIG = engine.AssessmentConfig()
 # reads a tube assessed earlier and refuses them set otherwise
 _ASSESS_DEFAULTS = {
     "directions": _DEFAULT_CONFIG.directions, "alpha": None,
-    "gap": _DEFAULT_CONFIG.mip_gap, "time_limit": _DEFAULT_CONFIG.time_limit,
-    "workers": _DEFAULT_CONFIG.workers, "seed": _DEFAULT_CONFIG.seed}
+    "gap": _DEFAULT_CONFIG.solver.mip_gap,
+    "time_limit": _DEFAULT_CONFIG.solver.time_limit,
+    "workers": _DEFAULT_CONFIG.workers, "seed": _DEFAULT_CONFIG.solver.seed}
 
 
 class CliError(Exception):
@@ -143,11 +145,9 @@ def _config_from_args(args) -> engine.AssessmentConfig:
     try:
         return engine.AssessmentConfig(
             directions=args.directions,
-            mip_gap=args.gap,
-            time_limit=args.time_limit,
             workers=args.workers,
             mode=getattr(args, "mode", None) or _DEFAULT_CONFIG.mode,
-            seed=args.seed,
+            solver=SolveOptions(args.gap, args.time_limit, args.seed),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -345,38 +345,29 @@ def cmd_metrics(args) -> int:
     theta_set = _theta_set(args, engine.DEFAULT_THETA_SET)
     _make_out(args.out)
     rows, warnings = [], []
-    for alpha in alphas:
-        for sop_on in sop_states:
-            for ess_on in ess_states:
-                for scale in pv_scales:
-                    # only builtin:twelve-node takes a scale other than 1
-                    model = base if scale in (None, 1.0) \
-                        else twelve_node(pv_scale=scale)
-                    model = dataclasses.replace(
-                        model, alpha=base.alpha if alpha is None else alpha)
-                    if not sop_on:
-                        model = dataclasses.replace(model, sop_devices=())
-                    if not ess_on:
-                        model = dataclasses.replace(model, ess_devices=())
-                    tube = engine.assess(model, config)
-                    try:
-                        k1, k2 = engine.penetration_metrics(model)
-                    except ValueError:
-                        k1, k2 = None, None
-                    rows.append({
-                        "alpha": model.alpha,
-                        "sop": int(sop_on),
-                        "ess": int(ess_on),
-                        "pv_scale": 1.0 if scale is None else scale,
-                        "M": engine.metric_M(tube, theta_set),
-                        "K1": k1,
-                        "K2": k2,
-                        "gaps": len(tube.gaps),
-                    })
-                    cell = ("alpha {alpha}, sop {sop}, ess {ess}, "
-                            "pv_scale {pv_scale}").format(**rows[-1])
-                    warnings += [f"{cell}: {w}"
-                                 for w in tube.diagnostics["warnings"]]
+    for alpha, sop_on, ess_on, scale in itertools.product(
+            alphas, sop_states, ess_states, pv_scales):
+        # only builtin:twelve-node takes a scale other than 1
+        model = base if scale in (None, 1.0) else twelve_node(pv_scale=scale)
+        model = dataclasses.replace(
+            model, alpha=base.alpha if alpha is None else alpha)
+        if not sop_on:
+            model = dataclasses.replace(model, sop_devices=())
+        if not ess_on:
+            model = dataclasses.replace(model, ess_devices=())
+        tube = engine.assess(model, config)
+        summary = engine.tube_summary(tube, model, theta_set)
+        rows.append({
+            "alpha": model.alpha,
+            "sop": int(sop_on),
+            "ess": int(ess_on),
+            "pv_scale": 1.0 if scale is None else scale,
+            **{key: summary[key] for key in ("M", "K1", "K2")},
+            "gaps": len(tube.gaps),
+        })
+        cell = ("alpha {alpha}, sop {sop}, ess {ess}, "
+                "pv_scale {pv_scale}").format(**rows[-1])
+        warnings += [f"{cell}: {w}" for w in tube.diagnostics["warnings"]]
     out_path = os.path.join(args.out, "metrics.csv")
     with open(out_path, "w", newline="") as fp:
         w = csv.DictWriter(fp, fieldnames=list(rows[0].keys()))

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -52,31 +53,28 @@ GRID_THETAS, GRID_TIMES = 96, 33  # directions and times of the plot grid
 
 @dataclass(frozen=True)
 class AssessmentConfig:
-    """How an assessment samples and solves; its solver settings default
-    to ``SolveOptions``' and the CLI's flags to these."""
+    """How an assessment samples and solves; the CLI's flags default to
+    these and to ``solver``'s."""
 
     directions: int = 12          # K; antipodes double it to 2K slices
-    mip_gap: float = SolveOptions.mip_gap
-    time_limit: float = SolveOptions.time_limit
     workers: int | None = None
     mode: str = "ct"              # "ct" | "dt"
-    seed: int = SolveOptions.seed  # HiGHS random_seed
+    solver: SolveOptions = SolveOptions()
 
     def __post_init__(self):
+        for name in ("directions", "workers"):
+            value = getattr(self, name)
+            try:                # a numpy integer passes
+                operator.index(1 if value is None else value)
+            except TypeError:
+                raise ValueError(f"{name} {value!r} is not an integer") \
+                    from None
         if self.directions < 2:
             raise ValueError("need at least 2 sampled directions")
-        # HiGHS rejects a negative value only once a solve starts, and
-        # takes a NaN without complaint
-        if not self.mip_gap >= 0:
-            raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
-        if not self.time_limit >= 0:
-            raise ValueError(f"time_limit {self.time_limit} must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers {self.workers} must be >= 1")
         if self.mode not in N_COEF_BY_MODE:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.seed <= 2147483647:
-            raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,7 @@ def build_subproblem(model: NetworkModel, theta: float,
 
 def solve_assembled(assembled: AssembledProblem, config: AssessmentConfig,
                     starts=()) -> MilpSolution:
-    return milp_solve(assembled.problem, SolveOptions(
-        mip_gap=config.mip_gap, time_limit=config.time_limit,
-        seed=config.seed), starts)
+    return milp_solve(assembled.problem, config.solver, starts)
 
 
 def solve_slice(base: AssembledProblem, theta: float,
@@ -373,8 +369,10 @@ def query_point(tube: FlexTube, theta: float, t: float):
     is an angle weight along the chord between their points, so the point
     lies on that chord, not on the ray at theta (which ``pqbox``'s section
     and ``boundary.csv`` use).  None (a gap) when a needed neighbour is
-    infeasible; ValueError when t lies outside the horizon.
+    infeasible; ValueError for a non-finite theta or a t off the horizon.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"direction {theta} is not finite")
     return _chord_point(_skin(tube, t), *_bracket(tube, theta))
 
 
@@ -433,7 +431,7 @@ def penetration_metrics(model: NetworkModel):
     if pv_sum <= 0.0:
         return k1, None
     rating = sum(max(e.p_d, e.p_c) for e in model.ess_devices)
-    k2 = 4.0 * model.horizon.n_periods * rating / pv_sum
+    k2 = N_COEF * model.horizon.n_periods * rating / pv_sum
     return k1, k2
 
 
@@ -462,8 +460,7 @@ def tube_summary(tube: FlexTube, model: NetworkModel, theta_set) -> dict:
     except ValueError:
         pass
     try:
-        k1, k2 = penetration_metrics(model)
-        doc["K1"], doc["K2"] = k1, k2
+        doc["K1"], doc["K2"] = penetration_metrics(model)
     except ValueError:
         pass
     return doc

@@ -202,11 +202,22 @@ def sos_fallback(problem: MilpProblem) -> MilpProblem:
     return problem
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
+    """A solve's HiGHS settings, checked where they are made: HiGHS refuses
+    a negative value only once a solve starts, and takes a NaN silently."""
+
     mip_gap: float = 1e-6
-    time_limit: float = 300.0
-    seed: int = 0
+    time_limit: float = 300.0     # seconds, for the whole problem
+    seed: int = 0                 # HiGHS random_seed
+
+    def __post_init__(self):
+        if not self.mip_gap >= 0:
+            raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
+        if not self.time_limit >= 0:
+            raise ValueError(f"time_limit {self.time_limit} must be >= 0")
+        if not 0 <= self.seed <= 2147483647:
+            raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
 
 
 def load_solver():

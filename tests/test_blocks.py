@@ -568,8 +568,9 @@ def test_dt_without_ess_mode_flag_matches_flagged_model(build, directions):
         want = engine.solve_assembled(flagged, config)
         assert got.status == want.status
         if want.status == "optimal":
-            assert abs(got.objective - want.objective) <= config.mip_gap * \
-                max(abs(got.objective), abs(want.objective), 1.0)
+            assert abs(got.objective - want.objective) <= \
+                config.solver.mip_gap * max(abs(got.objective),
+                                            abs(want.objective), 1.0)
 
 
 @pytest.mark.parametrize("mode", ["ct", "dt"])

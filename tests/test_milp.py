@@ -106,6 +106,32 @@ def test_unknown_handles_rejected():
         p.add_constraint({3: 1.0}, "<=", 1.0)
 
 
+def test_seed_outside_highs_range_rejected():
+    SolveOptions(seed=2147483647)
+    for seed in (-1, 2147483648):
+        with pytest.raises(ValueError, match="seed"):
+            SolveOptions(seed=seed)
+
+
+@pytest.mark.parametrize("field", ["mip_gap", "time_limit"])
+def test_negative_or_nan_solver_limit_rejected(field):
+    SolveOptions(**{field: 0.0})
+    for value in (-1.0, -1e-12, math.nan):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mip_gap", math.nan), ("time_limit", math.nan), ("time_limit", -1.0)])
+def test_solve_refuses_bad_settings_before_highs(monkeypatch, field, value):
+    calls = []
+    monkeypatch.setattr(milp, "_run_highs",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=field):
+        solve(_knapsack(), SolveOptions(**{field: value}))
+    assert calls == []
+
+
 # the real HiGHS call, kept before any test replaces it
 _run_highs = milp._run_highs
 
@@ -897,7 +923,7 @@ def test_restarts_off_keep_status_and_objective(restart_solves):
     assert off.status == default.status
     if default.status == "optimal":
         assert off.objective == pytest.approx(
-            default.objective, rel=restart_solves.config.mip_gap)
+            default.objective, rel=restart_solves.config.solver.mip_gap)
 
 
 @pytest.mark.parametrize("sense, side", [
