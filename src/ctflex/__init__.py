@@ -3,7 +3,7 @@ distribution networks at the transmission-distribution interface."""
 
 __version__ = "0.1.0"
 
-from .bernstein import CtTrajectory, fit
+from .bernstein import fit
 from .netmodel import NetworkModel, load_model, serialize, validate
 from .milp import MilpProblem, MilpSolution, SolveOptions, solve
 from .engine import (
@@ -18,7 +18,7 @@ from .engine import (
 from .pqbox import PqBox, cross_section, expand_box, initial_point
 
 __all__ = [
-    "CtTrajectory", "fit",
+    "fit",
     "NetworkModel", "load_model", "serialize", "validate",
     "MilpProblem", "MilpSolution", "SolveOptions", "solve",
     "AssessmentConfig", "FlexTube", "Slice", "assess",

@@ -17,12 +17,10 @@ default).  The transcription leans on three properties of the basis:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "CtTrajectory",
     "basis_matrix",
     "fit",
     "locate",
@@ -87,58 +85,14 @@ def place_samples(t, t1: float, period: float,
     return np.where(inside, idx, -1), rel - idx
 
 
-@dataclass(frozen=True, eq=False)
-class CtTrajectory:
-    """Piecewise-polynomial signal in per-period Bernstein coefficients.
-
-    ``coeffs`` has shape (n_periods, degree+1).  Period indices are
-    0-based.  At interior period boundaries the left period wins, so the
-    value at t1 + (m+1)*T is the last coefficient of period m.
-    """
-
-    t1: float
-    period: float
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[1] < 1:
-            raise ValueError("coeffs must be a 2-D (n_periods, degree+1) array")
-        if self.period <= 0:
-            raise ValueError("period length must be positive")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    @property
-    def n_periods(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def t2(self) -> float:
-        return self.t1 + self.n_periods * self.period
-
-    def evaluate(self, t):
-        """Evaluate the trajectory at scalar or array times within the horizon."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx, s = locate(t_arr, self.t1, self.period, self.n_periods)
-        basis = basis_matrix(self.degree, s)
-        vals = np.einsum("ij,ij->i", self.coeffs[idx], basis)
-        return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
-
-
 def fit(times, values, period: float, t1: float, n_periods: int,
-        degree: int = 3) -> tuple[CtTrajectory, float]:
+        degree: int = 3) -> np.ndarray:
     """Least-squares Bernstein fit of sampled data, one piece per period.
 
     For degree >= 1, C0 continuity at interior boundaries is enforced by
     sharing the boundary coefficient between adjacent periods; degree 0
-    fits are independent period means.  Returns the trajectory and the
-    residual 2-norm.
+    fits are independent period means.  Returns the read-only
+    (n_periods, degree+1) coefficient array.
 
     Raises ValueError if any period holds fewer than degree+1 samples.
     """
@@ -159,6 +113,7 @@ def fit(times, values, period: float, t1: float, n_periods: int,
         )
 
     basis = basis_matrix(degree, s)
+    coeffs = np.empty((n_periods, degree + 1))
     if degree >= 1:
         # column map: coefficient i of period p -> p*degree + i, which makes
         # the last coefficient of p and the first of p+1 the same unknown
@@ -169,21 +124,15 @@ def fit(times, values, period: float, t1: float, n_periods: int,
         sol, _, rank, _ = np.linalg.lstsq(a, v, rcond=None)
         if rank < n_cols:
             raise ValueError("fit is underdetermined (rank-deficient sample set)")
-        coeffs = np.empty((n_periods, degree + 1))
         for p in range(n_periods):
             coeffs[p] = sol[p * degree: p * degree + degree + 1]
-        residual = float(np.linalg.norm(a @ sol - v))
     else:
-        coeffs = np.empty((n_periods, degree + 1))
-        residual_sq = 0.0
         for p in range(n_periods):
             mask = idx == p
-            a_p = basis[mask]
-            sol, _, rank, _ = np.linalg.lstsq(a_p, v[mask], rcond=None)
+            sol, _, rank, _ = np.linalg.lstsq(basis[mask], v[mask], rcond=None)
             if rank < degree + 1:
                 raise ValueError(f"period {p} fit is underdetermined")
             coeffs[p] = sol
-            residual_sq += float(np.sum((a_p @ sol - v[mask]) ** 2))
-        residual = math.sqrt(residual_sq)
-    return CtTrajectory(t1, period, coeffs), residual
+    coeffs.setflags(write=False)
+    return coeffs
 

@@ -81,10 +81,9 @@ def fit_profiles(model: NetworkModel,
     hz = model.horizon
 
     def coeffs(profile):
-        traj, _ = bernstein.fit(np.asarray(profile.times) + hz.t1,
-                                profile.values,
-                                hz.period, hz.t1, hz.n_periods, degree=degree)
-        return traj.coeffs
+        return bernstein.fit(np.asarray(profile.times) + hz.t1,
+                             profile.values,
+                             hz.period, hz.t1, hz.n_periods, degree=degree)
 
     return FittedProfiles(
         degree,

@@ -65,7 +65,8 @@ class AssessmentConfig:
         for name in ("directions", "workers"):
             value = getattr(self, name)
             try:                # a numpy integer passes
-                operator.index(1 if value is None else value)
+                operator.index(1 if name == "workers" and value is None
+                               else value)
             except TypeError:
                 raise ValueError(f"{name} {value!r} is not an integer") \
                     from None
@@ -73,8 +74,10 @@ class AssessmentConfig:
             raise ValueError("need at least 2 sampled directions")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers {self.workers} must be >= 1")
-        if self.mode not in N_COEF_BY_MODE:
+        if not isinstance(self.mode, str) or self.mode not in N_COEF_BY_MODE:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.solver, SolveOptions):
+            raise ValueError(f"solver {self.solver!r} is not a SolveOptions")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import logging
+import operator
 import os
 import sys
 import tempfile
@@ -216,6 +217,10 @@ class SolveOptions:
             raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
         if not self.time_limit >= 0:
             raise ValueError(f"time_limit {self.time_limit} must be >= 0")
+        try:                    # a numpy integer passes
+            operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed {self.seed!r} is not an integer") from None
         if not 0 <= self.seed <= 2147483647:
             raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
 
@@ -546,7 +551,7 @@ def _completion(part, starts, left):
     return best
 
 
-def solve(problem: MilpProblem, options: SolveOptions | None = None,
+def solve(problem: MilpProblem, options: SolveOptions = SolveOptions(),
           starts=()) -> MilpSolution:
     """Solve a problem with HiGHS.
 
@@ -557,8 +562,7 @@ def solve(problem: MilpProblem, options: SolveOptions | None = None,
     the heuristics that look for a first incumbent.  A start that
     completes nowhere changes nothing.
     """
-    return ScipyHighsBackend().solve(problem, options or SolveOptions(),
-                                     starts)
+    return ScipyHighsBackend().solve(problem, options, starts)
 
 
 def _lp_num(x: float) -> str:

@@ -1,30 +1,44 @@
 """Independent oracles that the acceptance criteria check the program
-against: the running integral of a Bernstein trajectory (criterion 1),
-Monte Carlo violation rates of the chance-constrained rows (criterion 3),
-and the tube point at a direction and time that the dense plot grid
-writes.  No command runs them, so they live with the tests."""
+against: the value and the running integral of a Bernstein trajectory
+(criterion 1), Monte Carlo violation rates of the chance-constrained rows
+(criterion 3), and the tube point at a direction and time that the dense
+plot grid writes.  No command runs them, so they live with the tests."""
 
 import math
 
 import numpy as np
 
 from ctflex import chance
-from ctflex.bernstein import CtTrajectory
+from ctflex.bernstein import basis_matrix, locate
 from ctflex.blocks import AssembledProblem
 
 
-def antiderivative(traj: CtTrajectory, initial: float = 0.0) -> CtTrajectory:
-    """Degree n+1 running integral of ``traj``, continuous across period
+def evaluate(coeffs, t1: float, period: float, t):
+    """Value at scalar or array times ``t`` of the trajectory whose
+    per-period Bernstein coefficients, shape (n_periods, degree+1), start
+    at t1; at an interior period boundary the left period wins."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    idx, s = locate(t_arr, t1, period, len(coeffs))
+    basis = basis_matrix(coeffs.shape[1] - 1, s)
+    vals = np.einsum("ij,ij->i", coeffs[idx], basis)
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
+def antiderivative(coeffs, period: float,
+                   initial: float = 0.0) -> np.ndarray:
+    """Coefficients of the degree n+1 running integral of the trajectory
+    with per-period coefficients ``coeffs``, continuous across period
     boundaries."""
-    n = traj.degree
-    out = np.zeros((traj.n_periods, n + 2))
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros((len(coeffs), coeffs.shape[1] + 1))
     running = float(initial)
-    step = traj.period / (n + 1)
-    for m in range(traj.n_periods):
+    step = period / coeffs.shape[1]
+    for m, row in enumerate(coeffs):
         out[m, 0] = running
-        out[m, 1:] = running + step * np.cumsum(traj.coeffs[m])
+        out[m, 1:] = running + step * np.cumsum(row)
         running = out[m, -1]
-    return CtTrajectory(traj.t1, traj.period, out)
+    return out
 
 
 def skin_point(tube, theta: float, t: float):
@@ -32,8 +46,7 @@ def skin_point(tube, theta: float, t: float):
     a gap.  A sampled direction within 1e-9 of theta around the circle
     gives its own point; any other theta lies between two circular
     neighbours and gives the point at its angle's share of the way along
-    the chord between theirs.  Each slice is evaluated as a
-    ``CtTrajectory``."""
+    the chord between theirs.  Each slice is evaluated by ``evaluate``."""
     two_pi = 2 * math.pi
     theta %= two_pi
     slices = tube.slices
@@ -41,7 +54,7 @@ def skin_point(tube, theta: float, t: float):
     def point(s):
         if s.status != "optimal":
             return None
-        r = float(CtTrajectory(tube.t1, tube.period, s.coeffs).evaluate(t))
+        r = evaluate(s.coeffs, tube.t1, tube.period, t)
         return r * math.cos(s.theta), r * math.sin(s.theta)
 
     for s in slices:

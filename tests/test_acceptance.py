@@ -28,12 +28,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from ctflex import engine, pqbox
-from ctflex.bernstein import CtTrajectory, basis_matrix
+from ctflex.bernstein import basis_matrix
 from ctflex.blocks import continuous_time_check
 from ctflex.cli import main as cli_main
 from ctflex.instances import ess_symmetric, three_node, twelve_node
 from ctflex.milp import SolveOptions, solve
-from oracles import antiderivative, monte_carlo_validate
+from oracles import antiderivative, evaluate, monte_carlo_validate
 
 RNG = np.random.default_rng(2027)
 
@@ -66,8 +66,8 @@ def test_criterion_1_bernstein_calculus():
     sums = period * coeffs.sum(axis=1) / 4.0
     worst_int = 0.0
     for row, total in zip(coeffs[:60], sums):
-        traj = CtTrajectory(0.0, period, row[None, :])
-        ref, _ = quad(traj.evaluate, 0.0, period, epsabs=1e-13, epsrel=1e-12)
+        ref, _ = quad(lambda t: evaluate(row[None, :], 0.0, period, t),
+                      0.0, period, epsabs=1e-13, epsrel=1e-12)
         err = abs(total - ref) / max(1e-12, abs(ref))
         worst_int = max(worst_int, err)
     if worst_int > 1e-9:
@@ -97,8 +97,8 @@ def test_criterion_1_bernstein_calculus():
 
     # antiderivative endpoint equals the integral
     anti_end = np.array([
-        antiderivative(CtTrajectory(0.0, period, row[None, :]), 0.0)
-        .evaluate(period)
+        evaluate(antiderivative(row[None, :], period, 0.0), 0.0, period,
+                 period)
         for row in coeffs[:200]
     ])
     if np.max(np.abs(anti_end - sums[:200])) > 1e-9:
@@ -263,12 +263,11 @@ def test_criterion_5_ct_dt_dominance_and_distinction():
     model = three_node(ramping=True)
     ct = slice_of(model, 0.0, cfg)
     dt = slice_of(model, 0.0, dt_cfg)
-    ct_traj = CtTrajectory(0.0, 900.0, ct.coeffs)
-    dt_traj = CtTrajectory(0.0, 900.0, dt.coeffs)
+    times = np.linspace(0.0, 3600.0, 97)
+    ct_vals = evaluate(ct.coeffs, 0.0, 900.0, times)
+    dt_vals = evaluate(dt.coeffs, 0.0, 900.0, times)
     gap = max(
-        abs(ct_traj.evaluate(t) - dt_traj.evaluate(t))
-        / max(abs(dt_traj.evaluate(t)), 1e-12)
-        for t in np.linspace(0.0, 3600.0, 97)
+        abs(c - d) / max(abs(d), 1e-12) for c, d in zip(ct_vals, dt_vals)
     )
     if gap < 0.01:
         failures.append(f"CT/DT boundary gap {gap:.4%} < 1%")

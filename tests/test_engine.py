@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 
 from ctflex import engine, milp, pqbox
-from ctflex.bernstein import CtTrajectory
 from ctflex.blocks import (
     AssembledProblem, BlockBuilder, continuous_time_check,
 )
@@ -28,7 +28,7 @@ from ctflex.chance import ChanceMargins
 from ctflex.instances import (
     ess_symmetric, three_node, twelve_node, two_node,
 )
-from oracles import monte_carlo_validate, skin_point
+from oracles import evaluate, monte_carlo_validate, skin_point
 
 CFG1 = engine.AssessmentConfig(directions=2, workers=1)
 
@@ -89,11 +89,25 @@ def test_workers_below_one_rejected():
 
 
 @pytest.mark.parametrize("field, value", [("directions", 2.5),
+                                          ("directions", None),
                                           ("workers", 1.5)])
 def test_non_integer_count_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
         engine.AssessmentConfig(**{field: value})
     engine.AssessmentConfig(**{field: np.int64(3)})   # numpy integers pass
+
+
+def test_unhashable_mode_rejected():
+    with pytest.raises(ValueError, match=r"unknown mode \[\]"):
+        engine.AssessmentConfig(mode=[])
+
+
+@pytest.mark.parametrize("solver", [None, {"seed": 1}],
+                         ids=["none", "dict"])
+def test_solver_that_is_not_solve_options_rejected(solver):
+    with pytest.raises(ValueError, match=re.escape(
+            f"solver {solver!r} is not a SolveOptions")):
+        engine.AssessmentConfig(solver=solver)
 
 
 # -- subproblem structure ---------------------------------------------------------
@@ -134,10 +148,10 @@ def test_affine_optimum_reproduced_exactly():
     # theta = 0: S0(t) = load ramp, affine in t, exactly representable
     model = three_node()
     s = slice_of(model, 0.0, CFG1)
-    traj = CtTrajectory(0.0, 900.0, s.coeffs)
     for t in np.linspace(0.0, 3600.0, 41):
         want = 0.4 + 0.2 * t / 3600.0
-        assert traj.evaluate(t) == pytest.approx(want, abs=1e-7)
+        assert evaluate(s.coeffs, 0.0, 900.0, t) == pytest.approx(want,
+                                                                 abs=1e-7)
 
 
 def test_infeasible_direction_recorded():
@@ -397,11 +411,10 @@ def test_ct_tracks_ramp_dt_stays_flat():
     ct = slice_of(model, 0.0, CFG1)
     dt = slice_of(model, 0.0,
                   dataclasses.replace(CFG1, mode="dt"))
-    ct_traj = CtTrajectory(0.0, 900.0, ct.coeffs)
-    dt_traj = CtTrajectory(0.0, 900.0, dt.coeffs)
     rel_gap = []
     for t in np.linspace(0.0, 3600.0, 65):
-        c, d = ct_traj.evaluate(t), dt_traj.evaluate(t)
+        c = evaluate(ct.coeffs, 0.0, 900.0, t)
+        d = evaluate(dt.coeffs, 0.0, 900.0, t)
         rel_gap.append(abs(c - d) / max(abs(d), 1e-12))
     assert max(rel_gap) >= 0.01
 
@@ -525,8 +538,8 @@ def test_radii_equal_each_trajectory_bit_for_bit(make):
         assert radii.shape == (len(tube.slices),)
         for k, s in enumerate(tube.slices):
             if s.feasible:
-                traj = CtTrajectory(tube.t1, tube.period, s.coeffs)
-                assert repr(float(radii[k])) == repr(traj.evaluate(t)), (t, k)
+                want = evaluate(s.coeffs, tube.t1, tube.period, t)
+                assert repr(float(radii[k])) == repr(want), (t, k)
             else:
                 assert math.isnan(radii[k])
 
@@ -568,8 +581,8 @@ def test_dense_grid_matches_query_point_on_solved_gaps(gap_tube):
 
 @each_tube
 def test_dense_grid_matches_skin_oracle(make):
-    # the oracle is written apart from engine: each slice a CtTrajectory,
-    # its own neighbour search, the chord weighted by angle
+    # the oracle is written apart from engine: each slice evaluated on its
+    # own, its own neighbour search, the chord weighted by angle
     tube = make()
     buf = io.StringIO()
     engine.dense_grid_csv(tube, buf)

@@ -113,6 +113,13 @@ def test_seed_outside_highs_range_rejected():
             SolveOptions(seed=seed)
 
 
+def test_non_integer_seed_rejected():
+    # HiGHS would refuse it only once a solve starts
+    with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
+        SolveOptions(seed=1.5)
+    SolveOptions(seed=np.int64(3))      # numpy integers pass
+
+
 @pytest.mark.parametrize("field", ["mip_gap", "time_limit"])
 def test_negative_or_nan_solver_limit_rejected(field):
     SolveOptions(**{field: 0.0})
