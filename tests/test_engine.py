@@ -506,6 +506,18 @@ def synthetic_tube(mode, gap):
     return engine.FlexTube(tuple(slices), 0.0, 900.0, 3, mode=mode)
 
 
+def offset_tube():
+    """Six directions at uneven steps over two periods, the first above 0,
+    so that some theta lies below every sampled direction; the direction
+    at 2.5 is a gap."""
+    rng = np.random.default_rng(29)
+    slices = tuple(
+        engine.Slice(theta, "infeasible", None, None) if theta == 2.5
+        else engine.Slice(theta, "optimal", rng.uniform(0.1, 2.0, (2, 4)), 1.0)
+        for theta in (0.4, 1.1, 2.5, 3.3, 4.0, 5.9))
+    return engine.FlexTube(slices, 0.0, 900.0, 2)
+
+
 def stored_ct12_tube():
     """The 12-node CT tube kept with the benchmark: 24 gap-free slices."""
     data = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -520,11 +532,13 @@ def test_query_point_non_finite_direction_rejected(theta):
         engine.query_point(stored_ct12_tube(), theta, 1800.0)
 
 
-# two synthetic tubes with a gap and the stored 12-node one
+# three synthetic tubes with a gap, one of them uneven and starting above
+# 0, and the stored 12-node one
 each_tube = pytest.mark.parametrize(
     "make", [lambda: synthetic_tube("ct", gap=5),
-             lambda: synthetic_tube("dt", gap=2), stored_ct12_tube],
-    ids=["ct-gap", "dt-gap", "stored-ct12"])
+             lambda: synthetic_tube("dt", gap=2), offset_tube,
+             stored_ct12_tube],
+    ids=["ct-gap", "dt-gap", "offset-gap", "stored-ct12"])
 
 
 @each_tube
@@ -542,6 +556,21 @@ def test_radii_equal_each_trajectory_bit_for_bit(make):
                 assert repr(float(radii[k])) == repr(want), (t, k)
             else:
                 assert math.isnan(radii[k])
+
+
+def test_query_point_of_a_lone_direction_is_its_slice_point():
+    # the one direction is its own neighbour on both sides, a full turn
+    # away; skin_point cannot weigh that chord, so this stays apart from
+    # each_tube
+    coeffs = np.array([[0.5, 1.0, 2.0, 1.5]])
+    tube = engine.FlexTube((engine.Slice(1.0, "optimal", coeffs, 1.0),),
+                           0.0, 900.0, 1)
+    for t in (0.0, 300.0, 900.0):
+        r = evaluate(coeffs, 0.0, 900.0, t)
+        want = (r * math.cos(1.0), r * math.sin(1.0))
+        for theta in (0.0, 0.3, 1.0, 1.0 + 1e-10, 2.0, math.pi, 6.0, -1.0,
+                      2 * math.pi, 9.0):
+            assert engine.query_point(tube, theta, t) == want, (theta, t)
 
 
 def grid_points(tube):
