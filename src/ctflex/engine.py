@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-import operator
+import numbers
 import os
 import sys
 import time
@@ -64,12 +64,12 @@ class AssessmentConfig:
     def __post_init__(self):
         for name in ("directions", "workers"):
             value = getattr(self, name)
-            try:                # a numpy integer passes
-                operator.index(1 if name == "workers" and value is None
-                               else value)
-            except TypeError:
-                raise ValueError(f"{name} {value!r} is not an integer") \
-                    from None
+            if name == "workers" and value is None:
+                continue
+            # a numpy integer passes; a bool is a flag, not a count
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.directions < 2:
             raise ValueError("need at least 2 sampled directions")
         if self.workers is not None and self.workers < 1:
@@ -325,26 +325,19 @@ def assess(model: NetworkModel,
 
 
 def _bracket(tube: FlexTube, theta: float):
-    """Neighbouring sampled directions around theta (with wraparound)."""
+    """Neighbouring sampled directions around theta, indices taken around
+    the circle: a lone direction is its own neighbour, a full turn away."""
     thetas = tube.directions
     k = match_direction(thetas, theta)
     if k is not None:
         return k, k, 0.0
     two_pi = 2 * math.pi
     theta = theta % two_pi
-    hi = int(np.searchsorted(thetas, theta))
-    lo = hi - 1
-    if hi == len(thetas):
-        hi = 0
-        span = two_pi - thetas[lo] + thetas[0]
-        frac = (theta - thetas[lo]) / span
-    elif hi == 0:
-        lo = len(thetas) - 1
-        span = two_pi - thetas[lo] + thetas[0]
-        frac = (theta + two_pi - thetas[lo]) / span
-    else:
-        span = thetas[hi] - thetas[lo]
-        frac = (theta - thetas[lo]) / span
+    hi = int(np.searchsorted(thetas, theta)) % len(thetas)
+    lo = (hi - 1) % len(thetas)
+    # across 2 pi the span and theta's offset from lo gain a full turn
+    span = two_pi * (hi <= lo) - thetas[lo] + thetas[hi]
+    frac = (theta + two_pi * (theta < thetas[lo]) - thetas[lo]) / span
     return lo, hi, float(frac)
 
 

@@ -22,7 +22,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import logging
-import operator
+import numbers
 import os
 import sys
 import tempfile
@@ -213,14 +213,16 @@ class SolveOptions:
     seed: int = 0                 # HiGHS random_seed
 
     def __post_init__(self):
-        if not self.mip_gap >= 0:
-            raise ValueError(f"mip_gap {self.mip_gap} must be >= 0")
-        if not self.time_limit >= 0:
-            raise ValueError(f"time_limit {self.time_limit} must be >= 0")
-        try:                    # a numpy integer passes
-            operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed {self.seed!r} is not an integer") from None
+        # numpy numbers pass; a bool is a flag, not a number
+        for name in ("mip_gap", "time_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} {value!r} is not a number")
+            if not value >= 0:
+                raise ValueError(f"{name} {value} must be >= 0")
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed {self.seed!r} is not an integer")
         if not 0 <= self.seed <= 2147483647:
             raise ValueError(f"seed {self.seed} outside [0, 2147483647]")
 

@@ -55,8 +55,9 @@ class TubeSectionOracle:
     feasible sampled directions and its radius does not exceed the chord
     between their boundary points along its ray.  A direction within the
     angle tolerance of a sampled one, measured around the circle, is that
-    sampled direction.  The origin is a member whenever any direction is
-    feasible.
+    sampled direction.  A sector whose chord passes on the far side of the
+    origin (wider than pi, or with one negative end radius) has boundary
+    radius 0.  The origin is a member whenever any direction is feasible.
 
     ``thetas``, ``radii`` (NaN in gaps) and ``feasible`` are arrays for
     callers.  ``boundary_radius(theta)`` and ``contains(p, q)`` are
@@ -90,8 +91,10 @@ class TubeSectionOracle:
                 continue
             th_lo = thetas[lo]
             th_hi = thetas[hi] if hi > lo else thetas[hi] + two_pi
-            sectors.append((th_lo, th_hi, r_lo, r_hi,
-                            r_lo * r_hi * math.sin(th_hi - th_lo)))
+            num = r_lo * r_hi * math.sin(th_hi - th_lo)
+            if num < 0.0:       # the sector holds only the origin
+                r_lo = r_hi = num = 0.0
+            sectors.append((th_lo, th_hi, r_lo, r_hi, num))
         sin, hypot, atan2 = math.sin, math.hypot, math.atan2
         tol = _RADIUS_TOL
 
@@ -154,25 +157,18 @@ def cross_section(tube: FlexTube, t0: float) -> TubeSectionOracle:
     return TubeSectionOracle(tube, t0)
 
 
-def _feasible_pieces(thetas: np.ndarray, feasible: np.ndarray) -> list:
-    """Maximal runs of consecutive feasible sampled directions, with
-    wraparound; each piece is a list of indices."""
-    n = len(thetas)
-    idx = [k for k in range(n) if feasible[k]]
-    if not idx:
-        return []
-    if len(idx) == n:
-        return [list(range(n))]
-    pieces, current = [], [idx[0]]
-    for k in idx[1:]:
-        if k == current[-1] + 1:
-            current.append(k)
+def _feasible_pieces(feasible) -> list:
+    """Maximal runs of consecutive feasible sampled directions, each a list
+    of indices: a run that wraps past the last index comes first, then the
+    others in index order."""
+    pieces = []
+    for k in np.flatnonzero(feasible).tolist():
+        if pieces and pieces[-1][-1] == k - 1:
+            pieces[-1].append(k)
         else:
-            pieces.append(current)
-            current = [k]
-    pieces.append(current)
-    # merge the wraparound pair
-    if len(pieces) > 1 and pieces[0][0] == 0 and pieces[-1][-1] == n - 1:
+            pieces.append([k])
+    # the run at the last index goes on at index 0
+    if len(pieces) > 1 and feasible[0] and feasible[-1]:
         pieces[0] = pieces.pop() + pieces[0]
     return pieces
 
@@ -180,33 +176,30 @@ def _feasible_pieces(thetas: np.ndarray, feasible: np.ndarray) -> list:
 def initial_point(section: TubeSectionOracle) -> tuple:
     """Interior starting point for the box search in a tube cross-section.
 
-    All directions feasible: the midpoint of the longest chord through the
-    origin among the sampled direction pairs.  Otherwise take the largest
-    contiguous feasible piece: its mid-direction boundary point scaled by
-    half when the piece spans at most pi, else half of its largest sampled
-    boundary radius along that radius' direction.
+    An even number of directions, all feasible: the midpoint of the longest
+    chord through the origin from a direction of the first half to the
+    boundary opposite it.  Otherwise take the largest contiguous feasible
+    piece: its mid-direction boundary point scaled by half when the piece
+    spans at most pi, else half of its largest sampled boundary radius
+    along that radius' direction.
     """
     thetas, radii, feasible = section.thetas, section.radii, section.feasible
     if not np.any(feasible):
         raise ValueError(f"no feasible direction at t = {section.t0}")
     n = len(thetas)
     if np.all(feasible) and n % 2 == 0:
-        # antipodal pairs: midpoint of the longest chord through the origin
         half = n // 2
-        spans = radii[:half] + radii[half:]
-        k = int(np.argmax(spans))
-        mid = 0.5 * (radii[k] - radii[k + half])
+        far = np.array([section.boundary_radius(th)
+                        for th in (thetas[:half] + math.pi).tolist()])
+        k = int(np.argmax(radii[:half] + far))
+        mid = 0.5 * (radii[k] - far[k])
         return (mid * math.cos(thetas[k]), mid * math.sin(thetas[k]))
-    pieces = _feasible_pieces(thetas, feasible)
-    piece = max(pieces, key=len)
-    piece_thetas = np.array([thetas[k] for k in piece])
-    # unwrap so the run is monotone despite crossing 0
-    for i in range(1, len(piece_thetas)):
-        if piece_thetas[i] < piece_thetas[i - 1]:
-            piece_thetas[i:] += 2 * math.pi
-    width = piece_thetas[-1] - piece_thetas[0]
-    if width <= math.pi + _ANGLE_TOL:
-        mid_theta = 0.5 * (piece_thetas[0] + piece_thetas[-1])
+    piece = max(_feasible_pieces(feasible), key=len)
+    # a piece that wraps past 2 pi ends a full turn on
+    first = thetas[piece[0]]
+    last = thetas[piece[-1]] + 2 * math.pi * (piece[-1] < piece[0])
+    if last - first <= math.pi + _ANGLE_TOL:
+        mid_theta = 0.5 * (first + last)
         r = section.boundary_radius(mid_theta)
         r = 0.0 if r is None else r
         return (0.5 * r * math.cos(mid_theta), 0.5 * r * math.sin(mid_theta))

@@ -751,6 +751,33 @@ def test_pqbox_stored_tube_mutants(tmp_path, capsys):
     assert codes.count(0) and codes.count(2)
 
 
+@pytest.mark.parametrize("thetas, radii", [
+    ((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 5.0, 1.0)),
+    ((0.0, 1.0), (1.0, 2.0))], ids=["four-directions", "two-directions"])
+def test_pqbox_stored_tube_on_an_uneven_grid(thetas, radii, tmp_path):
+    # any sorted grid in [0, 2pi) is read: the start lies in the section
+    # and no boundary radius is negative
+    tube, summary = str(tmp_path / "tube.csv"), str(tmp_path / "summary.json")
+    with open(tube, "w") as fp:
+        fp.write("theta,period,coef_index,value,status\n" + "".join(
+            f"{th!r},{m},{k},{r!r},optimal\n" for th, r in zip(thetas, radii)
+            for m in range(2) for k in range(4)))
+    with open(summary, "w") as fp:
+        json.dump({"horizon": {**HORIZON, "n_periods": 2}}, fp)
+    out = tmp_path / "b"
+    assert run(["pqbox", "builtin:two-node", "--tube", tube, "--summary",
+                summary, "--time", "450", "--boundary-csv",
+                "--out", str(out)]) == 0
+    box = json.loads((out / "box.json").read_text())
+    section = pqbox.cross_section(engine.read_tube(tube, summary), 450.0)
+    for p in (box["P1"], box["P2"]):
+        for q in (box["Q1"], box["Q2"]):
+            assert section.contains(p, q), (p, q)
+    with open(out / "boundary.csv", newline="") as fp:
+        rows = list(csv.reader(fp))[1:]
+    assert len(rows) == 721 and min(float(r) for _, r in rows) >= 0.0
+
+
 @pytest.mark.parametrize("command, flags, prefixes", [
     ("metrics", ["--theta-set", "0"],
      ["alpha 0.5, sop 1, ess 1, pv_scale 1.0"]),

@@ -90,7 +90,9 @@ def test_workers_below_one_rejected():
 
 @pytest.mark.parametrize("field, value", [("directions", 2.5),
                                           ("directions", None),
-                                          ("workers", 1.5)])
+                                          ("directions", True),
+                                          ("workers", 1.5),
+                                          ("workers", True)])
 def test_non_integer_count_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
         engine.AssessmentConfig(**{field: value})

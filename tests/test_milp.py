@@ -117,7 +117,21 @@ def test_non_integer_seed_rejected():
     # HiGHS would refuse it only once a solve starts
     with pytest.raises(ValueError, match="seed 1.5 is not an integer"):
         SolveOptions(seed=1.5)
+    with pytest.raises(ValueError, match="seed True is not an integer"):
+        SolveOptions(seed=True)
     SolveOptions(seed=np.int64(3))      # numpy integers pass
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mip_gap", None), ("time_limit", "5"), ("time_limit", True),
+    ("mip_gap", False)])
+def test_solver_limit_that_is_not_a_number_rejected(field, value):
+    # a bool is not a limit: time_limit=True would have HiGHS stop at 1 s
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} {value!r} is not a number")):
+        SolveOptions(**{field: value})
+    SolveOptions(**{field: np.float64(0.5)})    # numpy numbers pass
+    SolveOptions(**{field: np.int64(5)})
 
 
 @pytest.mark.parametrize("field", ["mip_gap", "time_limit"])

@@ -160,7 +160,10 @@ def reference_boundary_radius(section, theta):
     th_hi = thetas[hi] if hi > lo else thetas[hi] + two_pi
     th = theta if theta >= th_lo else theta + two_pi
     r_lo, r_hi = float(radii[lo]), float(radii[hi])
-    if r_lo == 0.0 and r_hi == 0.0:
+    # a sector wider than pi, or with one negative end, holds only the
+    # origin
+    if r_lo == 0.0 and r_hi == 0.0 \
+            or r_lo * r_hi * math.sin(th_hi - th_lo) < 0.0:
         return 0.0
     denom = r_lo * math.sin(th - th_lo) + r_hi * math.sin(th_hi - th)
     if denom <= 0.0:
@@ -229,6 +232,24 @@ def test_section_oracle_bit_identical_to_reference():
             for p, q in ((0.0, 0.0), (1e-10, -1e-10), (-0.0, 0.0)):
                 assert section.contains(p, q) is True
                 assert reference_contains(section, p, q) is True
+
+
+def constant_tube(thetas, radii):
+    """Every direction feasible, its radius constant over one period."""
+    return engine.FlexTube(tuple(
+        engine.Slice(th, "optimal", np.full((1, 4), r), 1.0)
+        for th, r in zip(thetas, radii)), 0.0, 900.0, 1)
+
+
+def test_sector_wider_than_pi_holds_only_the_origin():
+    section = cross_section(constant_tube((0.0, 1.0), (1.0, 2.0)), 450.0)
+    assert section.boundary_radius(1.0 + math.pi) == 0.0
+    for th in np.linspace(0.0, 2 * math.pi, 721).tolist():
+        r = section.boundary_radius(th)
+        assert r >= 0.0, th
+        assert repr(r) == repr(reference_boundary_radius(section, th)), th
+    assert not section.contains(-0.5, 0.0)
+    assert section.contains(0.0, 0.0) and section.contains(1.0, 0.0)
 
 
 def test_section_origin_without_feasible_direction():
@@ -310,6 +331,16 @@ def test_initial_point_wide_piece_uses_largest_radius():
             0.5 * r_best * math.sin(1.5 * math.pi))
     assert p0 == pytest.approx(want[0], abs=1e-9)
     assert q0 == pytest.approx(want[1], abs=1e-9)
+
+
+# grids that all_directions never makes: four directions, none opposite
+# direction 0, and two directions 1 rad apart, so a sector wider than pi
+@pytest.mark.parametrize("thetas, radii", [
+    ((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 5.0, 1.0)),
+    ((0.0, 1.0), (1.0, 2.0))], ids=["four", "two"])
+def test_initial_point_is_a_member_on_uneven_grids(thetas, radii):
+    section = cross_section(constant_tube(thetas, radii), 450.0)
+    assert section.contains(*initial_point(section))
 
 
 def test_initial_point_no_feasible_direction():
