@@ -6,8 +6,11 @@ neighbouring feasible directions.  The search starts from an interior
 point picked by the shape of the feasible piece, pushes the four box sides
 outward, and whenever a corner leaves the region, retracts the offending
 side and divides its step by ten until every side's step falls below the
-tolerance.  Corner-only membership tests mirror the published procedure;
-an optional edge-sampling mode guards non-convex cross-sections.
+tolerance.  A side regrows a cut step tenfold after ten accepted moves in
+a row, never past the first step, so that it does not creep across the
+section at a hundredth of that step.  Corner-only membership tests mirror
+the published procedure; an optional edge-sampling mode guards non-convex
+cross-sections.
 
 Membership contract: ``expand_box`` takes any object whose ``contains(p,
 q)`` answers membership in a fixed region, the same way each time it is
@@ -253,9 +256,13 @@ def expand_box(oracle, start, delta: float, eps: float,
     steps (initialized to ``delta``) and tests the four corners (plus
     sampled edge points when ``edge_samples`` > 0).  A failed corner blames
     the advancing side(s) whose retraction repairs it; blamed sides retract
-    and divide their step by ten, freezing at or below ``eps``.  Terminates
-    with every side frozen: all corners are members and pushing any
-    non-degenerate side outward by 10 eps leaves the region.
+    and divide their step by ten, freezing at or below ``eps``.  After ten
+    accepted moves in a row at one step, a side multiplies that step by
+    ten, never above ``delta``: ten is the factor of the cut, so the side
+    is one rejected step past where it was cut.  Each regrowth follows a
+    growth of more than 10 eps, so the search still terminates, with every
+    side frozen: all corners are members and pushing any non-degenerate
+    side outward by 10 eps leaves the region.
     """
     p0, q0 = float(start[0]), float(start[1])
     if not oracle.contains(p0, q0):
@@ -264,6 +271,7 @@ def expand_box(oracle, start, delta: float, eps: float,
         raise ValueError("delta and eps must be positive")
     sides = [p0, p0, q0, q0]        # P1, P2, Q1, Q2
     steps = [float(delta)] * 4
+    runs = [0] * 4                  # accepted moves in a row at this step
     frozen = [False] * 4
     reasons: dict = {}
     iterations = 0
@@ -297,6 +305,7 @@ def expand_box(oracle, start, delta: float, eps: float,
 
     def shrink(i):
         steps[i] /= 10.0
+        runs[i] = 0
         if steps[i] <= eps:
             frozen[i] = True
             reasons[_SIDE_NAMES[i]] = (
@@ -320,6 +329,11 @@ def expand_box(oracle, start, delta: float, eps: float,
                 trial[i] = sides[i] + _SIGNS[i] * steps[i]
             if box_ok(trial):
                 sides = trial
+                for i in moved:
+                    runs[i] += 1
+                    if runs[i] == 10:
+                        runs[i] = 0
+                        steps[i] = min(10.0 * steps[i], float(delta))
                 continue
             # a side is at fault when its own move alone already exits;
             # a purely joint (diagonal) failure shrinks every mover, which

@@ -46,7 +46,8 @@ def skin_point(tube, theta: float, t: float):
     a gap.  A sampled direction within 1e-9 of theta around the circle
     gives its own point; any other theta lies between two circular
     neighbours and gives the point at its angle's share of the way along
-    the chord between theirs.  Each slice is evaluated by ``evaluate``."""
+    the chord between theirs; a lone direction gives its own point at
+    every theta.  Each slice is evaluated by ``evaluate``."""
     two_pi = 2 * math.pi
     theta %= two_pi
     slices = tube.slices
@@ -65,6 +66,8 @@ def skin_point(tube, theta: float, t: float):
     a, b = point(lo), point(hi)
     if a is None or b is None:
         return None
+    if lo is hi:            # a lone direction is its own neighbour
+        return a
     w = ((theta - lo.theta) % two_pi) / ((hi.theta - lo.theta) % two_pi)
     return ((1 - w) * a[0] + w * b[0], (1 - w) * a[1] + w * b[1])
 

@@ -301,23 +301,23 @@ def test_pqbox_tube_manifest_hashes_its_inputs(tmp_path):
 # (time, edge samples, repr of (P1, P2, Q1, Q2), iterations)
 CT12_BOXES = [
     (0, 0, ("0.7547238097598089", "1.0009923132430774e-17",
-            "0.8436034651919437", "-0.7236185544933955"), 34),
+            "0.8436034651919437", "-0.7236185544933955"), 35),
     (900, 0, ("0.6579384019843656", "1.289125106237082e-17",
-              "0.8611742913291778", "-0.6800938277317582"), 61),
-    (1234.5, 0, ("0.840558323126131", "-0.013031911986451612",
-                 "0.3743817010458516", "0.003623805031303148"), 120),
-    (1800, 0, ("0.8961551763860893", "-0.058919293252656914",
-               "0.41653585881625527", "0.10229962813541793"), 132),
+              "0.8611742913291778", "-0.6800938277317585"), 36),
+    (1234.5, 0, ("0.8405583231261297", "-0.013031911986451612",
+                 "0.3743817010458516", "0.003623805031303148"), 40),
+    (1800, 0, ("0.8961551763860904", "-0.058919293252656914",
+               "0.4165358588162549", "0.10229962813541793"), 35),
     (3600, 0, ("0.7700731975601324", "1.246859613018115e-17",
                "0.9056925768694086", "-0.7381835709998122"), 31),
     (0, 8, ("0.6837856222145553", "1.0009923132430774e-17",
             "0.8662744323455813", "-0.6066071111197813"), 28),
     (900, 8, ("0.6579384019843656", "1.289125106237082e-17",
-              "0.8611742913291778", "-0.6800938277317582"), 61),
-    (1234.5, 8, ("0.7916886531769372", "-0.013031911986451612",
-                 "0.3743817010458516", "0.003623805031303148"), 117),
-    (1800, 8, ("0.8481468633654061", "-0.058919293252656914",
-               "0.41653585881625527", "0.10229962813541793"), 129),
+              "0.8611742913291778", "-0.6800938277317585"), 36),
+    (1234.5, 8, ("0.7916886531769358", "-0.013031911986451612",
+                 "0.3743817010458516", "0.003623805031303148"), 37),
+    (1800, 8, ("0.8481468633654069", "-0.058919293252656914",
+               "0.4165358588162549", "0.10229962813541793"), 41),
     (3600, 8, ("0.7700731975601324", "1.246859613018115e-17",
                "0.9056925768694086", "-0.7381835709998122"), 31),
 ]
@@ -336,6 +336,41 @@ def test_pqbox_stored_tube_boxes_are_pinned(t0, edge_samples, sides,
     assert box["iterations"] == iterations
     assert box["t0"] == t0 and sorted(box["frozen_reasons"]) \
         == ["P1", "P2", "Q1", "Q2"]
+
+
+def box_points(sides, edge_samples):
+    """The corners and edge samples of the box with sides (P1, P2, Q1,
+    Q2), the points that ``expand_box`` tests."""
+    p_hi, p_lo, q_hi, q_lo = sides
+    points = [(p, q) for p in (p_hi, p_lo) for q in (q_hi, q_lo)]
+    for frac in np.linspace(0, 1, edge_samples + 2)[1:-1].tolist():
+        p_mid = p_lo + frac * (p_hi - p_lo)
+        q_mid = q_lo + frac * (q_hi - q_lo)
+        points += [(p_mid, q_hi), (p_mid, q_lo), (p_hi, q_mid), (p_lo, q_mid)]
+    return points
+
+
+def test_pqbox_slowest_stored_tube_box_is_quick_sound_and_maximal(tmp_path):
+    # the slowest of the benchmark's 33 boxes: a side left at the step
+    # that a joint corner failure cut would creep across the section in
+    # 1,096 rounds
+    t0 = 1690.909090909091
+    out = tmp_path / "b"
+    assert run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                "--summary", CT12_SUMMARY, "--time", repr(t0),
+                "--edge-samples", "8", "--out", str(out)]) == 0
+    box = json.loads((out / "box.json").read_text())
+    assert box["iterations"] <= 60
+    section = pqbox.cross_section(engine.read_tube(CT12_TUBE, CT12_SUMMARY),
+                                  t0)
+    eps = 1e-4 * float(np.nanmax(section.radii))     # the CLI default
+    sides = [box[side] for side in ("P1", "P2", "Q1", "Q2")]
+    assert all(section.contains(p, q) for p, q in box_points(sides, 8))
+    for i, sign in enumerate((1, -1, 1, -1)):
+        pushed = list(sides)
+        pushed[i] += sign * 10 * eps
+        assert not all(section.contains(p, q)
+                       for p, q in box_points(pushed, 8)), i
 
 
 @pytest.mark.parametrize("model, flags, t0", [

@@ -520,6 +520,14 @@ def offset_tube():
     return engine.FlexTube(slices, 0.0, 900.0, 2)
 
 
+def lone_tube():
+    """One direction at 1 rad over one period: its own neighbour on both
+    sides, a full turn away."""
+    coeffs = np.array([[0.5, 1.0, 2.0, 1.5]])
+    return engine.FlexTube((engine.Slice(1.0, "optimal", coeffs, 1.0),),
+                           0.0, 900.0, 1)
+
+
 def stored_ct12_tube():
     """The 12-node CT tube kept with the benchmark: 24 gap-free slices."""
     data = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -535,12 +543,12 @@ def test_query_point_non_finite_direction_rejected(theta):
 
 
 # three synthetic tubes with a gap, one of them uneven and starting above
-# 0, and the stored 12-node one
+# 0, a lone direction and the stored 12-node one
 each_tube = pytest.mark.parametrize(
     "make", [lambda: synthetic_tube("ct", gap=5),
-             lambda: synthetic_tube("dt", gap=2), offset_tube,
+             lambda: synthetic_tube("dt", gap=2), offset_tube, lone_tube,
              stored_ct12_tube],
-    ids=["ct-gap", "dt-gap", "offset-gap", "stored-ct12"])
+    ids=["ct-gap", "dt-gap", "offset-gap", "lone", "stored-ct12"])
 
 
 @each_tube
@@ -561,14 +569,9 @@ def test_radii_equal_each_trajectory_bit_for_bit(make):
 
 
 def test_query_point_of_a_lone_direction_is_its_slice_point():
-    # the one direction is its own neighbour on both sides, a full turn
-    # away; skin_point cannot weigh that chord, so this stays apart from
-    # each_tube
-    coeffs = np.array([[0.5, 1.0, 2.0, 1.5]])
-    tube = engine.FlexTube((engine.Slice(1.0, "optimal", coeffs, 1.0),),
-                           0.0, 900.0, 1)
+    tube = lone_tube()
     for t in (0.0, 300.0, 900.0):
-        r = evaluate(coeffs, 0.0, 900.0, t)
+        r = evaluate(tube.slices[0].coeffs, 0.0, 900.0, t)
         want = (r * math.cos(1.0), r * math.sin(1.0))
         for theta in (0.0, 0.3, 1.0, 1.0 + 1e-10, 2.0, math.pi, 6.0, -1.0,
                       2 * math.pi, 9.0):

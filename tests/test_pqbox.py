@@ -118,6 +118,35 @@ def test_edge_sampling_mode_guards_notched_region():
     assert strict.p_max <= 0.4 + 1e-4
 
 
+def test_cut_step_regrows_but_never_past_delta():
+    # a long strip with a notch that the (P1, Q1) corner meets diagonally:
+    # the joint failure cuts P1's step, and P1 then has 49 units to cross
+    tested = []
+
+    def member(p, q):
+        ok = (-1.0 <= p <= 50.0 and abs(q) <= 1.0
+              and not (0.8 < p < 1.0 and q > 0.85))
+        tested.append((p, q, ok))
+        return ok
+
+    delta = 0.3
+    box = expand_box(FunctionOracle(member), (0.0, 0.0), delta=delta,
+                     eps=1e-6)
+    assert box.p_max == pytest.approx(50.0, abs=1e-5)
+    # left at its cut step, P1 would take 1,688 rounds to cross
+    assert box.iterations <= 250
+    # every accepted side is a coordinate of a member tested before, and
+    # every trial side is an accepted side moved by its step, so a step
+    # above delta shows as a point beyond every member so far by more
+    far = [0.0, 0.0, 0.0, 0.0]      # P1, P2, Q1, Q2 of the start
+    for p, q, ok in tested:
+        assert max(p - far[0], far[1] - p, q - far[2], far[3] - q) \
+            <= delta * (1 + 1e-12), (p, q)
+        if ok:
+            far = [max(far[0], p), min(far[1], p),
+                   max(far[2], q), min(far[3], q)]
+
+
 # -- cross-section oracle ------------------------------------------------------------
 
 
