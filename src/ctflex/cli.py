@@ -7,6 +7,12 @@ Outputs are plain CSV/JSON meant for external plotting, byte-stable across
 reruns with the same inputs and seed (manifests carry the only
 timestamps).  Exit codes: 0 success, 2 input error, 3 empty assessment,
 4 backend failure.
+
+Repeated ``main`` calls in one process reuse what cannot differ between
+them: the argument parser, each ``builtin:`` model, and the tube that
+``pqbox --tube`` read last.  That tube is kept per paths and file bytes
+(see ``engine.read_tube``), so a rewritten file is read afresh; each call
+parses its own flags.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -64,12 +71,19 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache
+def _builtin(name: str) -> NetworkModel:
+    """The builtin model ``name``, built once per process: a model is
+    frozen dataclasses of tuples, so callers share it unchanged."""
+    return _BUILTIN[name]()
+
+
 def _read(path: str) -> NetworkModel:
     """The builtin model named ``path``, or the model file at ``path``;
     CliError when there is no such file or it does not parse, and the
     ValidationError of a file that breaks the model's rules."""
     if path in _BUILTIN:
-        return _BUILTIN[path]()
+        return _builtin(path)
     if not os.path.exists(path):
         raise CliError(f"model file not found: {path}")
     try:
@@ -494,8 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call: parsing leaves it unchanged
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value such as -pi/2 as an option unless '=' joins it
     for i in reversed(range(1, len(argv))):

@@ -12,6 +12,7 @@ whose subproblem is infeasible (or hits the solver limit) are kept as gaps.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -503,8 +504,11 @@ def _stored_layout(horizon, mode) -> tuple:
     return float(t1), float(period), n_periods, N_COEF_BY_MODE[mode]
 
 
-def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
-    """Rebuild a tube from its CSV plus the horizon block of the summary.
+def tube_from_csv(path: str, horizon: dict, mode: str = "ct",
+                  data: bytes | None = None) -> FlexTube:
+    """Rebuild a tube from its CSV plus the horizon block of the summary;
+    ``data``, when given, is the CSV's bytes, already read.  The
+    coefficient arrays are read-only.
 
     Raises ValueError unless ``t1`` and ``period`` are finite numbers,
     ``period`` positive, ``n_periods`` an integer >= 1, the mode known,
@@ -520,7 +524,7 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
     t1, period, n_periods, n_coef = _stored_layout(horizon, mode)
     cells: dict = {}                # theta -> {(period, coef): (value, line)}
     status: dict = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, data), newline=""))
     header = next(reader, [])
     for name in _TUBE_COLUMNS:
         if name not in header:
@@ -571,6 +575,7 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct") -> FlexTube:
         coeffs = np.zeros((n_periods, n_coef))
         for (m, k), (v, _) in cells[th].items():
             coeffs[m, k] = v
+        coeffs.setflags(write=False)
         slices.append(Slice(th, "optimal", coeffs,
                             _objective(coeffs, period, n_coef)))
     try:
@@ -589,14 +594,35 @@ def read_tube(tube_path: str, summary_path: str) -> FlexTube:
     """A tube read back from an assessment's tube CSV and summary JSON,
     whose mode is ``ct`` when absent; ValueError naming the file unless
     both exist, pass ``tube_from_csv``, and the summary's ``directions``
-    and ``statuses``, where it has them, are the tube's."""
+    and ``statuses``, where it has them, are the tube's.
+
+    Each file's bytes are read once, and the tube is parsed from exactly
+    those bytes.  The last tube parsed is kept, keyed on both paths and
+    both files' bytes, and a call with the same paths and bytes returns
+    it; a file rewritten with other bytes is parsed afresh, and an error
+    is never kept.  The tube's coefficient arrays are read-only, so no
+    caller can change a tube that another shares.
+    """
     for path in (tube_path, summary_path):
         if not os.path.isfile(path):
             raise ValueError(f"file not found: {path}")
     try:
-        with open(summary_path) as fp:
-            summary = json.load(fp)
-    except (OSError, ValueError) as exc:
+        with open(summary_path, "rb") as fp:
+            summary_data = fp.read()
+    except OSError as exc:
+        raise ValueError(f"{summary_path}: unreadable JSON: {exc}") from None
+    with open(tube_path, "rb") as fp:
+        tube_data = fp.read()
+    return _parse_tube(tube_path, summary_path, tube_data, summary_data)
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_tube(tube_path: str, summary_path: str, tube_data: bytes,
+                summary_data: bytes) -> FlexTube:
+    try:
+        # decoded as open() in text mode would decode the file
+        summary = json.load(io.TextIOWrapper(io.BytesIO(summary_data)))
+    except ValueError as exc:
         raise ValueError(f"{summary_path}: unreadable JSON: {exc}") from None
     if not isinstance(summary, dict) or "horizon" not in summary:
         raise ValueError(f"{summary_path}: no horizon block")
@@ -605,7 +631,7 @@ def read_tube(tube_path: str, summary_path: str) -> FlexTube:
         _stored_layout(horizon, mode)
     except ValueError as exc:
         raise ValueError(f"{summary_path}: {exc}") from None
-    tube = tube_from_csv(tube_path, horizon, mode)
+    tube = tube_from_csv(tube_path, horizon, mode, tube_data)
     for key, value in _listing(tube).items():
         if key in summary and summary[key] != value:
             raise ValueError(f"{summary_path}: {key} differ from those of "

@@ -468,11 +468,13 @@ def _entry(entity, sidecar: str) -> dict:
     return out
 
 
-def read_text(path: str) -> str:
+def read_text(path: str, data: bytes | None = None) -> str:
     """A UTF-8 file's text, or ValueError naming the file and the line of
-    the first byte that does not decode."""
-    with open(path, "rb") as fp:
-        data = fp.read()
+    the first byte that does not decode; ``data``, when given, is the
+    file's bytes, already read."""
+    if data is None:
+        with open(path, "rb") as fp:
+            data = fp.read()
     try:
         return data.decode()
     except UnicodeDecodeError as exc:

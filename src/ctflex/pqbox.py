@@ -347,19 +347,18 @@ def expand_box(oracle, start, delta: float, eps: float,
 
     run_rounds()
     # contract repair: every frozen side must fail a 10 eps outward push;
-    # re-open any side frozen by joint blame that can in fact still grow
+    # re-open the first side frozen by joint blame that can in fact still
+    # grow.  Alone, it moves solo, so no joint failure freezes it again.
     for _ in range(64):
-        keep = [float(s) for s in steps]
-        reopened = False
         for i in range(4):
+            keep = steps[i]
             steps[i] = 10.0 * eps
             if solo_ok(i):
                 frozen[i] = False
                 reasons.pop(_SIDE_NAMES[i], None)
-                reopened = True
-            else:
-                steps[i] = keep[i]
-        if not reopened:
+                break
+            steps[i] = keep
+        else:
             break
         run_rounds()
     return PqBox(sides[0], sides[1], sides[2], sides[3], t0,

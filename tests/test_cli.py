@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from ctflex import engine, pqbox
+from ctflex import cli, engine, pqbox
 from ctflex.cli import CliError, main, parse_theta_set
 from ctflex.instances import _sampled, three_node, twelve_node, two_node
 from ctflex.netmodel import (
@@ -350,6 +350,32 @@ def box_points(sides, edge_samples):
     return points
 
 
+def stored_tube_box(t0, out, *flags):
+    """The box.json of ``pqbox`` on the stored 12-node tube at t0, with
+    ``flags`` added, written under ``out``."""
+    assert run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                "--summary", CT12_SUMMARY, "--time", repr(t0), *flags,
+                "--out", str(out)]) == 0
+    return json.loads((out / "box.json").read_text())
+
+
+def assert_sound_and_maximal(box, edge_samples):
+    """Every corner and edge sample of a stored-tube box lies in the
+    section at its time, and a 10-eps outward push of any side leaves
+    it."""
+    section = pqbox.cross_section(engine.read_tube(CT12_TUBE, CT12_SUMMARY),
+                                  box["t0"])
+    eps = 1e-4 * float(np.nanmax(section.radii))     # the CLI default
+    sides = [box[side] for side in ("P1", "P2", "Q1", "Q2")]
+    assert all(section.contains(p, q)
+               for p, q in box_points(sides, edge_samples))
+    for i, sign in enumerate((1, -1, 1, -1)):
+        pushed = list(sides)
+        pushed[i] += sign * 10 * eps
+        assert not all(section.contains(p, q)
+                       for p, q in box_points(pushed, edge_samples)), i
+
+
 def test_pqbox_slowest_stored_tube_box_is_quick_sound_and_maximal(tmp_path):
     # the slowest of the benchmark's 33 boxes: a side left at the step
     # that a joint corner failure cut would creep across the section in
@@ -371,6 +397,93 @@ def test_pqbox_slowest_stored_tube_box_is_quick_sound_and_maximal(tmp_path):
         pushed[i] += sign * 10 * eps
         assert not all(section.contains(p, q)
                        for p, q in box_points(pushed, 8)), i
+
+
+def test_pqbox_contract_repair_reopens_one_side_at_a_time(tmp_path):
+    # P1, P2 and Q1 each pass a 10-eps push alone, but P1 and Q1 fail it
+    # together at their shared corner: reopened together, they froze
+    # again on every repair pass
+    box = stored_tube_box(1395.9183673469388, tmp_path / "b",
+                          "--edge-samples", "8")
+    assert_sound_and_maximal(box, 8)
+
+
+def test_pqbox_calls_in_one_process_match_fresh_processes(tmp_path,
+                                                          fresh_python):
+    # later calls reuse the parser, the builtin model and the parsed tube;
+    # each box and boundary keeps the bytes of a process of its own
+    times = (900.0, 1395.9183673469388, 1800.0)
+    flags = ("--edge-samples", "8", "--boundary-csv")
+    for i, t0 in enumerate(times + times[:1]):
+        stored_tube_box(t0, tmp_path / f"in{i}", *flags)
+    for i, t0 in enumerate(times):
+        argv = ["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                "--summary", CT12_SUMMARY, "--time", repr(t0), *flags,
+                "--out", str(tmp_path / f"fresh{i}")]
+        fresh_python(f"from ctflex import cli; cli.main({argv!r})")
+    for i, fresh in enumerate((0, 1, 2, 0)):
+        for name in ("box.json", "boundary.csv"):
+            assert (tmp_path / f"in{i}" / name).read_bytes() \
+                == (tmp_path / f"fresh{fresh}" / name).read_bytes(), (i, name)
+
+
+def test_pqbox_calls_in_one_process_share_no_flags(tmp_path, capsys):
+    # a flag given to one call is at its default in the next: with it,
+    # --mode dt and --alpha would be refused, and 8 edge samples would
+    # give the (1800 s, 8) box of CT12_BOXES
+    stored_tube_box(1800.0, tmp_path / "a", "--edge-samples", "8")
+    for flags in (["--mode", "dt"], ["--alpha", "0.1"]):
+        assert run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+                    "--summary", CT12_SUMMARY, "--time", "1800", *flags,
+                    "--out", str(tmp_path / "refused")]) == 2
+        assert f"error: {flags[0]} " in capsys.readouterr().err
+    box = stored_tube_box(1800.0, tmp_path / "b")
+    config = json.loads((tmp_path / "b" / "manifest.json").read_text())[
+        "config"]
+    assert (config["edge_samples"], config["mode"], config["alpha"]) \
+        == (0, "ct", None)
+    assert repr(box["P1"]) == "0.8961551763860904"
+
+
+def test_pqbox_reads_a_rewritten_tube_afresh(tmp_path, capsys):
+    # the tube is kept per paths and bytes: new bytes at the same path,
+    # even of the same length, give the box of those bytes, and a mutant
+    # is refused with the same message on every call
+    text = open(CT12_TUBE).read()
+    # every coefficient below 1 loses half its first decimal digit
+    halved = re.sub(r",0\.(\d)", lambda m: f",0.{int(m[1]) // 2}", text)
+    assert len(halved) == len(text) and halved != text
+    mutant = text.replace(",0.9", ",abc", 1)
+    tube, summary = tmp_path / "tube.csv", str(tmp_path / "summary.json")
+    with open(CT12_SUMMARY) as fp, open(summary, "w") as out:
+        out.write(fp.read())
+
+    def box(name, tube_text):
+        tube.write_text(tube_text)
+        out = tmp_path / name
+        rc = run(["pqbox", "builtin:twelve-node", "--tube", str(tube),
+                  "--summary", summary, "--time", "1800",
+                  "--out", str(out)])
+        written = (out / "box.json").read_text() if rc == 0 else None
+        return rc, capsys.readouterr().err, written
+
+    first = box("first", text)
+    assert first[0] == 0
+    rewritten = box("halved", halved)
+    assert rewritten[0] == 0 and rewritten[2] != first[2]
+    # the same bytes at another path are parsed with no kept tube
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "tube.csv").write_text(halved)
+    assert run(["pqbox", "builtin:twelve-node", "--tube",
+                str(other / "tube.csv"), "--summary", summary, "--time",
+                "1800", "--out", str(other)]) == 0
+    assert (other / "box.json").read_text() == rewritten[2]
+    refusals = [box("mutant", mutant) for _ in range(2)]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == 2 and "line 3: could not convert string to " \
+        "float: 'abc" in refusals[0][1]
+    assert box("again", text) == first
 
 
 @pytest.mark.parametrize("model, flags, t0", [
@@ -702,6 +815,11 @@ def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_builtin_model_built_once_per_process():
+    assert cli._read("builtin:twelve-node") is \
+        cli._read("builtin:twelve-node") == twelve_node()
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["tube", "summary"])

@@ -483,6 +483,32 @@ def test_tube_csv_repeated_optimal_cell_rejected(tmp_path):
     assert engine.tube_from_csv(str(path), horizon, "dt").gaps == [0.0]
 
 
+def test_read_tube_parses_each_content_once(tmp_path, monkeypatch):
+    # a call with the paths and bytes of the last tube read returns that
+    # tube, whose arrays are read-only; new bytes are parsed afresh
+    data = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "data")
+    tube, summary = str(tmp_path / "tube.csv"), str(tmp_path / "summary.json")
+    for name, path in (("ct12_tube.csv", tube), ("ct12_summary.json",
+                                                 summary)):
+        with open(os.path.join(data, name)) as src, open(path, "w") as dst:
+            dst.write(src.read())
+    parses = []
+    parse = engine.tube_from_csv
+    monkeypatch.setattr(engine, "tube_from_csv",
+                        lambda *a: parses.append(a) or parse(*a))
+    first = engine.read_tube(tube, summary)
+    assert engine.read_tube(tube, summary) is first and len(parses) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first.slices[0].coeffs[0, 0] = 0.0
+    with open(tube, "a") as fp:
+        fp.write("\n")          # a blank line holds no cell
+    again = engine.read_tube(tube, summary)
+    assert again is not first and len(parses) == 2
+    assert all(np.array_equal(a.coeffs, b.coeffs)
+               for a, b in zip(first.slices, again.slices))
+
+
 def test_dense_grid_emission(sym_tube):
     buf = io.StringIO()
     engine.dense_grid_csv(sym_tube, buf)
