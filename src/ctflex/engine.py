@@ -32,7 +32,8 @@ from .bernstein import basis_matrix, locate
 # every call
 from .blocks import AssembledProblem, BlockBuilder, fit_profiles, N_COEF
 from .chance import compute_margins
-from .milp import MilpSolution, SolveOptions, load_solver, solve as milp_solve
+from .milp import (MilpSolution, ScipyHighsBackend, SolveOptions,
+                   load_solver, solve as milp_solve)
 from .netmodel import NetworkModel, ValidationError, read_text, validate
 
 __all__ = [
@@ -514,7 +515,8 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct",
     ``period`` positive, ``n_periods`` an integer >= 1, the mode known,
     the header names every column that ``tube_to_csv`` writes, every
     status is one that ``solve_slice`` writes, every cell read is a
-    number, no optimal cell is given twice, every coefficient is finite,
+    number, no optimal cell is given twice, every coefficient is finite
+    and no more negative than the solver holds the bound S0 >= 0 to,
     every direction's rows share one status, every direction lies in
     [0, 2pi), and every optimal slice has exactly the periods and
     coefficients that the horizon and the mode declare, in a file of UTF-8
@@ -522,6 +524,8 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct",
     is one.
     """
     t1, period, n_periods, n_coef = _stored_layout(horizon, mode)
+    # HiGHS holds the bound S0 >= 0 to this tolerance
+    tol = ScipyHighsBackend.OPTIONS["primal_feasibility_tolerance"]
     cells: dict = {}                # theta -> {(period, coef): (value, line)}
     status: dict = {}
     reader = csv.reader(io.StringIO(read_text(path, data), newline=""))
@@ -554,6 +558,9 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct",
                 value = float(row[i_value])
                 if not math.isfinite(value):
                     raise ValueError(f"coefficient {value!r} is not finite")
+                if value < -tol:
+                    raise ValueError(f"coefficient {value!r} is below 0 "
+                                     f"by more than {tol!r}")
                 slot[cell] = (value, line)
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
@@ -593,8 +600,8 @@ def _listing(tube: FlexTube) -> dict:
 def read_tube(tube_path: str, summary_path: str) -> FlexTube:
     """A tube read back from an assessment's tube CSV and summary JSON,
     whose mode is ``ct`` when absent; ValueError naming the file unless
-    both exist, pass ``tube_from_csv``, and the summary's ``directions``
-    and ``statuses``, where it has them, are the tube's.
+    both exist and can be read, pass ``tube_from_csv``, and the summary's
+    ``directions`` and ``statuses``, where it has them, are the tube's.
 
     Each file's bytes are read once, and the tube is parsed from exactly
     those bytes.  The last tube parsed is kept, keyed on both paths and
@@ -611,8 +618,11 @@ def read_tube(tube_path: str, summary_path: str) -> FlexTube:
             summary_data = fp.read()
     except OSError as exc:
         raise ValueError(f"{summary_path}: unreadable JSON: {exc}") from None
-    with open(tube_path, "rb") as fp:
-        tube_data = fp.read()
+    try:
+        with open(tube_path, "rb") as fp:
+            tube_data = fp.read()
+    except OSError as exc:
+        raise ValueError(f"{tube_path}: unreadable CSV: {exc}") from None
     return _parse_tube(tube_path, summary_path, tube_data, summary_data)
 
 

@@ -8,9 +8,10 @@ outward, and whenever a corner leaves the region, retracts the offending
 side and divides its step by ten until every side's step falls below the
 tolerance.  A side regrows a cut step tenfold after ten accepted moves in
 a row, never past the first step, so that it does not creep across the
-section at a hundredth of that step.  Corner-only membership tests mirror
-the published procedure; an optional edge-sampling mode guards non-convex
-cross-sections.
+section at a hundredth of that step.  One loop of rounds does it all;
+its exit test is the box's contract, so a frozen side that can still grow
+reopens.  Corner-only membership tests mirror the published procedure; an
+optional edge-sampling mode guards non-convex cross-sections.
 
 Membership contract: ``expand_box`` takes any object whose ``contains(p,
 q)`` answers membership in a fixed region, the same way each time it is
@@ -133,8 +134,6 @@ class TubeSectionOracle:
                 return None
             th_lo, th_hi, r_lo, r_hi, num = sector
             th = theta if theta >= th_lo else theta + two_pi
-            if r_lo == 0.0 and r_hi == 0.0:
-                return 0.0
             # ray-chord crossing in polar form
             denom = r_lo * sin(th - th_lo) + r_hi * sin(th_hi - th)
             if denom <= 0.0:
@@ -259,16 +258,23 @@ def expand_box(oracle, start, delta: float, eps: float,
     and divide their step by ten, freezing at or below ``eps``.  After ten
     accepted moves in a row at one step, a side multiplies that step by
     ten, never above ``delta``: ten is the factor of the cut, so the side
-    is one rejected step past where it was cut.  Each regrowth follows a
-    growth of more than 10 eps, so the search still terminates, with every
-    side frozen: all corners are members and pushing any non-degenerate
-    side outward by 10 eps leaves the region.
+    is one rejected step past where it was cut.
+
+    When every side is frozen, the first side that a 10 eps outward push
+    leaves inside reopens at that step and moves solo; when none does, the
+    box is returned.  So a returned box meets its contract: every tested
+    point is a member, and a 10 eps push of any side leaves the region.
+    Each regrowth and each reopening follows a growth of at least 10 eps,
+    so the search ends on a bounded region (the stored 12-node tube's
+    boxes reopen at most 5 times); ``_MAX_ROUNDS`` ends it with
+    RuntimeError on an unbounded one.  ValueError unless ``delta`` and
+    ``eps`` are positive and finite and ``start`` is a member.
     """
+    if not all(math.isfinite(v) and v > 0 for v in (delta, eps)):
+        raise ValueError("delta and eps must be positive and finite")
     p0, q0 = float(start[0]), float(start[1])
     if not oracle.contains(p0, q0):
         raise ValueError(f"start point ({p0}, {q0}) is not inside the region")
-    if delta <= 0 or eps <= 0:
-        raise ValueError("delta and eps must be positive")
     sides = [p0, p0, q0, q0]        # P1, P2, Q1, Q2
     steps = [float(delta)] * 4
     runs = [0] * 4                  # accepted moves in a row at this step
@@ -303,63 +309,46 @@ def expand_box(oracle, start, delta: float, eps: float,
                 return False
         return True
 
-    def shrink(i):
-        steps[i] /= 10.0
-        runs[i] = 0
-        if steps[i] <= eps:
-            frozen[i] = True
-            reasons[_SIDE_NAMES[i]] = (
-                f"step {steps[i]:.3e} at or below tolerance after a "
-                "rejected move")
-
-    def solo_ok(i) -> bool:
+    def pushed_ok(i, step) -> bool:
         trial = list(sides)
-        trial[i] = sides[i] + _SIGNS[i] * steps[i]
+        trial[i] = sides[i] + _SIGNS[i] * step
         return box_ok(trial)
 
-    def run_rounds():
-        nonlocal sides, iterations
-        for _ in range(_MAX_ROUNDS):
-            if all(frozen):
-                return
-            iterations += 1
-            moved = [i for i in range(4) if not frozen[i]]
-            trial = list(sides)
-            for i in moved:
-                trial[i] = sides[i] + _SIGNS[i] * steps[i]
-            if box_ok(trial):
-                sides = trial
-                for i in moved:
-                    runs[i] += 1
-                    if runs[i] == 10:
-                        runs[i] = 0
-                        steps[i] = min(10.0 * steps[i], float(delta))
-                continue
-            # a side is at fault when its own move alone already exits;
-            # a purely joint (diagonal) failure shrinks every mover, which
-            # refines the steps until the corner creeps onto the boundary
-            blamed = {i for i in moved if not solo_ok(i)}
-            if not blamed:
-                blamed = set(moved)
-            for i in blamed:
-                shrink(i)
-        raise RuntimeError("box expansion did not terminate")
-
-    run_rounds()
-    # contract repair: every frozen side must fail a 10 eps outward push;
-    # re-open the first side frozen by joint blame that can in fact still
-    # grow.  Alone, it moves solo, so no joint failure freezes it again.
-    for _ in range(64):
-        for i in range(4):
-            keep = steps[i]
+    for _ in range(_MAX_ROUNDS):
+        if all(frozen):
+            # contract repair: reopen the first side that can still grow
+            # by 10 eps; alone, no joint failure freezes it again
+            i = next((i for i in range(4) if pushed_ok(i, 10.0 * eps)),
+                     None)
+            if i is None:
+                return PqBox(sides[0], sides[1], sides[2], sides[3], t0,
+                             iterations, reasons)
+            frozen[i] = False
             steps[i] = 10.0 * eps
-            if solo_ok(i):
-                frozen[i] = False
-                reasons.pop(_SIDE_NAMES[i], None)
-                break
-            steps[i] = keep
-        else:
-            break
-        run_rounds()
-    return PqBox(sides[0], sides[1], sides[2], sides[3], t0,
-                 iterations, reasons)
+            del reasons[_SIDE_NAMES[i]]
+        iterations += 1
+        moved = [i for i in range(4) if not frozen[i]]
+        trial = list(sides)
+        for i in moved:
+            trial[i] = sides[i] + _SIGNS[i] * steps[i]
+        if box_ok(trial):
+            sides = trial
+            for i in moved:
+                runs[i] += 1
+                if runs[i] == 10:
+                    runs[i] = 0
+                    steps[i] = min(10.0 * steps[i], float(delta))
+            continue
+        # a side is at fault when its own move alone already exits; a
+        # purely joint (diagonal) failure shrinks every mover, which
+        # refines the steps until the corner creeps onto the boundary
+        blamed = [i for i in moved if not pushed_ok(i, steps[i])] or moved
+        for i in blamed:
+            steps[i] /= 10.0
+            runs[i] = 0
+            if steps[i] <= eps:
+                frozen[i] = True
+                reasons[_SIDE_NAMES[i]] = (
+                    f"step {steps[i]:.3e} at or below tolerance after a "
+                    "rejected move")
+    raise RuntimeError("box expansion did not terminate")

@@ -1,8 +1,9 @@
 """Independent oracles that the acceptance criteria check the program
 against: the value and the running integral of a Bernstein trajectory
 (criterion 1), Monte Carlo violation rates of the chance-constrained rows
-(criterion 3), and the tube point at a direction and time that the dense
-plot grid writes.  No command runs them, so they live with the tests."""
+(criterion 3), the tube point at a direction and time that the dense plot
+grid writes, and how far a P-Q box reaches out of a tube section.  No
+command runs them, so they live with the tests."""
 
 import math
 
@@ -157,3 +158,33 @@ def monte_carlo_validate(assembled: AssembledProblem, values,
         tight_rates.extend(rates[tight].tolist())
     return {"n_tight": len(tight_rates),
             "max_rate_tight": max(tight_rates, default=0.0)}
+
+
+def box_excess(section, box) -> float:
+    """How far the box ``box`` reaches out of the tube section ``section``,
+    in radius units: the largest ``hypot(p, q)`` less the section's
+    boundary radius along (p, q), a gap counting as radius 0, over each
+    edge's ends, its crossings with the sampled directions' rays and the
+    midpoints between neighbouring ones.  Between two neighbouring rays
+    the section is the triangle of the origin and their boundary points,
+    or the origin alone, so an edge piece there lies inside when its ends
+    and its midpoint do: the sign is exact, and a box inside the section
+    gives at most 0 up to rounding."""
+    cos_t, sin_t = np.cos(section.thetas), np.sin(section.thetas)
+    worst = -math.inf
+    for fixed, lo, hi, horizontal in (
+            (box.q_max, box.p_min, box.p_max, True),
+            (box.q_min, box.p_min, box.p_max, True),
+            (box.p_max, box.q_min, box.q_max, False),
+            (box.p_min, box.q_min, box.q_max, False)):
+        across, along = (sin_t, cos_t) if horizontal else (cos_t, sin_t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = fixed / across      # how far out each ray meets the edge
+            hits = reach * along        # where along the edge it does
+        hits = hits[(reach > 0) & (hits > lo) & (hits < hi)]
+        cuts = np.unique(np.concatenate(([lo, hi], hits)))
+        for c in np.concatenate((cuts, (cuts[:-1] + cuts[1:]) / 2)).tolist():
+            p, q = (c, fixed) if horizontal else (fixed, c)
+            bound = section.boundary_radius(math.atan2(q, p))
+            worst = max(worst, math.hypot(p, q) - (bound or 0.0))
+    return worst

@@ -20,6 +20,7 @@ from ctflex.instances import _sampled, three_node, twelve_node, two_node
 from ctflex.netmodel import (
     CapacitorBank, EssDevice, Horizon, ValidationError, serialize,
 )
+from oracles import box_excess
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +407,35 @@ def test_pqbox_contract_repair_reopens_one_side_at_a_time(tmp_path):
     box = stored_tube_box(1395.9183673469388, tmp_path / "b",
                           "--edge-samples", "8")
     assert_sound_and_maximal(box, 8)
+
+
+@pytest.mark.parametrize("edge_samples", [0, 8])
+def test_stored_tube_boxes_meet_the_contract_across_the_horizon(
+        edge_samples):
+    # the boxes at 97 interior times with the CLI's delta and eps, grown
+    # through the library: the contract repair ends only on a box whose
+    # every side fails a 10-eps push
+    tube = engine.read_tube(CT12_TUBE, CT12_SUMMARY)
+    for k in range(1, 98):
+        t0 = k * 3600 / 98
+        section = pqbox.cross_section(tube, t0)
+        scale = float(np.nanmax(section.radii))
+        box = pqbox.expand_box(section, pqbox.initial_point(section),
+                               0.05 * scale, 1e-4 * scale, t0=t0,
+                               edge_samples=edge_samples)
+        assert_sound_and_maximal(box.as_dict(), edge_samples)
+
+
+def test_box_excess_finds_an_edge_across_a_notch():
+    # near the stored tube's box at t = 1065.3 s with edge samples 0: its
+    # corners lie in the section, and its P1 edge crosses a notch
+    t0 = 29 * 3600 / 98
+    section = pqbox.cross_section(engine.read_tube(CT12_TUBE, CT12_SUMMARY),
+                                  t0)
+    box = pqbox.PqBox(0.9475, -0.0025, 0.5688, -0.6151, t0, 0, {})
+    assert all(section.contains(p, q) for p, q in box.corners())
+    assert not section.contains(0.9475, 0.0739)
+    assert box_excess(section, box) == pytest.approx(0.232, abs=1e-3)
 
 
 def test_pqbox_calls_in_one_process_match_fresh_processes(tmp_path,
@@ -815,6 +845,62 @@ def test_pqbox_stored_tube_input_errors(tube_text, summary_text, message,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_pqbox_unreadable_stored_tube_is_input_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # a file that exists but cannot be read, such as /proc/self/mem; file
+    # modes alone would not stop a test run by root
+    tube = tmp_path / "tube.csv"
+    tube.write_bytes(open(CT12_TUBE, "rb").read())
+
+    def unreadable(path, *args, **kwargs):
+        if path == str(tube):
+            raise OSError(5, "Input/output error")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "open", unreadable, raising=False)
+    rc = run(["pqbox", "builtin:twelve-node", "--tube", str(tube),
+              "--summary", CT12_SUMMARY, "--time", "1800",
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {tube}: unreadable CSV: [Errno 5] Input/output error\n"
+
+
+def stored_tube_with_values(tmp_path, value):
+    """The path of a copy of the stored 12-node tube whose coefficient
+    cells are ``value`` of the stored ones."""
+    with open(CT12_TUBE, newline="") as fp:
+        rows = list(csv.reader(fp))
+    for row in rows[1:]:
+        if row[3]:
+            row[3] = repr(value(float(row[3])))
+    path = tmp_path / "tube.csv"
+    with open(path, "w", newline="") as fp:
+        csv.writer(fp).writerows(rows)
+    return str(path)
+
+
+def test_pqbox_stored_tube_with_negative_coefficients_is_input_error(
+        tmp_path, capsys):
+    # S0 >= 0 in every direction MILP, so no such tube was solved
+    tube = stored_tube_with_values(tmp_path, lambda c: -abs(c) - 0.1)
+    rc = run(["pqbox", "builtin:twelve-node", "--tube", tube,
+              "--summary", CT12_SUMMARY, "--time", "1800",
+              "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {tube}: line 2: coefficient -0.98")
+
+
+def test_stored_tube_coefficient_within_the_solver_tolerance_reads(
+        tmp_path):
+    # HiGHS holds S0 >= 0 to its primal feasibility tolerance of 1e-9
+    tube = stored_tube_with_values(
+        tmp_path, lambda c: -1e-12 if c == 0.0 else c)
+    read = engine.read_tube(tube, CT12_SUMMARY)
+    assert min(s.coeffs.min() for s in read.slices if s.feasible) == -1e-12
 
 
 def test_builtin_model_built_once_per_process():

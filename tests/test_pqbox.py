@@ -1,7 +1,8 @@
 """Box-expansion tests on analytic region oracles (disk, square, annular
 gap shapes) and on real tube cross-sections: soundness of every returned
-corner, local maximality, determinism, termination, and the three
-initial-point rules."""
+corner, local maximality, determinism, termination, the refusal of a
+non-finite step, the three initial-point rules, and that every point of a
+K=3 tube's boxes lies in the section."""
 
 import math
 
@@ -14,6 +15,7 @@ from ctflex.pqbox import (
     _ANGLE_TOL, _RADIUS_TOL, FunctionOracle, cross_section, expand_box,
     initial_point,
 )
+from oracles import box_excess
 
 
 def disk(radius, center=(0.0, 0.0)):
@@ -38,6 +40,12 @@ def sym_tube():
 def rich_tube():
     return engine.assess(twelve_node(), engine.AssessmentConfig(
         directions=6, workers=2))
+
+
+@pytest.fixture(scope="module")
+def k3_tube():
+    return engine.assess(twelve_node(), engine.AssessmentConfig(
+        directions=3, workers=2))
 
 
 # -- expansion on analytic oracles ------------------------------------------------
@@ -73,6 +81,23 @@ def test_start_outside_region_rejected():
         expand_box(disk(1.0), (2.0, 0.0), delta=0.1, eps=1e-6)
     with pytest.raises(ValueError):
         expand_box(disk(1.0), (0.0, 0.0), delta=-1.0, eps=1e-6)
+
+
+@pytest.mark.parametrize("delta, eps", [
+    (math.nan, 1e-6), (math.inf, 1e-6), (0.1, math.nan), (0.1, math.inf)],
+    ids=["nan-delta", "inf-delta", "nan-eps", "inf-eps"])
+def test_non_finite_step_rejected_before_any_membership_test(delta, eps):
+    # a NaN or infinite delta, or a NaN eps, never freezes a side, and an
+    # infinite eps freezes each at its first rejected move
+    tested = []
+
+    def member(p, q):
+        tested.append((p, q))
+        return math.hypot(p, q) <= 1.0
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        expand_box(FunctionOracle(member), (0.0, 0.0), delta=delta, eps=eps)
+    assert tested == []
 
 
 def test_determinism():
@@ -413,3 +438,17 @@ def test_box_symmetric_on_symmetric_region(sym_tube):
                      eps=1e-6, t0=1800.0)
     assert box.p_max == pytest.approx(-box.p_min, abs=1e-3)
     assert box.q_max == pytest.approx(-box.q_min, abs=1e-3)
+
+
+@pytest.mark.parametrize("edge_samples", [0, 8])
+def test_k3_boxes_lie_in_their_sections(k3_tube, edge_samples):
+    # with the CLI's delta and eps at 97 times across the horizon, every
+    # point of each box lies in the section, not only the tested ones; the
+    # stored K=12 tube's boxes do not all do so
+    for k in range(1, 98):
+        t0 = k * 3600 / 98
+        section = cross_section(k3_tube, t0)
+        scale = float(np.nanmax(section.radii))
+        box = expand_box(section, initial_point(section), 0.05 * scale,
+                         1e-4 * scale, t0=t0, edge_samples=edge_samples)
+        assert box_excess(section, box) <= _RADIUS_TOL, t0
