@@ -28,12 +28,13 @@ from .milp import MilpProblem
 from .netmodel import NetworkModel
 
 __all__ = [
-    "circle_polygon", "PeriodLayout", "BlockBuilder",
+    "POLYGON_SIDES", "circle_polygon", "PeriodLayout", "BlockBuilder",
     "AssembledProblem", "FittedProfiles", "fit_profiles",
     "continuous_time_check",
 ]
 
 N_COEF = 4  # cubic decision trajectories in continuous time
+POLYGON_SIDES = 12  # sides of the polygon inscribed in each capacity disk
 
 
 # -- capacity polygons --------------------------------------------------------
@@ -46,19 +47,16 @@ def _cos_sin(angle: float) -> tuple:
                  for v in (math.cos(angle), math.sin(angle)))
 
 
-def circle_polygon(s_max: float, n_sides: int = 12) -> tuple:
-    """Inscribed regular polygon of the capacity disk p^2 + q^2 <= s_max^2
-    as half-planes ((cos psi_k, sin psi_k, s_max cos(pi/n)), ...).
+def circle_polygon(s_max: float) -> tuple:
+    """The regular POLYGON_SIDES-gon inscribed in the capacity disk p^2 + q^2
+    <= s_max^2, as half-planes ((cos psi_k, sin psi_k, s_max cos(pi/n)), ...).
 
     Its vertices lie on the circle, so the polygon is an inner
     approximation and any accepted point is inside the true disk.
     """
-    if n_sides < 4 or n_sides % 2:
-        raise ValueError(f"polygon needs an even side count >= 4, got {n_sides}")
-    rhs = s_max * math.cos(math.pi / n_sides)
-    return tuple(
-        (*_cos_sin(2 * math.pi * k / n_sides), rhs) for k in range(n_sides)
-    )
+    rhs = s_max * math.cos(math.pi / POLYGON_SIDES)
+    return tuple((*_cos_sin(2 * math.pi * k / POLYGON_SIDES), rhs)
+                 for k in range(POLYGON_SIDES))
 
 
 # -- fitted input data --------------------------------------------------------
@@ -192,6 +190,15 @@ class BlockBuilder:
         self._row([(l, 1.0) for l in lam], "==", 1.0, row)
         return lam
 
+    def _disk(self, p_ids, q_ids, s_max: float, tag: str):
+        """The capacity disk p^2 + q^2 <= s_max^2 on every coefficient, as
+        the rows ``{tag}_poly{k}_{h}`` of its inscribed polygon."""
+        poly = circle_polygon(s_max)
+        for k in range(self.n_coef):
+            for h, (c, s, rhs) in enumerate(poly):
+                self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
+                          f"{tag}_poly{k}_{h}")
+
     def _inject(self, m: int, node: int, p_ids=(), q_ids=(),
                 p_coef: float = 1.0, constant: float = 0.0):
         """Record a device's injection at ``node`` in period m, as
@@ -251,11 +258,7 @@ class BlockBuilder:
             self._row([(p_ids[k], 1.0)], "<=", fc[k] - margin,
                       f"pv{pi}_m{m}_cap{k}")
 
-        poly = circle_polygon(pv.s_max)
-        for k in range(self.n_coef):
-            for h, (c, s, rhs) in enumerate(poly):
-                self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
-                          f"pv{pi}_m{m}_poly{k}_{h}")
+        self._disk(p_ids, q_ids, pv.s_max, f"pv{pi}_m{m}")
 
         if pv.q_max > 0.0:
             # volt-var curve Q = q_max - beta clamp(U - U2, 0, W): the clamp
@@ -299,7 +302,6 @@ class BlockBuilder:
         """Terminal balance, per-terminal capacity polygon, and P box."""
         sop = self.model.sop_devices[si]
         layout = self.layouts[m]
-        poly = circle_polygon(sop.s_max)
         term_p = []
         for t, node in enumerate(sop.nodes):
             p_ids = self._coef_vars(self.n_coef, sop.p_min, sop.p_max,
@@ -310,10 +312,7 @@ class BlockBuilder:
             layout.q_sop[(si, t)] = q_ids
             self._inject(m, node, p_ids, q_ids)
             term_p.append(p_ids)
-            for k in range(self.n_coef):
-                for h, (c, s, rhs) in enumerate(poly):
-                    self._row([(p_ids[k], c), (q_ids[k], s)], "<=", rhs,
-                              f"sop{si}t{t}_m{m}_poly{k}_{h}")
+            self._disk(p_ids, q_ids, sop.s_max, f"sop{si}t{t}_m{m}")
         abs_ids = []
         if sop.loss > 0.0:
             for t in range(2):
@@ -347,10 +346,12 @@ class BlockBuilder:
             self._row([(q_ids[k], 1.0), (u_ids[k], -half_k)], "==",
                       -half_k * svc.u_ref, f"svc{si}_m{m}_droop{k}")
 
-    def _mccormick(self, z_ids, lam, u_ids, tag):
-        """z = lam * U lowered by the four McCormick rows on [u_min, u_max];
-        exact whenever lam is binary-valued."""
+    def _mccormick(self, lam: int, u_ids, tag: str) -> list:
+        """New columns ``Z{tag}`` on [0, u_max] for z = lam * U, held by the
+        four McCormick rows on [u_min, u_max] per coefficient, exact whenever
+        lam is binary-valued; returns their ids."""
         lo, hi = self.model.u_min, self.model.u_max
+        z_ids = self._coef_vars(self.n_coef, 0.0, hi, f"Z{tag}")
         for k in range(self.n_coef):
             z_k, u_k = z_ids[k], u_ids[k]
             self._row([(z_k, 1.0), (lam, -hi)], "<=", 0.0, f"{tag}_mc1c{k}")
@@ -359,6 +360,7 @@ class BlockBuilder:
                       f"{tag}_mc3c{k}")
             self._row([(z_k, 1.0), (u_k, -1.0), (lam, -hi)], ">=", -hi,
                       f"{tag}_mc4c{k}")
+        return z_ids
 
     def capbank_block(self, ci: int, m: int):
         """One-hot binary step selection with a McCormick-exact
@@ -374,16 +376,13 @@ class BlockBuilder:
                                 f"Qcap{ci}_m{m}")
         layout.q_cap[ci] = q_ids
         self._inject(m, cap.node, q_ids=q_ids)
-        z_all = []
         for j in range(len(cap.steps)):
-            z_ids = self._coef_vars(self.n_coef, 0.0, self.model.u_max,
-                                    f"Zcap{ci}s{j}_m{m}")
-            layout.z_cap[(ci, j)] = z_ids
-            self._mccormick(z_ids, lam[j], u_ids, f"cap{ci}s{j}_m{m}")
-            z_all.append(z_ids)
+            layout.z_cap[(ci, j)] = self._mccormick(lam[j], u_ids,
+                                                    f"cap{ci}s{j}_m{m}")
         for k in range(self.n_coef):
             terms = [(q_ids[k], 1.0)]
-            terms += [(z_all[j][k], -cap.steps[j]) for j in range(len(cap.steps))]
+            terms += [(layout.z_cap[(ci, j)][k], -q)
+                      for j, q in enumerate(cap.steps)]
             self._row(terms, "==", 0.0, f"cap{ci}_m{m}_sum{k}")
 
     def ess_block(self, ei: int):
@@ -436,8 +435,10 @@ class BlockBuilder:
 
     def network_block(self, m: int):
         """Linearized Distflow: nodal balances over the injections that the
-        device blocks recorded and the loads, branch voltage drops,
-        regulator bands, and OLTC tap products."""
+        device blocks recorded and the loads, then each branch's voltage drop
+        U_from - 2 (r P + x Q) = sum of ratio^2 U over its downstream terms:
+        U_to (plain), U_reg held within tau^2 U_to by band rows (regulator),
+        or each tap's product Z_j = lam_j U_to with ratio a_j (OLTC)."""
         model = self.model
         layout = self.layouts[m]
         nodes = range(1, model.n_nodes)
@@ -474,43 +475,39 @@ class BlockBuilder:
                           f"net_m{m}_qbal{node}_{k}")
 
         for bi, br in enumerate(model.branches):
-            from_root = br.from_node == 0
-            if br.kind == "regulator":
+            u_to = layout.u[br.to_node]
+            if br.kind == "plain":
+                down = [(u_to, 1.0)]
+            elif br.kind == "regulator":
                 layout.u_reg[bi] = self._coef_vars(
                     self.n_coef, br.tau_min ** 2 * model.u_min,
                     br.tau_max ** 2 * model.u_max, f"Ureg{bi}_m{m}")
-            elif br.kind == "oltc":
+                down = [(layout.u_reg[bi], 1.0)]
+            else:  # oltc
                 lam = self._one_hot(len(br.taps), f"LamOltc{bi}_m{m}",
                                     f"oltc{bi}_m{m}_onehot")
                 layout.lam_oltc[bi] = lam
                 for j in range(len(br.taps)):
-                    z_ids = self._coef_vars(self.n_coef, 0.0, model.u_max,
-                                            f"Zoltc{bi}t{j}_m{m}")
-                    layout.z_oltc[(bi, j)] = z_ids
-                    self._mccormick(z_ids, lam[j], layout.u[br.to_node],
-                                    f"oltc{bi}t{j}_m{m}")
+                    layout.z_oltc[(bi, j)] = self._mccormick(
+                        lam[j], u_to, f"oltc{bi}t{j}_m{m}")
+                down = [(layout.z_oltc[(bi, j)], a * a)
+                        for j, a in enumerate(br.taps)]
             for k in range(self.n_coef):
                 terms = [(layout.p_br[bi][k], -2.0 * br.r),
                          (layout.q_br[bi][k], -2.0 * br.x)]
-                rhs = -model.u0 if from_root else 0.0
-                if not from_root:
+                if br.from_node:      # the root's voltage is the constant u0
                     terms.append((layout.u[br.from_node][k], 1.0))
-                if br.kind == "plain":
-                    terms.append((layout.u[br.to_node][k], -1.0))
-                elif br.kind == "regulator":
-                    terms.append((layout.u_reg[bi][k], -1.0))
-                else:  # oltc
-                    terms += [(layout.z_oltc[(bi, j)][k], -a * a)
-                              for j, a in enumerate(br.taps)]
-                self._row(terms, "==", rhs, f"net_m{m}_drop{bi}_{k}")
+                terms += [(ids[k], -ratio2) for ids, ratio2 in down]
+                self._row(terms, "==", 0.0 if br.from_node else -model.u0,
+                          f"net_m{m}_drop{bi}_{k}")
 
             if br.kind == "regulator":
                 for k in range(self.n_coef):
                     self._row([(layout.u_reg[bi][k], 1.0),
-                               (layout.u[br.to_node][k], -br.tau_min ** 2)],
+                               (u_to[k], -br.tau_min ** 2)],
                               ">=", 0.0, f"net_m{m}_reglo{bi}_{k}")
                     self._row([(layout.u_reg[bi][k], 1.0),
-                               (layout.u[br.to_node][k], -br.tau_max ** 2)],
+                               (u_to[k], -br.tau_max ** 2)],
                               "<=", 0.0, f"net_m{m}_regup{bi}_{k}")
 
     def tdi_block(self, m: int):

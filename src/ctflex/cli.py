@@ -175,11 +175,17 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, args, stages: dict, warnings: list):
-    paths = (args.model, getattr(args, "tube", None),
-             getattr(args, "summary", None))
-    inputs = {path: _sha256(path) if os.path.exists(path) else "builtin"
-              for path in paths if path}
+def _write_manifest(out_dir: str, args, model: NetworkModel, stages: dict,
+                    warnings: list, read: dict | None = None):
+    """manifest.json, whose ``inputs`` hold the sha256 of the model file and
+    of each profile CSV it names ("builtin" for a builtin model), and
+    ``read``: path -> sha256 of the files hashed as they were parsed."""
+    profiles = [*(pv.forecast for pv in model.pv_units),
+                *(ld.profile for ld in model.loads)]
+    paths = [args.model, *(p.source for p in profiles if p.source)]
+    inputs = {path: "builtin" if path in _BUILTIN else _sha256(path)
+              for path in paths}
+    inputs.update(read or {})
     manifest = {
         "tool": "ctflex",
         "version": __version__,
@@ -228,7 +234,8 @@ def cmd_assess(args) -> int:
         with open(os.path.join(args.out, "problem_theta0.lp"), "w") as fp:
             write_lp(assembled.problem, fp)
     stages["write"] = time.perf_counter() - t0
-    _write_manifest(args.out, args, stages, tube.diagnostics.get("warnings", []))
+    _write_manifest(args.out, args, model, stages,
+                    tube.diagnostics.get("warnings", []))
     print(f"wrote {args.out}/tube.csv ({len(tube.slices)} directions, "
           f"{len(tube.gaps)} gaps)")
     return EXIT_OK
@@ -310,9 +317,11 @@ def cmd_pqbox(args) -> int:
                 r = section.boundary_radius(float(th))
                 if r is not None:
                     w.writerow([repr(float(th)), repr(float(r))])
-    # a stored tube keeps no warnings; one assessed here keeps its gaps
-    _write_manifest(args.out, args, stages,
-                    tube.diagnostics.get("warnings", []))
+    # a stored tube keeps no warnings but the digests of the files read;
+    # one assessed here keeps its gaps
+    _write_manifest(args.out, args, model, stages,
+                    tube.diagnostics.get("warnings", []),
+                    tube.diagnostics.get("inputs"))
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -388,7 +397,7 @@ def cmd_metrics(args) -> int:
         w.writeheader()
         for row in rows:
             w.writerow(row)
-    _write_manifest(args.out, args, {}, warnings)
+    _write_manifest(args.out, args, base, {}, warnings)
     print(f"wrote {out_path} ({len(rows)} cells)")
     return EXIT_OK
 
@@ -409,7 +418,7 @@ def cmd_compare_dt(args) -> int:
                         "" if s_ct.objective is None else repr(s_ct.objective),
                         "" if s_dt.objective is None else repr(s_dt.objective),
                         s_ct.status, s_dt.status])
-    _write_manifest(args.out, args, {}, [
+    _write_manifest(args.out, args, model, {}, [
         f"{mode}: {w}" for mode, tube in (("ct", ct), ("dt", dt))
         for w in tube.diagnostics["warnings"]])
     print(f"wrote {out_path}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -444,7 +445,6 @@ _STATUSES = ("optimal", "infeasible", "limit")
 def tube_summary(tube: FlexTube, model: NetworkModel, theta_set) -> dict:
     doc = {
         **_listing(tube),
-        "gaps": tube.gaps,
         "horizon": {"t1": tube.t1, "period": tube.period,
                     "n_periods": tube.n_periods},
         "mode": tube.mode,
@@ -592,16 +592,20 @@ def tube_from_csv(path: str, horizon: dict, mode: str = "ct",
 
 
 def _listing(tube: FlexTube) -> dict:
-    """The summary's record of a tube's directions and their statuses."""
+    """The summary's record of a tube's directions, their statuses and its
+    gaps."""
     return {"directions": [s.theta for s in tube.slices],
-            "statuses": {repr(s.theta): s.status for s in tube.slices}}
+            "statuses": {repr(s.theta): s.status for s in tube.slices},
+            "gaps": tube.gaps}
 
 
 def read_tube(tube_path: str, summary_path: str) -> FlexTube:
     """A tube read back from an assessment's tube CSV and summary JSON,
     whose mode is ``ct`` when absent; ValueError naming the file unless
     both exist and can be read, pass ``tube_from_csv``, and the summary's
-    ``directions`` and ``statuses``, where it has them, are the tube's.
+    ``directions``, ``statuses`` and ``gaps``, where it has them, are the
+    tube's.  The tube's ``diagnostics["inputs"]`` maps each path to the
+    sha256 of the bytes parsed from it.
 
     Each file's bytes are read once, and the tube is parsed from exactly
     those bytes.  The last tube parsed is kept, keyed on both paths and
@@ -646,6 +650,10 @@ def _parse_tube(tube_path: str, summary_path: str, tube_data: bytes,
         if key in summary and summary[key] != value:
             raise ValueError(f"{summary_path}: {key} differ from those of "
                              f"the tube {tube_path}")
+    tube.diagnostics["inputs"] = {
+        path: hashlib.sha256(data).hexdigest()
+        for path, data in ((tube_path, tube_data),
+                           (summary_path, summary_data))}
     return tube
 
 

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class Profile:
 
     times: tuple
     values: tuple
+    # the CSV file it was read from, "" for one given as data
+    source: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
@@ -69,7 +71,8 @@ class Profile:
             rows = [(float(row[0]), float(row[1])) for row in reader if row]
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: line {reader.line_num}: bad row") from exc
-        return cls(tuple(t for t, _ in rows), tuple(v for _, v in rows))
+        return cls(tuple(t for t, _ in rows), tuple(v for _, v in rows),
+                   source=path)
 
     def to_csv(self, path: str):
         with open(path, "w", newline="") as fp:
@@ -493,9 +496,8 @@ def load_model(path: str) -> NetworkModel:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:       # a byte that is not UTF-8
         raise ParseError(str(exc)) from exc
-    base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        model = _model_from_doc(doc, base_dir)
+        model = _model_from_doc(doc, os.path.dirname(path))
     except (ParseError, KeyError, TypeError, ValueError, OverflowError,
             OSError) as exc:
         raise ParseError(f"{path}: schema error: {exc}") from exc

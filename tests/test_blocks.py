@@ -16,7 +16,8 @@ import pytest
 
 from ctflex import engine
 from ctflex.blocks import (
-    BlockBuilder, circle_polygon, continuous_time_check, fit_profiles,
+    POLYGON_SIDES, BlockBuilder, circle_polygon, continuous_time_check,
+    fit_profiles,
 )
 from ctflex.chance import compute_margins, scalar_response_system
 from ctflex.instances import _sampled, ess_symmetric, twelve_node
@@ -48,7 +49,7 @@ def inside(planes, p, q, tol=1e-12):
 
 
 def test_polygon_inside_disk_10k_points():
-    poly = circle_polygon(2.0, 12)
+    poly = circle_polygon(2.0)
     pts = RNG.uniform(-2.5, 2.5, size=(10_000, 2))
     accepted = np.array([inside(poly, p, q) for p, q in pts])
     radii = np.hypot(pts[:, 0], pts[:, 1])
@@ -60,24 +61,24 @@ def test_polygon_inside_disk_10k_points():
 
 
 def test_polygon_vertices_on_circle():
-    poly = circle_polygon(1.5, 8)
+    poly = circle_polygon(1.5)
     # vertex direction bisects adjacent half-plane normals
-    for k in range(8):
-        phi = 2 * math.pi * (k + 0.5) / 8
+    for k in range(POLYGON_SIDES):
+        phi = 2 * math.pi * (k + 0.5) / POLYGON_SIDES
         vx, vy = 1.5 * math.cos(phi), 1.5 * math.sin(phi)
         assert inside(poly, vx, vy, tol=1e-9)
         assert math.hypot(vx, vy) == pytest.approx(1.5)
 
 
 def test_polygon_simple_points():
-    poly = circle_polygon(1.0, 12)
+    poly = circle_polygon(1.0)
     assert inside(poly, 0.0, 0.0)
     assert not inside(poly, 1.01, 0.0)
 
 
 def test_polygon_axis_normals_exact():
     # cos(pi/2) and sin(pi) round to ~1e-16; they must be emitted as 0.0
-    planes = circle_polygon(1.0, 12)
+    planes = circle_polygon(1.0)
     assert [(c, s) for c, s, _ in planes[::3]] == [
         (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
 
@@ -107,13 +108,6 @@ def test_direction_leaves_the_direction_free_problem_as_built():
         len(p._vals) - len(base.direction_entries)
     with pytest.raises(ValueError, match="direction-free"):
         half_pi.at(0.0)
-
-
-def test_polygon_bad_side_count():
-    with pytest.raises(ValueError):
-        circle_polygon(1.0, 3)
-    with pytest.raises(ValueError):
-        circle_polygon(1.0, 7)
 
 
 # -- tiny fixture models ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """CLI contract tests: command outputs, exit codes, the direction-set
 parser, and byte-determinism across reruns."""
 
+import argparse
+import builtins
 import copy
 import csv
 import dataclasses
@@ -295,6 +297,111 @@ def test_pqbox_tube_manifest_hashes_its_inputs(tmp_path):
         "builtin:twelve-node": "builtin",
         **{path: hashlib.sha256(open(path, "rb").read()).hexdigest()
            for path in (CT12_TUBE, CT12_SUMMARY)}}
+
+
+def test_manifest_hashes_each_profile_sidecar(tmp_path):
+    # a copy of the 12-node model file and the ten profile CSVs it names
+    instances = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "instances")
+    names = sorted(name for name in os.listdir(instances)
+                   if name.startswith("twelve_node"))
+    for name in names:
+        (tmp_path / name).write_bytes(
+            open(os.path.join(instances, name), "rb").read())
+    model = tmp_path / "twelve_node.json"
+    sidecars = [str(tmp_path / name) for name in names
+                if name.endswith(".csv")]
+    assert len(sidecars) == 10
+
+    def inputs():
+        out = tmp_path / "b"
+        assert run(["pqbox", str(model), "--tube", CT12_TUBE,
+                    "--summary", CT12_SUMMARY, "--time", "1800",
+                    "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["inputs"]
+
+    before = inputs()
+    assert before == {
+        path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        for path in (str(model), *sidecars, CT12_TUBE, CT12_SUMMARY)}
+    # one byte of one sample value: the file still parses and validates
+    changed = tmp_path / "twelve_node_load3.csv"
+    data = changed.read_bytes()
+    i = data.index(b"\n", data.index(b"\n") + 1) - 1
+    changed.write_bytes(data[:i] + (b"1" if data[i:i + 1] != b"1" else b"2")
+                        + data[i + 1:])
+    after = inputs()
+    assert [path for path in before if before[path] != after[path]] == \
+        [str(changed)]
+
+
+def test_pqbox_tube_opens_each_stored_file_once(tmp_path, monkeypatch):
+    # its manifest digests come from the bytes that read_tube parsed
+    opened = []
+    real_open = builtins.open
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    rc = run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+              "--summary", CT12_SUMMARY, "--time", "1800",
+              "--out", str(tmp_path / "b")])
+    monkeypatch.undo()
+    assert rc == 0
+    assert opened.count(CT12_TUBE) == opened.count(CT12_SUMMARY) == 1
+
+
+def test_pqbox_summary_with_other_gaps_is_input_error(tmp_path, capsys):
+    summary = json.loads(open(CT12_SUMMARY).read())
+    summary["gaps"] = [0.123]           # a direction never sampled
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    out = tmp_path / "b"
+    rc = run(["pqbox", "builtin:twelve-node", "--tube", CT12_TUBE,
+              "--summary", str(path), "--time", "1800", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: gaps differ from those of the tube {CT12_TUBE}\n"
+    assert not (out / "box.json").exists()
+
+
+def _pqbox_options():
+    """Each option of the pqbox parser that shapes an assessment, with a
+    value off its default: every option but those of the box query and
+    of the stored tube, which --tube honours."""
+    box_options = {"--help", "--time", "--delta", "--eps", "--edge-samples",
+                   "--tube", "--summary", "--boundary-csv", "--out"}
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    out = []
+    for action in commands.choices["pqbox"]._actions:
+        flag = action.option_strings[-1:]
+        if not flag or flag[0] in box_options:
+            continue
+        if action.choices:          # a mode other than the stored tube's
+            value = [c for c in action.choices if c != "ct"][0]
+        elif action.type is int:
+            value = str((action.default or 0) + 1)
+        elif action.type is float:
+            value = repr((action.default or 0.0) + 0.25)
+        else:
+            raise AssertionError(f"no off-default value for {flag[0]}")
+        out.append([flag[0], value])
+    return out
+
+
+@pytest.mark.parametrize("flags", _pqbox_options(), ids=lambda f: f[0])
+def test_pqbox_tube_refuses_each_assessment_option(flags, sym_tube_files,
+                                                   tmp_path, capsys):
+    tube, summary = sym_tube_files
+    out = str(tmp_path / "b")
+    rc = run(["pqbox", "builtin:ess-symmetric", "--tube", tube,
+              "--summary", summary, "--time", "900", *flags, "--out", out])
+    assert rc == 2
+    assert f"error: {flags[0]} " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "box.json"))
 
 
 # P-Q boxes on the stored 12-node tube, pinned bit for bit so that a
